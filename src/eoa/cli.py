@@ -26,7 +26,7 @@ from .euler import (EulerianViolation, euler_cycle_full, eulerian_oa_from_code,
                     verify_eulerian)
 from .gf import field_from_order
 from .oa import (StrengthViolation, oa_from_code, read_oa_entries,
-                 verify_strength, write_oa)
+                 read_oa_file, verify_strength, write_oa)
 from .weyl import phase_distance
 
 
@@ -183,18 +183,16 @@ def cmd_euler_build(args) -> int:
 
 def cmd_euler_verify(args) -> int:
     try:
-        entries, (N, n, q, t_header, lam_header) = read_oa_entries(args.infile)
-        trailer = [ln for ln in Path(args.infile).read_text().splitlines()
-                   if ln.startswith("EULER")]
+        entries, (N, n, q, t_header, _), trailer = read_oa_file(args.infile)
+        field = field_from_order(q)
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
     if args.t is not None:
         t = args.t
-    elif trailer:
-        t = int(trailer[0].split()[1])
+    elif trailer is not None:
+        t = trailer[0]
     else:
         t = t_header
-    field = field_from_order(q)
     strength = verify_strength(entries, q, t)
     if isinstance(strength, StrengthViolation):
         return _fail_verify(f"strength {t}: {strength}")
@@ -284,6 +282,10 @@ def cmd_sim(args) -> int:
             return _fail_input("drift file does not match the array layout")
     else:
         drift = random_drift(n, d, args.t, args.denv, args.seed)
+    pairs = oa.q ** (2 * drift.max_arity)
+    if args.mode == "eulerian" and pairs > config.EULER_EDGE_CAP:
+        return _fail_input(f"arity-{drift.max_arity} terms need a (vertex, transition) "
+                           f"histogram of {pairs} > {config.EULER_EDGE_CAP} bins")
 
     tol = args.tol
     extra = {"mode": args.mode, "array": str(args.oa), "n": n, "d": d,

@@ -7,6 +7,7 @@ exactly which thresholds it was checked against.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 # Matrix predicate tolerance (Frobenius norm, scaled by dimension where noted).
 EPS_MAT = 1e-12
@@ -46,3 +47,12 @@ def worker_count() -> int:
     except ValueError:
         return 1
     return max(1, value)
+
+
+def parallel_map(fn, items: list) -> list:
+    """[fn(x) for x in items] on up to worker_count() threads, in input order."""
+    workers = worker_count()
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]

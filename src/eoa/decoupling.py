@@ -13,8 +13,14 @@ Conventions (hbar = 1 throughout):
   *transition* with a constant (square-pulse) control Hamiltonian h, the
   principal logarithm of the target Weyl unitary, so exp(-i h delta)
   reaches it at the end of the subinterval and ||h|| <= pi/delta.
-  Square pulses admit a closed-form subinterval integral; Gauss-Legendre
-  quadrature is kept as an independent cross-check backend.
+
+* Exact averaging is the paper's Q_C = Pi_G o F_S.  The control prefix
+  before column j is the Weyl operator W of g_j - g_0 up to a phase, so a
+  term's action regroups over the (vertex, transition) histogram c of its
+  projection as (1/N) sum_v W_v^dag [sum_s c(v, s) F_s(X)] W_v, with the
+  square-pulse filter F_s in closed form; bang-bang averaging is the
+  vertex-only histogram with F the identity.  The quadrature backend is
+  the independent time-ordered walk, with matrix-exponential prefixes.
 
 * First-order averages are computed term by term on each term's support
   (dimension d^t), mirroring the reduction used by the decoupling
@@ -29,6 +35,7 @@ Conventions (hbar = 1 throughout):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import warnings
@@ -39,9 +46,9 @@ import numpy as np
 import scipy.linalg
 
 from . import config
-from .euler import EulerianCycle, EulerianOA
+from .euler import EulerianCycle, EulerianOA, pair_counts, transitions
 from .gf import FieldTable, field_from_order
-from .oa import OrthogonalArray
+from .oa import OrthogonalArray, column_counts
 from .weyl import aligned_distance, embed, frob, is_hermitian, is_unitary, \
     matrix_from_pairs, matrix_to_pairs, weyl, weyl_from_field
 
@@ -199,26 +206,20 @@ def generator_hamiltonian(u: np.ndarray, delta: float) -> np.ndarray:
     return (h + h.conj().T) / 2
 
 
-def _label_hamiltonians(field: FieldTable, delta: float) -> dict[int, np.ndarray]:
-    """Control Hamiltonian for each field symbol's Weyl unitary."""
-    hams = {}
-    for e in range(field.q):
-        u = weyl_from_field(field, e)
-        h = generator_hamiltonian(u, delta)
-        hams[e] = h
-    return hams
+def _symbol_unitaries(field: FieldTable) -> np.ndarray:
+    """(q, d, d) stack of each field symbol's Weyl unitary."""
+    return np.stack([weyl_from_field(field, e) for e in range(field.q)])
+
+
+def _symbol_hamiltonians(unitaries: np.ndarray, delta: float) -> np.ndarray:
+    """(q, d, d) stack of the control Hamiltonian realizing each unitary."""
+    return np.stack([generator_hamiltonian(u, delta) for u in unitaries])
 
 
 def _coords_array(field: FieldTable, symbols: np.ndarray) -> np.ndarray:
     """(..., 2) array of Z_d x Z_d coordinates for an array of symbols."""
     d = field.coord_dim()
     return np.stack([symbols % d, symbols // d], axis=-1)
-
-
-def _transitions(entries: np.ndarray, field: FieldTable) -> np.ndarray:
-    """Cyclic per-row transitions s[k, j] = g[k, j+1] - g[k, j]."""
-    nxt = np.roll(entries, -1, axis=1)
-    return field.add_table[nxt, field.neg_table[entries]]
 
 
 def _array_entries(m) -> tuple[np.ndarray, int, int | None]:
@@ -258,17 +259,14 @@ def euler_schedule(m, delta: float) -> Schedule:
     field = field_from_order(q)
     d = field.coord_dim()
     n, N = entries.shape
-    diff = _transitions(entries, field)
+    diff = transitions(entries, field)
     labels = _coords_array(field, diff.T)
-    hams_by_symbol = _label_hamiltonians(field, delta)
-    for e, h in hams_by_symbol.items():
-        u = _expm_hermitian(h, delta)
-        if aligned_distance(u, weyl_from_field(field, e)) > config.EPS_MAT * d:
+    unitaries = _symbol_unitaries(field)
+    hams_by_symbol = _symbol_hamiltonians(unitaries, delta)
+    for u, h in zip(unitaries, hams_by_symbol):
+        if aligned_distance(_expm_hermitian(h, delta), u) > config.EPS_MAT * d:
             raise AssertionError("control Hamiltonian does not realize its unitary")
-    hams = np.zeros((N, n, d, d), dtype=complex)
-    for k in range(n):
-        for j in range(N):
-            hams[j, k] = hams_by_symbol[int(diff[k, j])]
+    hams = hams_by_symbol[diff.T]
     return Schedule(n, d, N, delta, "eulerian", labels, hams)
 
 
@@ -283,9 +281,18 @@ def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def _phase_filter(lam: np.ndarray, delta: float) -> np.ndarray:
-    """Matrix of (1/Delta) int_0^Delta exp(i (lam_a - lam_b) delta) ddelta."""
-    theta = (lam[:, None] - lam[None, :]) * delta
+    """Matrix of (1/Delta) int_0^Delta exp(i (lam_a - lam_b) delta) ddelta,
+    per spectrum of a stack."""
+    theta = (lam[..., :, None] - lam[..., None, :]) * delta
     return np.exp(0.5j * theta) * np.sinc(theta / (2 * np.pi))
+
+
+def _square_pulse_filter(x: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
+    """F_h(x) = (1/Delta) int_0^Delta e^{i h tau} x e^{-i h tau} dtau in closed
+    form, one per control Hamiltonian of a stack h."""
+    lam, vec = np.linalg.eigh(h)
+    vec_dag = vec.conj().swapaxes(-1, -2)
+    return vec @ ((vec_dag @ x @ vec) * _phase_filter(lam, delta)) @ vec_dag
 
 
 def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
@@ -304,10 +311,7 @@ def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
     if x.shape != h.shape or x.shape != v.shape:
         raise ValueError("dimension mismatch between operator, control, and prefix")
     if method == "exact":
-        lam, vec = np.linalg.eigh(h)
-        xh = vec.conj().T @ x @ vec
-        core = vec @ (xh * _phase_filter(lam, delta)) @ vec.conj().T
-        return v.conj().T @ core @ v
+        return v.conj().T @ _square_pulse_filter(x, h, delta) @ v
     if method == "quadrature":
         nodes, weights = np.polynomial.legendre.leggauss(order)
         acc = np.zeros_like(x)
@@ -316,6 +320,74 @@ def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
             uv = u @ v
             acc += weight * (uv.conj().T @ x @ uv)
         return acc / 2
+    raise ValueError(f"unknown method {method!r}")
+
+
+# ---------------------------------------------------------------------------
+# The averaging kernel: Q_C = Pi_G o F_S over the (vertex, transition)
+# histogram of a term's projection
+# ---------------------------------------------------------------------------
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products of two equally long stacks of square matrices."""
+    dim = a.shape[-1] * b.shape[-1]
+    return np.einsum("sab,scd->sacbd", a, b).reshape(len(a), dim, dim)
+
+
+def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) 1 + 1 (x) b per stack entry: independently driven qudits."""
+    return (_kron(a, np.broadcast_to(np.eye(b.shape[-1]), b.shape))
+            + _kron(np.broadcast_to(np.eye(a.shape[-1]), a.shape), b))
+
+
+def _support_table(per_symbol: np.ndarray, codes: np.ndarray, q: int, t: int,
+                   combine) -> np.ndarray:
+    """One t-qudit operator per base-q code: per_symbol[digit] combined over
+    the code's digits (_kron: Weyl unitaries, _kron_sum: control Hamiltonians)."""
+    digits = np.unravel_index(codes, (q,) * t)
+    return functools.reduce(combine, (per_symbol[k] for k in digits))
+
+
+def _histogram_average(filtered: np.ndarray, counts: np.ndarray,
+                       weyls: np.ndarray) -> np.ndarray:
+    """(1/N) sum_v W_v^dag [sum_s counts[v, s] filtered[s]] W_v: Pi_G after
+    F_S, N the histogram's total count."""
+    inner = np.tensordot(counts, filtered, axes=1)
+    return (weyls.conj().swapaxes(1, 2) @ inner @ weyls).sum(axis=0) / counts.sum()
+
+
+def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
+                  unitaries: np.ndarray, hams: np.ndarray, delta: float,
+                  method: str, order: int) -> np.ndarray:
+    """(1/N) sum_j V_j^dag F_{s_j}(x) V_j along a t x N projection, V_j the
+    control prefix and s_j the transition of column j.
+
+    "exact" is the histogram kernel, V_j = W(g_j - g_0) up to a phase.
+    "quadrature" walks the columns with prefixes multiplied from
+    matrix-exponential steps; F_s is computed once per distinct transition.
+    """
+    q, (t, N) = field.q, sub.shape
+    if method == "exact":
+        vertices = field.add_table[sub, field.neg_table[sub[:, :1]]]
+        counts = pair_counts(vertices, field)
+        used_v = np.nonzero(counts.any(axis=1))[0]
+        used_s = np.nonzero(counts.any(axis=0))[0]
+        filtered = _square_pulse_filter(
+            x, _support_table(hams, used_s, q, t, _kron_sum), delta)
+        return _histogram_average(filtered, counts[np.ix_(used_v, used_s)],
+                                  _support_table(unitaries, used_v, q, t, _kron))
+    if method == "quadrature":
+        codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
+        used_s, column_s = np.unique(codes, return_inverse=True)
+        h = _support_table(hams, used_s, q, t, _kron_sum)
+        eye = np.eye(h.shape[-1], dtype=complex)
+        filtered = [segment_average(x, hs, eye, delta, method, order) for hs in h]
+        steps = [scipy.linalg.expm(-1j * delta * hs) for hs in h]
+        prefix, acc = eye, np.zeros_like(eye)
+        for s in column_s:
+            acc += prefix.conj().T @ filtered[s] @ prefix
+            prefix = steps[s] @ prefix
+        return acc / N
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -336,10 +408,6 @@ class AverageReport:
     per_term_norms: tuple[tuple[tuple[int, ...], float], ...]
     method: str
     env_shift_norm: float
-
-    @property
-    def max_term_norm(self) -> float:
-        return max((norm for _, norm in self.per_term_norms), default=0.0)
 
 
 def _embedded_sum_norm(parts: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]],
@@ -393,7 +461,8 @@ def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
     """First-order average under the bang-bang control action of an array.
 
     Each term is conjugated by the tensor Weyl unitaries of the array
-    columns restricted to the term's support and averaged over columns.
+    columns restricted to the term's support and averaged over columns:
+    the histogram kernel over the strength verifier's column counts, F = 1.
     """
     entries, q, _ = _array_entries(m)
     field = field_from_order(q)
@@ -401,24 +470,14 @@ def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
     if d != drift.d or entries.shape[0] != drift.n:
         raise ValueError("array does not match the drift's qudit layout")
     _check_strength(m, drift)
-    N = entries.shape[1]
-    unitaries = {e: weyl_from_field(field, e) for e in range(q)}
-
+    unitaries = _symbol_unitaries(field)
     averaged = []
     for term in drift.terms:
-        cols = entries[list(term.support)]
-        tensor_cache: dict[tuple[int, ...], np.ndarray] = {}
-        acc = np.zeros_like(term.sys_block)
-        for j in range(N):
-            key = tuple(int(s) for s in cols[:, j])
-            w = tensor_cache.get(key)
-            if w is None:
-                w = unitaries[key[0]]
-                for sym in key[1:]:
-                    w = np.kron(w, unitaries[sym])
-                tensor_cache[key] = w
-            acc += w.conj().T @ term.sys_block @ w
-        averaged.append((term.support, acc / N, term.env_block))
+        counts = column_counts(entries[list(term.support)], q)
+        used = np.nonzero(counts)[0]
+        weyls = _support_table(unitaries, used, q, len(term.support), _kron)
+        avg = _histogram_average(term.sys_block[None], counts[used, None], weyls)
+        averaged.append((term.support, avg, term.env_block))
     return _assemble_report(averaged, drift, "bangbang")
 
 
@@ -427,9 +486,9 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
                      order: int = config.DEFAULT_QUAD_ORDER) -> AverageReport:
     """First-order average under the bounded-strength (Eulerian) action.
 
-    Walks the subintervals accumulating the per-qudit control prefixes and
-    sums each term's subinterval averages on its own support; the
-    environment factor of every term passes through untouched.
+    Each term's action Q_C = Pi_G o F_S is computed on its own support
+    (see _cycle_action for the two backends); the environment factor of
+    every term passes through untouched.
     """
     entries, q, _ = _array_entries(m)
     field = field_from_order(q)
@@ -437,57 +496,12 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     if d != drift.d or entries.shape[0] != drift.n:
         raise ValueError("array does not match the drift's qudit layout")
     _check_strength(m, drift)
-    n, N = entries.shape
-    diff = _transitions(entries, field)
-    hams = _label_hamiltonians(field, delta)
-    steps = {e: _expm_hermitian(h, delta) for e, h in hams.items()}
-
-    # per-qudit control prefixes V_k(j) = U_c restricted to qudit k
-    prefixes = np.zeros((N, n, d, d), dtype=complex)
-    for k in range(n):
-        v = np.eye(d, dtype=complex)
-        for j in range(N):
-            prefixes[j, k] = v
-            v = steps[int(diff[k, j])] @ v
-
-    if method == "quadrature":
-        nodes, node_weights = np.polynomial.legendre.leggauss(order)
-    averaged = []
-    for term in drift.terms:
-        support = term.support
-        t = len(support)
-        dim = d**t
-        sub_diff = diff[list(support)]
-        core_cache: dict[tuple[int, ...], np.ndarray] = {}
-        node_cache: dict[tuple[int, ...], list[np.ndarray]] = {}
-        acc = np.zeros((dim, dim), dtype=complex)
-        for j in range(N):
-            key = tuple(int(s) for s in sub_diff[:, j])
-            v_seg = prefixes[j, support[0]]
-            for k in support[1:]:
-                v_seg = np.kron(v_seg, prefixes[j, k])
-            if method == "exact":
-                core = core_cache.get(key)
-                if core is None:
-                    h_seg = sum(embed(hams[key[i]], (i,), t, d) for i in range(t))
-                    lam, vec = np.linalg.eigh(h_seg)
-                    xh = vec.conj().T @ term.sys_block @ vec
-                    core = vec @ (xh * _phase_filter(lam, delta)) @ vec.conj().T
-                    core_cache[key] = core
-                acc += v_seg.conj().T @ core @ v_seg
-            elif method == "quadrature":
-                node_us = node_cache.get(key)
-                if node_us is None:
-                    h_seg = sum(embed(hams[key[i]], (i,), t, d) for i in range(t))
-                    node_us = [scipy.linalg.expm(-1j * h_seg * ((x + 1) * delta / 2))
-                               for x in nodes]
-                    node_cache[key] = node_us
-                for u_node, weight in zip(node_us, node_weights):
-                    uv = u_node @ v_seg
-                    acc += (weight / 2) * (uv.conj().T @ term.sys_block @ uv)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-        averaged.append((support, acc / N, term.env_block))
+    unitaries = _symbol_unitaries(field)
+    hams = _symbol_hamiltonians(unitaries, delta)
+    averaged = [(term.support,
+                 _cycle_action(term.sys_block, entries[list(term.support)], field,
+                               unitaries, hams, delta, method, order),
+                 term.env_block) for term in drift.terms]
     label = "exact" if method == "exact" else f"quadrature({order})"
     return _assemble_report(averaged, drift, label)
 
@@ -508,17 +522,9 @@ def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
     x = np.asarray(x, dtype=complex)
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} does not match d = {d}")
-    symbols = cycle.vertices[:, 0]
-    nxt = np.roll(symbols, -1)
-    diff = field.add_table[nxt, field.neg_table[symbols]]
-    hams = _label_hamiltonians(field, delta)
-    steps = {e: _expm_hermitian(h, delta) for e, h in hams.items()}
-    v = np.eye(d, dtype=complex)
-    acc = np.zeros_like(x)
-    for s in diff:
-        acc += segment_average(x, hams[int(s)], v, delta, method, order)
-        v = steps[int(s)] @ v
-    return acc / len(diff)
+    unitaries = _symbol_unitaries(field)
+    return _cycle_action(x, cycle.vertices.T, field, unitaries,
+                         _symbol_hamiltonians(unitaries, delta), delta, method, order)
 
 
 def fs_map(d: int, labels, x: np.ndarray, delta: float, method: str = "exact",

@@ -18,7 +18,6 @@ since control actions are cyclic).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +26,8 @@ import numpy as np
 from . import config
 from .codes import LinearCode, gf_matmul
 from .gf import FieldTable, field_from_order
-from .oa import (OrthogonalArray, StrengthViolation, parse_oa_header,
-                 verify_strength)
+from .oa import (OrthogonalArray, StrengthViolation, column_counts, format_oa,
+                 read_oa_file, verify_strength)
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,13 @@ class EulerianViolation:
     """Why a t-row projection is not an Eulerian cycle."""
 
     rows: tuple[int, ...]
-    kind: str                       # "pair-count" | "not-generating"
+    kind: str                       # "pair-count"
     vertex: tuple[int, ...] | None
     transition: tuple[int, ...] | None
     count: int | None
     expected: float | None
 
     def __str__(self) -> str:
-        if self.kind == "not-generating":
-            return f"rows {self.rows}: transition set does not generate the group"
         return (f"rows {self.rows}: (vertex {self.vertex}, transition "
                 f"{self.transition}) occurs {self.count} times, expected "
                 f"{self.expected:g}")
@@ -78,9 +75,6 @@ class EulerianCertificate:
 
     edge_multiplicity: int
     gensets: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
-
-    def genset_is_full_group(self, rows: tuple[int, ...], q: int) -> bool:
-        return len(self.gensets[rows]) == q ** len(rows)
 
 
 @dataclass(frozen=True)
@@ -148,6 +142,28 @@ def euler_cycle_full(field: FieldTable, k: int) -> EulerianCycle:
     return EulerianCycle(q, k, vertices, 1)
 
 
+def transitions(sub: np.ndarray, field: FieldTable) -> np.ndarray:
+    """Cyclic per-row transitions s[k, j] = g[k, j+1] - g[k, j]."""
+    return field.add_table[np.roll(sub, -1, axis=1), field.neg_table[sub]]
+
+
+def pair_counts(sub: np.ndarray, field: FieldTable) -> np.ndarray:
+    """(q^t, q^t) histogram of the cyclic (vertex, transition) pairs of a
+    t x N projection.
+
+    counts[v, s] is the number of columns j whose t-tuple encodes to v and
+    whose transition sub[:, j+1] - sub[:, j] encodes to s (base q, first
+    row most significant).  The Eulerian verifier checks it for uniformity;
+    exact averaging sums each term's control action over it.
+    """
+    q, t = field.q, sub.shape[0]
+    if q ** (2 * t) > config.EULER_EDGE_CAP:
+        raise ValueError(f"projection group squared, {q**(2 * t)}, exceeds "
+                         f"cap {config.EULER_EDGE_CAP}")
+    pairs = np.concatenate([sub, transitions(sub, field)])
+    return column_counts(pairs, q).reshape(q**t, q**t)
+
+
 def _check_euler_rows(entries: np.ndarray, field: FieldTable, t: int,
                       rows: tuple[int, ...]):
     """Eulerian-cycle check of one t-row projection.
@@ -156,21 +172,8 @@ def _check_euler_rows(entries: np.ndarray, field: FieldTable, t: int,
     """
     q = field.q
     N = entries.shape[1]
-    if q ** (2 * t) > config.EULER_EDGE_CAP:
-        raise ValueError(f"projection group squared, {q**(2 * t)}, exceeds "
-                         f"cap {config.EULER_EDGE_CAP}")
-    sub = entries[list(rows)]                       # t x N
-    nxt = np.roll(sub, -1, axis=1)
-    diff = field.add_table[nxt, field.neg_table[sub]]
-
-    weights = q ** np.arange(t - 1, -1, -1)
-    vkey = weights @ sub
-    skey = weights @ diff
+    counts = pair_counts(entries[list(rows)], field)
     group_size = q**t
-    counts = np.bincount(vkey * group_size + skey,
-                         minlength=group_size * group_size)
-    counts = counts.reshape(group_size, group_size)
-
     used = np.nonzero(counts.sum(axis=0))[0]
     block = counts[:, used]
     expected = N / (group_size * len(used))
@@ -186,29 +189,11 @@ def _check_euler_rows(entries: np.ndarray, field: FieldTable, t: int,
             tuple(int(x) for x in np.unravel_index(int(v), (q,) * t)),
             tuple(int(x) for x in np.unravel_index(int(s), (q,) * t)),
             int(block[v, si]), expected)
-    lam = target
-
-    # additive closure of the transition set from 0 must be the whole group
-    vadd_row = {}
-    reached = {0}
-    frontier = [0]
-    digits = np.array(np.unravel_index(np.arange(group_size), (q,) * t)).T
-    while frontier:
-        v = frontier.pop()
-        for s in used:
-            key = int(v)
-            if key not in vadd_row:
-                vadd_row[key] = field.add_table[digits[key][None, :], digits] @ weights
-            w = int(vadd_row[key][s])
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
-    if len(reached) != group_size:
-        return EulerianViolation(rows, "not-generating", None, None, None, None)
-
+    # uniform counts put every vertex on the walk, and the walk moves only
+    # by transitions in S, so g_0 + <S> is the whole group: S generates it
     gens = tuple(tuple(int(x) for x in np.unravel_index(int(s), (q,) * t))
                  for s in used)
-    return gens, lam
+    return gens, target
 
 
 def verify_eulerian(entries: np.ndarray, field: FieldTable,
@@ -216,10 +201,10 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     """Eulerian-OA check at strength t over the additive group of GF(q).
 
     For every t-row subset: project the columns to t-tuples, take the
-    cyclic transitions, and require (a) each (vertex, transition) pair to
+    cyclic transitions, and require each (vertex, transition) pair to
     occur the same number of times for every vertex and every transition
-    that occurs at all, and (b) the transition set to generate the full
-    group by additive closure from 0.  Violations are return values.
+    that occurs at all.  That also makes the transition set generate the
+    full group (see _check_euler_rows).  Violations are return values.
     """
     entries = np.asarray(entries)
     n, _ = entries.shape
@@ -229,13 +214,8 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
     combos = list(itertools.combinations(range(n), t))
-    workers = config.worker_count()
-    if workers > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda rows: _check_euler_rows(entries, field, t, rows), combos))
-    else:
-        results = [_check_euler_rows(entries, field, t, rows) for rows in combos]
+    results = config.parallel_map(
+        lambda rows: _check_euler_rows(entries, field, t, rows), combos)
 
     gensets: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     lam = None
@@ -288,27 +268,16 @@ def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
 # ---------------------------------------------------------------------------
 
 def write_eulerian_oa(path, eoa: EulerianOA) -> None:
-    lines = [f"OA {eoa.oa.N} {eoa.oa.n} {eoa.oa.q} {eoa.oa.t} {eoa.oa.lam}"]
-    for row in eoa.entries:
-        lines.append(" ".join(str(int(v)) for v in row))
-    lines.append(f"EULER {eoa.t} {eoa.edge_multiplicity}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    trailer = f"EULER {eoa.t} {eoa.edge_multiplicity}\n"
+    Path(path).write_text(format_oa(eoa.oa) + trailer)
 
 
 def read_eulerian_oa(path) -> EulerianOA:
     """Load and fully re-verify an Eulerian OA file."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(lines) < 3 or not lines[-1].startswith("EULER"):
+    entries, (N, n, q, t_claim, lam_claim), trailer = read_oa_file(path)
+    if trailer is None:
         raise ValueError(f"{path}: missing EULER trailer")
-    N, n, q, t_claim, lam_claim = parse_oa_header(lines[0])
-    trailer = lines[-1].split()
-    if len(trailer) != 3:
-        raise ValueError(f"{path}: malformed EULER trailer")
-    t_euler, lam_edge_claim = int(trailer[1]), int(trailer[2])
-    entries = np.array([[int(v) for v in ln.split()] for ln in lines[1:-1]],
-                       dtype=np.int64)
-    if entries.shape != (n, N):
-        raise ValueError(f"{path}: array shape {entries.shape} != ({n}, {N})")
+    t_euler, lam_edge_claim = trailer
     field = field_from_order(q)
     strength = verify_strength(entries, q, t_claim)
     if isinstance(strength, StrengthViolation) or strength != lam_claim:

@@ -9,7 +9,6 @@ certificate, not a sample -- which is milliseconds at desk scale.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,14 +52,16 @@ class OrthogonalArray:
         return f"OA_{self.lam}({self.N}, {self.n}, {self.q}, {self.t})"
 
 
+def column_counts(sub: np.ndarray, q: int) -> np.ndarray:
+    """Histogram of a t x N array's columns, encoded base q (row 0 leading)."""
+    t = sub.shape[0]
+    return np.bincount(q ** np.arange(t - 1, -1, -1) @ sub, minlength=q**t)
+
+
 def _check_rows(entries: np.ndarray, q: int, t: int,
                 rows: tuple[int, ...]) -> int | StrengthViolation:
     N = entries.shape[1]
-    sub = entries[list(rows)]
-    key = np.zeros(N, dtype=np.int64)
-    for r in range(t):
-        key = key * q + sub[r]
-    counts = np.bincount(key, minlength=q**t)
+    counts = column_counts(entries[list(rows)], q)
     if np.all(counts == counts[0]):
         return int(counts[0])
     expected = N / q**t
@@ -84,13 +85,8 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
     combos = list(itertools.combinations(range(n), t))
-    workers = config.worker_count()
-    if workers > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda rows: _check_rows(entries, q, t, rows), combos))
-    else:
-        results = [_check_rows(entries, q, t, rows) for rows in combos]
+    results = config.parallel_map(lambda rows: _check_rows(entries, q, t, rows),
+                                  combos)
     lam = None
     for rows, res in zip(combos, results):
         if isinstance(res, StrengthViolation):
@@ -151,28 +147,40 @@ def write_oa(path, oa: OrthogonalArray) -> None:
     Path(path).write_text(format_oa(oa))
 
 
-def parse_oa_header(line: str) -> tuple[int, int, int, int, int]:
-    head = line.split()
-    if len(head) != 6 or head[0] != "OA":
-        raise ValueError("malformed OA header")
-    return tuple(int(x) for x in head[1:])  # type: ignore[return-value]
+def read_oa_file(path) -> tuple[np.ndarray, tuple[int, int, int, int, int],
+                                tuple[int, int] | None]:
+    """Entries, declared header and EULER trailer of an array file, unverified.
 
-
-def read_oa_entries(path) -> tuple[np.ndarray, tuple[int, int, int, int, int]]:
-    """Entries plus the declared (N, n, q, t, lambda) header, unverified."""
+    The one reader of both array formats: an Eulerian OA file is an OA file
+    plus a last line "EULER t lambda_edge", returned as (t, lambda_edge);
+    the trailer is None for a plain OA file.
+    """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    trailer = None
+    if lines and lines[-1].startswith("EULER"):
+        words = lines.pop().split()
+        if len(words) != 3:
+            raise ValueError(f"{path}: malformed EULER trailer")
+        trailer = (int(words[1]), int(words[2]))
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = parse_oa_header(lines[0])
+    head = lines[0].split()
+    if len(head) != 6 or head[0] != "OA":
+        raise ValueError(f"{path}: malformed OA header")
+    header = tuple(int(x) for x in head[1:])
     N, n, q, _, _ = header
-    rows = [ln for ln in lines[1:] if not ln.startswith("EULER")]
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} rows, got {len(rows)}")
-    entries = np.array([[int(v) for v in ln.split()] for ln in rows], dtype=np.int64)
+    entries = np.array([[int(v) for v in ln.split()] for ln in lines[1:]],
+                       dtype=np.int64)
     if entries.shape != (n, N):
         raise ValueError(f"{path}: array shape {entries.shape} != ({n}, {N})")
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError(f"{path}: symbols out of range [0, {q})")
+    return entries, header, trailer
+
+
+def read_oa_entries(path) -> tuple[np.ndarray, tuple[int, int, int, int, int]]:
+    """Entries plus the declared (N, n, q, t, lambda) header, unverified."""
+    entries, header, _ = read_oa_file(path)
     return entries, header
 
 

@@ -115,6 +115,36 @@ def test_euler_verify_shuffled_exits_1(tmp_path, eoa256_file):
     assert main(["euler", "verify", "--in", str(shuffled)]) == 1
 
 
+def test_euler_verify_non_field_order_exits_2(tmp_path, capsys):
+    path = tmp_path / "q6.txt"
+    path.write_text("OA 36 2 6 2 1\n{}\n{}\n".format(
+        " ".join(str(j % 6) for j in range(36)),
+        " ".join(str(j // 6) for j in range(36))))
+    assert main(["euler", "verify", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "prime power" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_euler_verify_strength_from_header_or_flag(tmp_path, eoa256_file, capsys):
+    """Without a trailer the header's t is checked; --t overrides both."""
+    lines = eoa256_file.read_text().splitlines()
+    bare = tmp_path / "bare.txt"
+    bare.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["euler", "verify", "--in", str(bare)]) == 0
+    assert "Eulerian strength 2" in capsys.readouterr().out
+    assert main(["euler", "verify", "--in", str(eoa256_file), "--t", "1"]) == 0
+    assert "Eulerian strength 1" in capsys.readouterr().out
+
+
+def test_sim_eulerian_histogram_cap_exits_2(tmp_path, capsys):
+    """Arity-6 terms over GF(4) need 4^12 (vertex, transition) bins."""
+    path = tmp_path / "rows6.txt"
+    path.write_text("OA 4 6 4 1 1\n" + "0 1 2 3\n" * 6)
+    assert main(["sim", "eulerian", "--oa", str(path), "--t", "6"]) == 2
+    assert "histogram of 16777216" in capsys.readouterr().err
+
+
 def test_euler_build_deterministic(tmp_path, dual_code_file, eoa256_file):
     again = tmp_path / "again.txt"
     assert main(["euler", "build", "--code", str(dual_code_file),

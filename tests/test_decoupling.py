@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eoa import config
 from eoa.codes import LinearCode, hamming_code
+from eoa.decoupling import (_cycle_action, _symbol_hamiltonians,
+                            _symbol_unitaries)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm,
                             bangbang_average, bangbang_schedule, drift_from_json,
                             drift_to_json, euler_schedule, eulerian_average,
@@ -11,8 +16,8 @@ from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm,
                             random_drift, read_drift, read_schedule,
                             segment_average, single_cycle_average,
                             verify_schedule, write_drift, write_schedule)
-from eoa.euler import euler_cycle_full, eulerian_oa_from_code
-from eoa.gf import gf_new
+from eoa.euler import EulerianCycle, euler_cycle_full, eulerian_oa_from_code
+from eoa.gf import field_from_order, gf_new
 from eoa.oa import OrthogonalArray, oa_from_code
 from eoa.weyl import (aligned_distance, embed, frob, group_average,
                       is_hermitian, phase_distance, weyl)
@@ -105,6 +110,17 @@ def test_euler_schedule_parameters(eoa256):
     norms = np.linalg.norm(sched.hams.reshape(-1, 2, 2), ord=2, axis=(1, 2))
     assert norms.max() <= np.pi / 0.1 + 1e-9
     assert verify_schedule(sched) < 1e-12
+
+
+def test_euler_schedule_segment_hamiltonians_follow_transitions(eoa256):
+    """The one-step fill against a per-segment loop over the transitions."""
+    sched = euler_schedule(eoa256, 0.1)
+    by_symbol = [generator_hamiltonian(weyl(2, *F4.coords(e)), 0.1) for e in range(4)]
+    for k in range(5):
+        for j in range(256):
+            s = F4.add_table[eoa256.entries[k, (j + 1) % 256],
+                             F4.neg_table[eoa256.entries[k, j]]]
+            assert np.array_equal(sched.hams[j, k], by_symbol[s])
 
 
 def test_euler_schedule_constant_row_gives_zero_controls():
@@ -321,14 +337,93 @@ def test_fs_map_identity_and_trivial_set():
 
 
 def test_cycle_action_decomposes_through_fs():
+    """Pi_G o F_S against the histogram kernel and the time-ordered walk."""
     cyc = euler_cycle_full(F4, 1)
     labels = [F4.coords(e) for e in range(4)]
     rng = np.random.default_rng(24)
     for _ in range(5):
         x = random_complex(rng, 2)
-        lhs = single_cycle_average(cyc, x, 0.1)
         rhs = group_average(2, fs_map(2, labels, x, 0.1))
-        assert frob(lhs - rhs) < 1e-10
+        for method in ("exact", "quadrature"):
+            lhs = single_cycle_average(cyc, x, 0.1, method=method)
+            assert frob(lhs - rhs) < 1e-10
+
+
+def test_single_cycle_average_any_start_vertex():
+    """The kernel's vertex is g_j - g_0, so a rotated cycle matches its walk."""
+    cyc = euler_cycle_full(gf_new(3, 2), 1)
+    rotated = EulerianCycle(cyc.q, cyc.k, np.roll(cyc.vertices, -7, axis=0).copy(), 1)
+    assert rotated.vertices[0, 0] != 0
+    x = random_complex(np.random.default_rng(25), 3)
+    exact = single_cycle_average(rotated, x, 0.1, method="exact")
+    walk = single_cycle_average(rotated, x, 0.1, method="quadrature")
+    assert frob(exact - walk) < config.TOL_BACKEND_AGREEMENT
+    assert frob(exact - np.trace(x) / 3 * np.eye(3)) < 1e-10
+
+
+@st.composite
+def small_arrays(draw):
+    """(entries, q, d_env, arity, seed): random symbols over GF(4) or GF(9),
+    or a seeded column order of an Eulerian array (so g_0 != 0 in general)."""
+    q = draw(st.sampled_from([4, 9]))
+    n = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        entries = rng.integers(0, q, size=(n, draw(st.integers(1, 12))))
+    else:
+        field = field_from_order(q)
+        eoa = eulerian_oa_from_code(LinearCode(field, np.eye(1, dtype=np.int64)),
+                                    euler_cycle_full(field, 1), 1)
+        base = np.tile(eoa.entries, (n, 1))
+        cols = (rng.permutation(base.shape[1]) if draw(st.booleans())
+                else np.roll(np.arange(base.shape[1]), -draw(st.integers(1, q * q - 1))))
+        entries = base[:, cols]
+    return (entries.astype(np.int64), q, draw(st.sampled_from([1, 2])),
+            draw(st.integers(1, 2)), seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_arrays())
+def test_histogram_kernel_equals_walk_per_term(case):
+    """Exact averaging (pair-histogram kernel) equals the quadrature backend
+    (time-ordered walk with expm prefixes) term by term.
+
+    Each term's averaged block is compared as a matrix: a kernel that took
+    the vertex g_j instead of g_j - g_0 conjugates every block by W(g_0),
+    which no norm in the report can see."""
+    entries, q, d_env, arity, seed = case
+    field = field_from_order(q)
+    drift = random_drift(entries.shape[0], field.coord_dim(), arity, d_env, seed)
+    unitaries = _symbol_unitaries(field)
+    hams = _symbol_hamiltonians(unitaries, 0.1)
+    tol = config.TOL_BACKEND_AGREEMENT
+    for term in drift.terms:
+        sub = entries[list(term.support)]
+        exact, walk = (_cycle_action(term.sys_block, sub, field, unitaries, hams,
+                                     0.1, method, config.DEFAULT_QUAD_ORDER)
+                       for method in ("exact", "quadrature"))
+        assert frob(exact - walk) <= tol
+    exact = eulerian_average((entries, q), drift, delta=0.1, method="exact")
+    walk = eulerian_average((entries, q), drift, delta=0.1, method="quadrature")
+    assert abs(exact.residual_norm - walk.residual_norm) <= tol
+    assert abs(exact.env_shift_norm - walk.env_shift_norm) <= tol
+    for (sup_a, norm_a), (sup_b, norm_b) in zip(exact.per_term_norms,
+                                                walk.per_term_norms):
+        assert sup_a == sup_b
+        assert abs(norm_a - norm_b) <= tol
+
+
+def test_single_cycle_kernel_matches_walk_off_identity():
+    """Matrix-level check on a vertex sequence that is not a full cycle and
+    does not start at 0, where Q_C is not the plain group average."""
+    symbols = np.array([[3, 1, 1, 2, 0, 2, 3]])
+    cyc = EulerianCycle(4, 1, symbols.T.copy(), 1)
+    x = random_complex(np.random.default_rng(26), 2)
+    exact = single_cycle_average(cyc, x, 0.1, method="exact")
+    walk = single_cycle_average(cyc, x, 0.1, method="quadrature")
+    assert frob(exact - walk) < config.TOL_BACKEND_AGREEMENT
+    assert frob(exact - group_average(2, x)) > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import pytest
 
 from eoa.codes import LinearCode, hamming_code
 from eoa.euler import (EulerianCertificate, EulerianViolation, euler_cycle_full,
-                       eulerian_oa_from_code, read_eulerian_oa, verify_eulerian,
-                       write_eulerian_oa)
+                       eulerian_oa_from_code, pair_counts, read_eulerian_oa,
+                       verify_eulerian, write_eulerian_oa)
 from eoa.gf import gf_new
 from eoa.oa import oa_from_code, verify_strength
 
@@ -110,6 +110,33 @@ def test_single_row_projection_is_eulerian(eoa256):
         assert isinstance(result, EulerianCertificate)
 
 
+def test_pair_counts_match_column_walk(eoa256):
+    """The shared histogram against a direct per-column count."""
+    rng = np.random.default_rng(3)
+    sub = eoa256.entries[[1, 4]][:, rng.permutation(256)[:40]]
+    counts = pair_counts(sub, F4)
+    expected = np.zeros((16, 16), dtype=np.int64)
+    for j in range(sub.shape[1]):
+        v, nxt = sub[:, j], sub[:, (j + 1) % sub.shape[1]]
+        s = F4.add_table[nxt, F4.neg_table[v]]
+        expected[v[0] * 4 + v[1], s[0] * 4 + s[1]] += 1
+    assert np.array_equal(counts, expected)
+    assert np.all(pair_counts(eoa256.entries[[1, 4]], F4) == 1)
+
+
+def test_pair_counts_cap():
+    with pytest.raises(ValueError):
+        pair_counts(np.zeros((3, 4), dtype=np.int64), gf_new(2, 4))   # 16^6 > cap
+
+
+def test_non_generating_transitions_fail_pair_count():
+    """A walk confined to the coset of a proper subgroup misses vertices, so
+    the pair-count check alone rejects it: uniform counts imply generation."""
+    result = verify_eulerian(np.array([[0, 1, 0, 1]]), F4, 1)   # S = {1}
+    assert isinstance(result, EulerianViolation)
+    assert result.kind == "pair-count"
+
+
 def test_toy_row_at_t1():
     cyc = euler_cycle_full(F2, 1)
     result = verify_eulerian(cyc.vertices.T, F2, 1)
@@ -137,6 +164,18 @@ def test_eoa_file_roundtrip(tmp_path, eoa256):
     assert back.edge_multiplicity == 1
     write_eulerian_oa(tmp_path / "again.txt", back)
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_read_eoa_requires_trailer(tmp_path, eoa256):
+    path = tmp_path / "eoa256.txt"
+    write_eulerian_oa(path, eoa256)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="missing EULER trailer"):
+        read_eulerian_oa(path)
+    path.write_text("\n".join(lines[:-1] + ["EULER 2"]) + "\n")
+    with pytest.raises(ValueError, match="malformed EULER trailer"):
+        read_eulerian_oa(path)
 
 
 def test_workers_env_var_same_certificate(eoa256, monkeypatch):

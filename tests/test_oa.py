@@ -3,8 +3,10 @@ import pytest
 
 from eoa.codes import LinearCode, hamming_code
 from eoa.gf import gf_new
-from eoa.oa import (OrthogonalArray, StrengthViolation, max_strength,
-                    oa_from_code, read_oa, verify_strength, write_oa)
+from eoa import config
+from eoa.oa import (OrthogonalArray, StrengthViolation, column_counts,
+                    max_strength, oa_from_code, read_oa, read_oa_entries,
+                    read_oa_file, verify_strength, write_oa)
 
 F4 = gf_new(2, 2)
 F2 = gf_new(2, 1)
@@ -68,6 +70,13 @@ def test_column_permutation_invariance(oa16):
     assert verify_strength(shuffled, 4, 2) == 1
 
 
+def test_column_counts_encoding():
+    sub = np.array([[0, 1, 1, 3], [2, 0, 0, 3]])
+    counts = column_counts(sub, 4)
+    assert counts.shape == (16,) and counts.sum() == 4
+    assert (counts[0 * 4 + 2], counts[1 * 4 + 0], counts[3 * 4 + 3]) == (1, 2, 1)
+
+
 def test_max_strength_cases(oa16):
     assert max_strength(oa16.entries, 4) == 2
     assert max_strength(np.zeros((3, 4), dtype=np.int64), 4) == 0
@@ -122,3 +131,34 @@ def test_workers_env_var_same_result(oa16, monkeypatch):
     assert verify_strength(oa16.entries, 4, 2) == 1
     result = verify_strength(oa16.entries, 4, 3)
     assert isinstance(result, StrengthViolation)
+
+
+def test_read_oa_file_trailer(tmp_path, oa16):
+    """One reader for both formats: the EULER trailer is split off once."""
+    path = tmp_path / "oa16.txt"
+    write_oa(path, oa16)
+    entries, header, trailer = read_oa_file(path)
+    assert np.array_equal(entries, oa16.entries) and trailer is None
+    assert header == (16, 5, 4, 2, 1)
+    path.write_text(path.read_text() + "EULER 2 7\n")
+    assert read_oa_file(path)[2] == (2, 7)
+    assert np.array_equal(read_oa_entries(path)[0], oa16.entries)
+    path.write_text(path.read_text().replace("EULER 2 7", "EULER 2"))
+    with pytest.raises(ValueError, match="malformed EULER trailer"):
+        read_oa_file(path)
+
+
+@pytest.mark.parametrize("text", ["", "EULER 2 1\n", "OX 16 5 4 2 1\n",
+                                  "OA 2 2 4 1 1\n0 1\n"])
+def test_read_oa_file_rejects_bad_input(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_oa_file(path)
+
+
+def test_parallel_map_keeps_order(monkeypatch):
+    items = list(range(20))
+    assert config.parallel_map(lambda x: x * x, items) == [x * x for x in items]
+    monkeypatch.setenv("EOA_THREADS", "4")
+    assert config.parallel_map(lambda x: x * x, items) == [x * x for x in items]

@@ -25,7 +25,7 @@ from .decoupling import (bangbang_average, euler_schedule, eulerian_average,
 from .euler import (EulerianViolation, euler_cycle_full, eulerian_oa_from_code,
                     verify_eulerian)
 from .gf import field_from_order
-from .oa import (StrengthViolation, oa_from_code, read_oa_entries,
+from .oa import (StrengthViolation, oa_from_code, read_oa, read_oa_entries,
                  read_oa_file, verify_strength, write_oa)
 from .weyl import phase_distance
 
@@ -127,10 +127,10 @@ def cmd_oa_build(args) -> int:
 def cmd_oa_verify(args) -> int:
     try:
         entries, (N, n, q, t_header, lam_header) = read_oa_entries(args.infile)
+        t = args.t if args.t is not None else t_header
+        result = verify_strength(entries, q, t)
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
-    t = args.t if args.t is not None else t_header
-    result = verify_strength(entries, q, t)
     if isinstance(result, StrengthViolation):
         return _fail_verify(f"strength {t}: {result}")
     print(f"OK: strength {t} with lambda = {result}")
@@ -185,15 +185,15 @@ def cmd_euler_verify(args) -> int:
     try:
         entries, (N, n, q, t_header, _), trailer = read_oa_file(args.infile)
         field = field_from_order(q)
+        if args.t is not None:
+            t = args.t
+        elif trailer is not None:
+            t = trailer[0]
+        else:
+            t = t_header
+        strength = verify_strength(entries, q, t)
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
-    if args.t is not None:
-        t = args.t
-    elif trailer is not None:
-        t = trailer[0]
-    else:
-        t = t_header
-    strength = verify_strength(entries, q, t)
     if isinstance(strength, StrengthViolation):
         return _fail_verify(f"strength {t}: {strength}")
     result = verify_eulerian(entries, field, t)
@@ -214,9 +214,9 @@ def cmd_schedule_export(args) -> int:
     try:
         from .euler import read_eulerian_oa
         eoa = read_eulerian_oa(args.oa)
+        sched = euler_schedule(eoa, args.delta)
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
-    sched = euler_schedule(eoa, args.delta)
     write_schedule(args.out, sched)
     worst = verify_schedule(sched)
     max_h = max(np.linalg.norm(sched.hams[j, k], 2)
@@ -231,15 +231,6 @@ def cmd_schedule_export(args) -> int:
 # ---------------------------------------------------------------------------
 # sim
 # ---------------------------------------------------------------------------
-
-def _load_array_for_sim(path):
-    entries, (N, n, q, t_header, lam_header) = read_oa_entries(path)
-    result = verify_strength(entries, q, t_header)
-    if isinstance(result, StrengthViolation):
-        raise ValueError(f"array failed its claimed strength {t_header}: {result}")
-    from .oa import OrthogonalArray
-    return OrthogonalArray(q, n, N, t_header, result, entries)
-
 
 def _sweep(oa, drift, base_tc: float, points: int):
     """Exact-propagator error against the environment-only target, with the
@@ -262,30 +253,33 @@ def _sweep(oa, drift, base_tc: float, points: int):
 
 def cmd_sim(args) -> int:
     try:
-        oa = _load_array_for_sim(args.oa)
+        oa = read_oa(args.oa)
+        d = field_from_order(oa.q).coord_dim()
     except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
-    field = field_from_order(oa.q)
-    try:
-        d = field.coord_dim()
-    except ValueError as exc:
         return _fail_input(str(exc))
     n = args.n if args.n is not None else oa.n
     if n != oa.n:
         return _fail_input(f"--n {n} does not match the array's {oa.n} rows")
-    if args.drift is not None:
-        try:
-            drift = read_drift(args.drift)
-        except (OSError, ValueError) as exc:
-            return _fail_input(str(exc))
-        if (drift.n, drift.d) != (n, d):
-            return _fail_input("drift file does not match the array layout")
-    else:
-        drift = random_drift(n, d, args.t, args.denv, args.seed)
+    try:
+        drift = (read_drift(args.drift) if args.drift is not None
+                 else random_drift(n, d, args.t, args.denv, args.seed))
+    except (OSError, ValueError) as exc:
+        return _fail_input(str(exc))
+    if (drift.n, drift.d) != (n, d):
+        return _fail_input("drift file does not match the array layout")
+    if not drift.terms:
+        return _fail_input("drift file has no terms")
     pairs = oa.q ** (2 * drift.max_arity)
     if args.mode == "eulerian" and pairs > config.EULER_EDGE_CAP:
         return _fail_input(f"arity-{drift.max_arity} terms need a (vertex, transition) "
                            f"histogram of {pairs} > {config.EULER_EDGE_CAP} bins")
+    if args.mode == "eulerian" and args.sweep_tc:
+        dim = d**n * drift.d_env
+        if args.sweep_tc < 2:
+            return _fail_input("--sweep-tc needs at least 2 points for a slope")
+        if dim > config.EVOLUTION_DIM_CAP:
+            return _fail_input(f"sweep needs d^n*d_E <= "
+                               f"{config.EVOLUTION_DIM_CAP}, got {dim}")
 
     tol = args.tol
     extra = {"mode": args.mode, "array": str(args.oa), "n": n, "d": d,
@@ -301,18 +295,17 @@ def cmd_sim(args) -> int:
             if tol is None:
                 tol = config.TOL_EULERIAN_RESIDUAL
             extra["delta"] = args.delta
-            report = eulerian_average(oa, drift, args.delta,
-                                      method=args.method, order=args.order)
-            if args.sweep_tc:
-                dim = d**n * drift.d_env
-                if dim > config.EVOLUTION_DIM_CAP:
-                    return _fail_input(f"sweep needs d^n*d_E <= "
-                                       f"{config.EVOLUTION_DIM_CAP}, got {dim}")
-                slope, times, errors = _sweep(oa, drift, args.sweep_base,
-                                              args.sweep_tc)
-                extra["sweep"] = {"slope": slope, "cycle_times": times,
-                                  "errors": errors}
-                print(f"convergence slope = {slope:.3f} over {times}")
+            try:
+                report = eulerian_average(oa, drift, args.delta,
+                                          method=args.method, order=args.order)
+                if args.sweep_tc:
+                    slope, times, errors = _sweep(oa, drift, args.sweep_base,
+                                                  args.sweep_tc)
+                    extra["sweep"] = {"slope": slope, "cycle_times": times,
+                                      "errors": errors}
+                    print(f"convergence slope = {slope:.3f} over {times}")
+            except ValueError as exc:
+                return _fail_input(str(exc))
 
     data = report_to_json(report, tol, extra)
     if args.report:

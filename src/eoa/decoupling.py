@@ -24,10 +24,11 @@ Conventions (hbar = 1 throughout):
 
 * First-order averages are computed term by term on each term's support
   (dimension d^t), mirroring the reduction used by the decoupling
-  theorems; the reported residual is still the exact full-space Frobenius
-  norm of the averaged Hamiltonian minus its environment-only component,
-  assembled from pairwise Hilbert-Schmidt inner products on union
-  supports so that wide arrays stay tractable.
+  theorems.  Each averaged term is expanded once in the Weyl strings of
+  its support; the reported residual is still the exact full-space
+  Frobenius norm of the averaged Hamiltonian minus its environment-only
+  component, a Parseval sum of squares over the full-space strings that
+  the terms' coefficients merge into, so wide arrays stay tractable.
 
 * Unitaries are only ever compared modulo a global phase (the Weyl
   representation is projective).
@@ -130,6 +131,10 @@ def random_drift(n: int, d: int, arity: int, d_env: int, seed: int) -> DriftHami
     coupling term with its own random unit-norm Hermitian environment
     block, and env_only is a random unit-norm Hermitian as well.
     """
+    if not 1 <= arity <= n:
+        raise ValueError(f"drift arity {arity} out of range for {n} qudits")
+    if d_env < 1:
+        raise ValueError(f"environment dimension {d_env} must be >= 1")
     rng = np.random.default_rng(seed)
 
     def hermitian(dim):
@@ -197,6 +202,8 @@ def generator_hamiltonian(u: np.ndarray, delta: float) -> np.ndarray:
     function of u and therefore lies in the span of powers of u -- inside
     the decoupling group algebra whenever u represents a group element.
     """
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"subinterval length delta = {delta} must be finite and > 0")
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("input is not unitary")
@@ -307,6 +314,8 @@ def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
     "quadrature" evaluates the integrand at Gauss-Legendre nodes through
     an independent matrix-exponential route, as a cross-check.
     """
+    if order < 1:
+        raise ValueError(f"quadrature order {order} must be >= 1")
     x = np.asarray(x, dtype=complex)
     if x.shape != h.shape or x.shape != v.shape:
         raise ValueError("dimension mismatch between operator, control, and prefix")
@@ -410,42 +419,34 @@ class AverageReport:
     env_shift_norm: float
 
 
-def _embedded_sum_norm(parts: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]],
-                       n: int, d: int) -> float:
-    """Frobenius norm of sum_i embed(Y_i, K_i) kron E_i without building d^n.
+def _assemble_report(averaged, drift: DriftHamiltonian, method: str,
+                     unitaries: np.ndarray) -> AverageReport:
+    """The report from one Weyl-string expansion per averaged term.
 
-    <A_i, A_j> = d^(n - |K_i u K_j|) tr(Y_i~^dag Y_j~) tr(E_i^dag E_j) with
-    the blocks embedded into the union support.
+    A term Y on a support of arity t expands as sum_l c_l W_l over the q^t
+    strings, c_l = tr(W_l^dag Y) / d^t, code 0 the identity: c_0 E is the
+    term's environment shift.  Strings are orthogonal with ||W||_F^2 = d^n
+    on the full space, so the residual is sqrt(d^n sum_key ||M_key||_F^2),
+    M_key summing c_l E over the strings whose non-identity (qudit, symbol)
+    factors are key, that is, over equal full-space operators.
     """
-    total = 0.0
-    for i, (ki, yi, ei) in enumerate(parts):
-        for j in range(i, len(parts)):
-            kj, yj, ej = parts[j]
-            env_ip = np.trace(ei.conj().T @ ej).real
-            if env_ip == 0.0:
-                continue
-            union = sorted(set(ki) | set(kj))
-            pos = {qudit: idx for idx, qudit in enumerate(union)}
-            yi_u = embed(yi, tuple(pos[k] for k in ki), len(union), d)
-            yj_u = embed(yj, tuple(pos[k] for k in kj), len(union), d)
-            sys_ip = np.trace(yi_u.conj().T @ yj_u).real
-            ip = d ** (n - len(union)) * sys_ip * env_ip
-            total += ip if i == j else 2 * ip
-    return float(np.sqrt(max(total, 0.0)))
-
-
-def _assemble_report(averaged, drift: DriftHamiltonian, method: str) -> AverageReport:
-    parts = []
-    per_term = []
+    q, d = len(unitaries), drift.d
+    strings, surviving, per_term = {}, {}, []
     env_shift = np.zeros_like(drift.env_only)
     for support, avg, env_block in averaged:
-        dim = drift.d ** len(support)
-        trace_part = np.trace(avg) / dim
-        centered = avg - trace_part * np.eye(dim)
-        env_shift = env_shift + trace_part * env_block
-        per_term.append((support, frob(centered) * frob(env_block)))
-        parts.append((support, centered, env_block))
-    residual = _embedded_sum_norm(parts, drift.n, drift.d)
+        t = len(support)
+        if t not in strings:
+            codes = np.arange(q**t)
+            strings[t] = (_support_table(unitaries, codes, q, t, _kron),
+                          np.transpose(np.unravel_index(codes, (q,) * t)).tolist())
+        table, digits = strings[t]
+        coeffs = np.einsum("lab,ab->l", table.conj(), avg) / d**t
+        env_shift = env_shift + coeffs[0] * env_block
+        per_term.append((support, d ** (t / 2) * frob(coeffs[1:]) * frob(env_block)))
+        for c, row in zip(coeffs[1:], digits[1:]):
+            key = tuple((k, s) for k, s in zip(support, row) if s)
+            surviving[key] = surviving.get(key, 0) + c * env_block
+    residual = d ** (drift.n / 2) * sum(frob(m) ** 2 for m in surviving.values()) ** 0.5
     return AverageReport(residual, tuple(per_term), method, frob(env_shift))
 
 
@@ -478,7 +479,7 @@ def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
         weyls = _support_table(unitaries, used, q, len(term.support), _kron)
         avg = _histogram_average(term.sys_block[None], counts[used, None], weyls)
         averaged.append((term.support, avg, term.env_block))
-    return _assemble_report(averaged, drift, "bangbang")
+    return _assemble_report(averaged, drift, "bangbang", unitaries)
 
 
 def eulerian_average(m, drift: DriftHamiltonian, delta: float,
@@ -490,6 +491,8 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     (see _cycle_action for the two backends); the environment factor of
     every term passes through untouched.
     """
+    if order < 1:
+        raise ValueError(f"quadrature order {order} must be >= 1")
     entries, q, _ = _array_entries(m)
     field = field_from_order(q)
     d = field.coord_dim()
@@ -503,7 +506,7 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
                                unitaries, hams, delta, method, order),
                  term.env_block) for term in drift.terms]
     label = "exact" if method == "exact" else f"quadrature({order})"
-    return _assemble_report(averaged, drift, label)
+    return _assemble_report(averaged, drift, label, unitaries)
 
 
 def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,

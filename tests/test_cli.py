@@ -237,3 +237,45 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["oa", "definitely-not-a-subcommand"])
     assert excinfo.value.code == 2
+
+
+BAD_INPUTS = [
+    "oa verify --in {oa16} --t 0",
+    "oa verify --in {oa16} --t 9",
+    "euler verify --in {eoa256} --t 0",
+    "sim bangbang --oa {q6}",
+    "sim bangbang --oa {oa16} --n 5 --t 0",
+    "sim bangbang --oa {oa16} --n 5 --t 2 --denv 0",
+    "sim bangbang --oa {oa16} --n 5 --t 7",
+    "sim bangbang --oa {oa16} --drift {empty}",
+    "sim eulerian --oa {eoa256} --n 5 --t 2 --delta 0",
+    "sim eulerian --oa {eoa256} --n 5 --t 2 --delta -0.1",
+    "sim eulerian --oa {eoa256} --n 5 --t 2 --delta nan",
+    "schedule export --oa {eoa256} --delta 0 --out {w}/sched.json",
+    "sim eulerian --oa {eoa256} --n 5 --t 2 --method quadrature --order 0",
+    "sim eulerian --oa {eoa256} --n 5 --t 2 --sweep-tc 1",
+    "sim eulerian --oa {eoa256} --n 5 --t 2 --sweep-tc 2 --sweep-base 0",
+]
+
+
+@pytest.mark.parametrize("line", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_line(line, tmp_path, oa16_file, eoa256_file,
+                                         capsys):
+    """Out-of-range strengths, drift parameters, pulse lengths, quadrature
+    orders and sweep lengths are input errors: exit 2 and one stderr line,
+    never a traceback or a vacuous OK."""
+    from eoa.decoupling import DriftHamiltonian, write_drift
+    q6 = tmp_path / "q6.txt"
+    q6.write_text("OA 36 2 6 2 1\n{}\n{}\n".format(
+        " ".join(str(j % 6) for j in range(36)),
+        " ".join(str(j // 6) for j in range(36))))
+    empty = tmp_path / "empty.json"
+    write_drift(empty, DriftHamiltonian(5, 2, 1, (), np.zeros((1, 1), dtype=complex)))
+    capsys.readouterr()
+    argv = line.format(oa16=oa16_file, eoa256=eoa256_file, q6=q6, empty=empty,
+                       w=tmp_path).split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err

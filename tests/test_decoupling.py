@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from eoa.euler import EulerianCycle, euler_cycle_full, eulerian_oa_from_code
 from eoa.gf import field_from_order, gf_new
 from eoa.oa import OrthogonalArray, oa_from_code
 from eoa.weyl import (aligned_distance, embed, frob, group_average,
-                      is_hermitian, phase_distance, weyl)
+                      is_hermitian, phase_distance, weyl, weyl_from_field)
 
 F4 = gf_new(2, 2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -505,6 +506,25 @@ def test_drift_validation():
                          np.zeros((1, 1)))
 
 
+def test_parameter_validation(eoa256, drift5):
+    """Drift arity and environment size, pulse length and quadrature order
+    are checked at the library boundary."""
+    for n, arity, d_env in [(5, 0, 1), (5, 6, 1), (5, 2, 0)]:
+        with pytest.raises(ValueError):
+            random_drift(n, 2, arity, d_env, seed=0)
+    for delta in [0.0, -0.1, float("nan"), float("inf")]:
+        with pytest.raises(ValueError):
+            generator_hamiltonian(SX, delta)
+        with pytest.raises(ValueError):
+            eulerian_average(eoa256, drift5, delta)
+    eye = np.eye(2, dtype=complex)
+    for method in ("exact", "quadrature"):
+        with pytest.raises(ValueError):
+            segment_average(SZ, SX, eye, 0.1, method=method, order=0)
+        with pytest.raises(ValueError):
+            eulerian_average(eoa256, drift5, 0.1, method=method, order=0)
+
+
 def test_total_matrix_matches_embedding():
     drift = random_drift(2, 2, 2, 2, seed=13)
     h = drift.total_matrix()
@@ -527,6 +547,110 @@ def explicit_residual(avg, n, d, d_env):
     tensor = avg.reshape(dim_s, d_env, dim_s, d_env)
     env_part = np.einsum("abac->bc", tensor) / dim_s
     return frob(avg - np.kron(np.eye(dim_s), env_part))
+
+
+def embedded_sum_norm(parts, n, d):
+    """Frobenius norm of sum_i embed(Y_i, K_i) kron E_i without building d^n:
+    the O(T^2) pairwise oracle for the report's Weyl-basis residual.
+
+    <A_i, A_j> = d^(n - |K_i u K_j|) tr(Y_i~^dag Y_j~) tr(E_i^dag E_j) with
+    the blocks embedded into the union support.
+    """
+    total = 0.0
+    for i, (ki, yi, ei) in enumerate(parts):
+        for j in range(i, len(parts)):
+            kj, yj, ej = parts[j]
+            env_ip = np.trace(ei.conj().T @ ej).real
+            if env_ip == 0.0:
+                continue
+            union = sorted(set(ki) | set(kj))
+            pos = {qudit: idx for idx, qudit in enumerate(union)}
+            yi_u = embed(yi, tuple(pos[k] for k in ki), len(union), d)
+            yj_u = embed(yj, tuple(pos[k] for k in kj), len(union), d)
+            sys_ip = np.trace(yi_u.conj().T @ yj_u).real
+            ip = d ** (n - len(union)) * sys_ip * env_ip
+            total += ip if i == j else 2 * ip
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def random_hermitian(rng, dim):
+    a = random_complex(rng, dim)
+    return (a + a.conj().T) / 2
+
+
+@st.composite
+def mixed_arity_cases(draw):
+    """(entries, q, drift): a random array over GF(4) or GF(9) with few
+    columns, and a drift mixing arity-1 and arity-2 terms on overlapping
+    supports (repeats included) with random environment blocks."""
+    q = draw(st.sampled_from([4, 9]))
+    d = field_from_order(q).coord_dim()
+    n = draw(st.integers(2, 4 if q == 4 else 3))
+    d_env = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    entries = rng.integers(0, q, size=(n, draw(st.integers(1, 6))))
+    singles = [(k,) for k in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    supports = ([(0,), (0, 1)]
+                + draw(st.lists(st.sampled_from(singles), max_size=3))
+                + draw(st.lists(st.sampled_from(pairs), max_size=4)))
+    terms = []
+    for support in supports:
+        dim = d ** len(support)
+        sys_block = random_hermitian(rng, dim)
+        sys_block -= np.trace(sys_block) / dim * np.eye(dim)
+        terms.append(DriftTerm(support, sys_block, random_hermitian(rng, d_env)))
+    drift = DriftHamiltonian(n, d, d_env, tuple(terms), random_hermitian(rng, d_env))
+    return entries, q, drift
+
+
+def column_unitary(field, column):
+    """Kronecker product of the Weyl unitaries of one array column."""
+    w = np.eye(1, dtype=complex)
+    for symbol in column:
+        w = np.kron(w, weyl_from_field(field, int(symbol)))
+    return w
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_arity_cases())
+def test_weyl_report_equals_pairwise_oracle(case):
+    """The report read off one Weyl expansion per term equals the pairwise
+    union-support norm of the centered blocks, and the dense full-space
+    average, on per-term norms, env shift and residual."""
+    entries, q, drift = case
+    field = field_from_order(q)
+    n, N = entries.shape
+    d, d_env = drift.d, drift.d_env
+    report = bangbang_average((entries, q), drift)
+    tol = config.TOL_BACKEND_AGREEMENT
+
+    parts, env_shift = [], np.zeros_like(drift.env_only)
+    for term, (support, norm) in zip(drift.terms, report.per_term_norms):
+        ws = [column_unitary(field, entries[list(term.support), j]) for j in range(N)]
+        avg = sum(w.conj().T @ term.sys_block @ w for w in ws) / N
+        dim = d ** len(term.support)
+        trace_part = np.trace(avg) / dim
+        centered = avg - trace_part * np.eye(dim)
+        env_shift += trace_part * term.env_block
+        parts.append((term.support, centered, term.env_block))
+        assert support == term.support
+        assert abs(norm - frob(centered) * frob(term.env_block)) <= tol
+    assert abs(report.env_shift_norm - frob(env_shift)) <= tol
+    pairwise = embedded_sum_norm(parts, n, d)
+    assert report.residual_norm > 1e-6
+    assert abs(report.residual_norm - pairwise) <= tol
+
+    h_total = drift.total_matrix()      # every drawn case has d^n d_E <= 256
+    acc = np.zeros_like(h_total)
+    for j in range(N):
+        w_full = np.kron(column_unitary(field, entries[:, j]), np.eye(d_env))
+        acc += w_full.conj().T @ h_total @ w_full
+    avg = acc / N
+    dim_s = d**n
+    env_part = np.einsum("abac->bc", avg.reshape(dim_s, d_env, dim_s, d_env)) / dim_s
+    assert abs(report.residual_norm - explicit_residual(avg, n, d, d_env)) <= tol
+    assert abs(report.env_shift_norm - frob(env_part - drift.env_only)) <= tol
 
 
 def test_bangbang_residual_matches_full_space_oracle():

@@ -17,8 +17,9 @@ from .decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                          read_schedule, segment_average, single_cycle_average,
                          verify_schedule, write_drift, write_schedule)
 from .euler import (EulerianCertificate, EulerianCycle, EulerianOA,
-                    EulerianViolation, euler_cycle_full, eulerian_oa_from_code,
-                    read_eulerian_oa, verify_eulerian, write_eulerian_oa)
+                    EulerianViolation, certify_eulerian, euler_cycle_full,
+                    eulerian_oa_from_code, read_eulerian_oa, verify_eulerian,
+                    write_eulerian_oa)
 from .gf import FieldSpec, FieldTable, field_from_order, gf_new
 from .oa import (OrthogonalArray, StrengthViolation, max_strength,
                  oa_from_code, read_oa, verify_strength, write_oa)
@@ -30,7 +31,7 @@ __all__ = [
     "EulerianCertificate", "EulerianCycle", "EulerianOA", "EulerianViolation",
     "FieldSpec", "FieldTable", "LinearCode", "OrthogonalArray", "Schedule",
     "StrengthViolation", "bangbang_average", "bangbang_schedule",
-    "code_report", "embed", "euler_cycle_full", "euler_schedule",
+    "certify_eulerian", "code_report", "embed", "euler_cycle_full", "euler_schedule",
     "eulerian_average", "eulerian_oa_from_code", "exact_evolution",
     "field_from_order", "fs_map", "generator_hamiltonian", "gf_new",
     "group_average", "hamming_code", "is_hermitian", "is_traceless",

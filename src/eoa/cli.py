@@ -22,8 +22,8 @@ from .codes import LinearCode, hamming_code, read_code, write_code
 from .decoupling import (bangbang_average, euler_schedule, eulerian_average,
                          exact_evolution, random_drift, read_drift,
                          report_to_json, verify_schedule, write_schedule)
-from .euler import (EulerianViolation, euler_cycle_full, eulerian_oa_from_code,
-                    verify_eulerian)
+from .euler import (EulerianViolation, certify_eulerian, euler_cycle_full,
+                    eulerian_oa_from_code, verify_eulerian)
 from .gf import field_from_order
 from .oa import (StrengthViolation, oa_from_code, read_oa, read_oa_entries,
                  read_oa_file, verify_strength, write_oa)
@@ -191,12 +191,11 @@ def cmd_euler_verify(args) -> int:
             t = trailer[0]
         else:
             t = t_header
-        strength = verify_strength(entries, q, t)
+        strength, result = certify_eulerian(entries, field, t)
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
     if isinstance(strength, StrengthViolation):
         return _fail_verify(f"strength {t}: {strength}")
-    result = verify_eulerian(entries, field, t)
     if isinstance(result, EulerianViolation):
         return _fail_verify(f"eulerian {t}: {result}")
     full = all(len(g) == q**t for g in result.gensets.values())
@@ -254,7 +253,8 @@ def _sweep(oa, drift, base_tc: float, points: int):
 def cmd_sim(args) -> int:
     try:
         oa = read_oa(args.oa)
-        d = field_from_order(oa.q).coord_dim()
+        field = field_from_order(oa.q)
+        d = field.coord_dim()
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
     n = args.n if args.n is not None else oa.n
@@ -314,8 +314,13 @@ def cmd_sim(args) -> int:
     print(f"residual = {report.residual_norm:.3e} (tolerance {tol:g}), "
           f"env shift = {report.env_shift_norm:.3e}")
     if report.residual_norm > tol:
-        return _fail_verify(f"residual {report.residual_norm:.3e} exceeds "
-                            f"tolerance {tol:g}")
+        message = f"residual {report.residual_norm:.3e} exceeds tolerance {tol:g}"
+        if args.mode == "eulerian":
+            euler = verify_eulerian(oa.entries, field, drift.max_arity)
+            if isinstance(euler, EulerianViolation):
+                message += (f"; the array is not Eulerian at strength "
+                            f"{drift.max_arity}: {euler}")
+        return _fail_verify(message)
     print("OK")
     return 0
 

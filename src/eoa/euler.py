@@ -27,7 +27,7 @@ from . import config
 from .codes import LinearCode, gf_matmul
 from .gf import FieldTable, field_from_order
 from .oa import (OrthogonalArray, StrengthViolation, column_counts, format_oa,
-                 read_oa_file, verify_strength)
+                 read_oa_file, subset_histograms, verify_strength)
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,12 @@ class EulerianViolation:
 
 @dataclass(frozen=True)
 class EulerianCertificate:
-    """Per-subset generating sets and the common edge multiplicity."""
+    """Per-subset generating sets, the common edge multiplicity, and the
+    strength multiplicity lam read off the same histograms."""
 
     edge_multiplicity: int
     gensets: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
+    lam: int
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,12 @@ def transitions(sub: np.ndarray, field: FieldTable) -> np.ndarray:
     return field.add_table[np.roll(sub, -1, axis=1), field.neg_table[sub]]
 
 
+def _check_pair_cap(q: int, t: int) -> None:
+    if q ** (2 * t) > config.EULER_EDGE_CAP:
+        raise ValueError(f"projection group squared, {q**(2 * t)}, exceeds "
+                         f"cap {config.EULER_EDGE_CAP}")
+
+
 def pair_counts(sub: np.ndarray, field: FieldTable) -> np.ndarray:
     """(q^t, q^t) histogram of the cyclic (vertex, transition) pairs of a
     t x N projection.
@@ -157,43 +165,32 @@ def pair_counts(sub: np.ndarray, field: FieldTable) -> np.ndarray:
     exact averaging sums each term's control action over it.
     """
     q, t = field.q, sub.shape[0]
-    if q ** (2 * t) > config.EULER_EDGE_CAP:
-        raise ValueError(f"projection group squared, {q**(2 * t)}, exceeds "
-                         f"cap {config.EULER_EDGE_CAP}")
+    _check_pair_cap(q, t)
     pairs = np.concatenate([sub, transitions(sub, field)])
     return column_counts(pairs, q).reshape(q**t, q**t)
 
 
-def _check_euler_rows(entries: np.ndarray, field: FieldTable, t: int,
-                      rows: tuple[int, ...]):
-    """Eulerian-cycle check of one t-row projection.
+def _euler_verdict(rows: tuple[int, ...], counts: np.ndarray, N: int,
+                   symbols: list[tuple[int, ...]]):
+    """Eulerian-cycle judgement of one projection's (q^t, q^t) pair histogram.
 
-    Returns (sorted transition tuples, lambda) or an EulerianViolation.
+    Returns (sorted transition tuples, lambda) or an EulerianViolation;
+    symbols[i] is the digit tuple that i encodes.
     """
-    q = field.q
-    N = entries.shape[1]
-    counts = pair_counts(entries[list(rows)], field)
-    group_size = q**t
     used = np.nonzero(counts.sum(axis=0))[0]
     block = counts[:, used]
-    expected = N / (group_size * len(used))
+    expected = N / (len(symbols) * len(used))
     # uniform pair counts force lam = N / (|G^t| |S|); compare against that
     # when it is integral, else against the first pair (uniformity is then
     # impossible and any mismatch witnesses it)
     target = int(expected) if expected == int(expected) else int(block[0, 0])
     if not np.all(block == target):
         v, si = np.argwhere(block != target)[0]
-        s = used[si]
-        return EulerianViolation(
-            rows, "pair-count",
-            tuple(int(x) for x in np.unravel_index(int(v), (q,) * t)),
-            tuple(int(x) for x in np.unravel_index(int(s), (q,) * t)),
-            int(block[v, si]), expected)
+        return EulerianViolation(rows, "pair-count", symbols[v],
+                                 symbols[used[si]], int(block[v, si]), expected)
     # uniform counts put every vertex on the walk, and the walk moves only
     # by transitions in S, so g_0 + <S> is the whole group: S generates it
-    gens = tuple(tuple(int(x) for x in np.unravel_index(int(s), (q,) * t))
-                 for s in used)
-    return gens, target
+    return tuple(symbols[s] for s in used.tolist()), target
 
 
 def verify_eulerian(entries: np.ndarray, field: FieldTable,
@@ -204,22 +201,39 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     cyclic transitions, and require each (vertex, transition) pair to
     occur the same number of times for every vertex and every transition
     that occurs at all.  That also makes the transition set generate the
-    full group (see _check_euler_rows).  Violations are return values.
+    full group (see _euler_verdict).  Violations are return values.
+
+    One blocked counting pass (`oa.subset_histograms`) over the digits
+    symbol*q + transition gives every pair histogram.  The pass also
+    certifies strength t: every vertex occurs |S| * lam_edge = N/q^t times,
+    and that vertex marginal is the certificate's lam.  An array that
+    fails here may fail strength too; `certify_eulerian` runs the
+    strength pass for that case.
     """
     entries = np.asarray(entries)
-    n, _ = entries.shape
+    n, N = entries.shape
     if not 1 <= t <= n:
         raise ValueError(f"strength t = {t} out of range for {n} rows")
     q = field.q
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
-    combos = list(itertools.combinations(range(n), t))
-    results = config.parallel_map(
-        lambda rows: _check_euler_rows(entries, field, t, rows), combos)
+    _check_pair_cap(q, t)
+    digits = transitions(entries, field)
+    digits += q * entries
+    symbols = list(itertools.product(range(q), repeat=t))
+    # histogram digits interleave (vertex, transition) per row; put the t
+    # vertex digits first to get the (q^t, q^t) pair layout of pair_counts
+    order = (*range(0, 2 * t, 2), *range(1, 2 * t, 2))
 
+    def judge(rows, flat):
+        counts = flat.reshape((q,) * (2 * t)).transpose(order)
+        return _euler_verdict(rows, counts.reshape(q**t, q**t), N, symbols)
+
+    results = subset_histograms(digits, q * q, t, judge)
     gensets: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     lam = None
-    for rows, res in zip(combos, results):
+    combos = itertools.combinations(range(n), t)
+    for rows, res in zip(combos, results, strict=True):
         if isinstance(res, EulerianViolation):
             return res
         gens, sub_lam = res
@@ -229,7 +243,25 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
         elif sub_lam != lam:
             return EulerianViolation(rows, "pair-count", None, None, sub_lam, lam)
     assert lam is not None
-    return EulerianCertificate(lam, gensets)
+    # the vertex marginal: each vertex occurs once per (vertex, s) pair
+    # with s in S, lam times each, so |S| * lam times
+    vertex_lam = len(next(iter(gensets.values()))) * lam
+    return EulerianCertificate(lam, gensets, vertex_lam)
+
+
+def certify_eulerian(entries: np.ndarray, field: FieldTable, t: int
+                     ) -> tuple[int | StrengthViolation,
+                                EulerianCertificate | EulerianViolation]:
+    """Strength and Eulerian verdicts of one array at one t.
+
+    The strength lam is the certificate's vertex marginal; a separate
+    strength pass runs only when the Eulerian check fails, so that callers
+    can report a strength violation before an Eulerian one.
+    """
+    euler = verify_eulerian(entries, field, t)
+    if isinstance(euler, EulerianCertificate):
+        return euler.lam, euler
+    return verify_strength(entries, field.q, t), euler
 
 
 def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
@@ -247,10 +279,9 @@ def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
     entries = gf_matmul(code.gen, cycle.vertices.T, code.field)
     N = entries.shape[1]
 
-    strength = verify_strength(entries, code.q, t)
+    strength, euler = certify_eulerian(entries, code.field, t)
     if isinstance(strength, StrengthViolation):
         raise ValueError(f"strength-{t} verification failed: {strength}")
-    euler = verify_eulerian(entries, code.field, t)
     if isinstance(euler, EulerianViolation):
         raise ValueError(f"Eulerian verification failed: {euler}")
     full = code.q**t
@@ -279,10 +310,14 @@ def read_eulerian_oa(path) -> EulerianOA:
         raise ValueError(f"{path}: missing EULER trailer")
     t_euler, lam_edge_claim = trailer
     field = field_from_order(q)
-    strength = verify_strength(entries, q, t_claim)
+    if t_claim == t_euler:
+        strength, euler = certify_eulerian(entries, field, t_euler)
+    else:
+        strength, euler = verify_strength(entries, q, t_claim), None
     if isinstance(strength, StrengthViolation) or strength != lam_claim:
         raise ValueError(f"{path}: strength claim failed ({strength})")
-    euler = verify_eulerian(entries, field, t_euler)
+    if euler is None:
+        euler = verify_eulerian(entries, field, t_euler)
     if isinstance(euler, EulerianViolation):
         raise ValueError(f"{path}: Eulerian claim failed ({euler})")
     if euler.edge_multiplicity != lam_edge_claim:

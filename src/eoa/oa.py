@@ -3,7 +3,17 @@
 An OA_lambda(N, n, q, t) is an n x N symbol array in which every t x N
 sub-array contains each of the q^t column tuples exactly lambda times.
 Verification is exhaustive counting over all C(n, t) row subsets -- a
-certificate, not a sample -- which is milliseconds at desk scale.
+certificate, not a sample.
+
+The counting is blocked (`subset_histograms`, shared with the Eulerian
+verifier).  Each row carries one digit per column: its symbol here, the
+(symbol, transition) pair in base q^2 for the Eulerian check.  For every
+(t-1)-row prefix the prefix key is encoded once; the keys of a block of
+later rows are that key plus each row's digits plus a per-row offset, and
+one bincount returns the histograms of the whole block of t-row subsets.
+Blocks hold at most `_BLOCK_KEYS` keys (one row when N alone is more), so
+memory stays bounded as N grows.  Each subset's histogram is then judged on its own, in
+lexicographic subset order.
 """
 
 from __future__ import annotations
@@ -58,10 +68,46 @@ def column_counts(sub: np.ndarray, q: int) -> np.ndarray:
     return np.bincount(q ** np.arange(t - 1, -1, -1) @ sub, minlength=q**t)
 
 
-def _check_rows(entries: np.ndarray, q: int, t: int,
-                rows: tuple[int, ...]) -> int | StrengthViolation:
-    N = entries.shape[1]
-    counts = column_counts(entries[list(rows)], q)
+# Keys per counting block: 2^19 int64 keys, about 4 MB.  Larger blocks save
+# little time and leave more freed memory with the allocator for later stages.
+_BLOCK_KEYS = 2**19
+
+
+def subset_histograms(digits: np.ndarray, base: int, t: int, judge) -> list:
+    """[judge(rows, counts) for every t-row subset, in lexicographic order].
+
+    digits is an n x N array of per-row digits in [0, base); counts is the
+    length base^t histogram of the subset's columns, encoded base `base`
+    with the first row most significant (as `column_counts`).  Prefixes
+    run on up to `config.worker_count()` threads; each walks its later
+    rows in blocks of at most `_BLOCK_KEYS` keys, one bincount per block.
+    """
+    n, N = digits.shape
+    width = base**t
+    per_block = max(1, _BLOCK_KEYS // max(N, width))
+    weights = base ** np.arange(t - 1, 0, -1)
+
+    def count_prefix(prefix: tuple[int, ...]) -> list:
+        start = prefix[-1] + 1 if prefix else 0
+        # the prefix key (int64 zeros when t = 1) plus each block row's offset
+        head = weights @ digits[list(prefix)]
+        head = head + width * np.arange(min(per_block, n - start))[:, None]
+        verdicts = []
+        for lo in range(start, n, per_block):
+            hi = min(lo + per_block, n)
+            keys = digits[lo:hi] + head[:hi - lo]
+            counts = np.bincount(keys.ravel(), minlength=(hi - lo) * width)
+            verdicts += [judge(prefix + (r,), c) for r, c in
+                         zip(range(lo, hi), counts.reshape(hi - lo, width))]
+        return verdicts
+
+    prefixes = list(itertools.combinations(range(n), t - 1))
+    return [v for block in config.parallel_map(count_prefix, prefixes)
+            for v in block]
+
+
+def _strength_verdict(rows: tuple[int, ...], counts: np.ndarray, N: int, q: int,
+                      t: int) -> int | StrengthViolation:
     if np.all(counts == counts[0]):
         return int(counts[0])
     expected = N / q**t
@@ -84,11 +130,11 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
         raise ValueError(f"strength t = {t} out of range for {n} rows")
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
-    combos = list(itertools.combinations(range(n), t))
-    results = config.parallel_map(lambda rows: _check_rows(entries, q, t, rows),
-                                  combos)
+    results = subset_histograms(
+        entries, q, t, lambda rows, counts: _strength_verdict(rows, counts, N, q, t))
     lam = None
-    for rows, res in zip(combos, results):
+    combos = itertools.combinations(range(n), t)
+    for rows, res in zip(combos, results, strict=True):
         if isinstance(res, StrengthViolation):
             return res
         if lam is None:
@@ -139,7 +185,7 @@ def oa_from_code(code: LinearCode, d_dual: int) -> OrthogonalArray:
 def format_oa(oa: OrthogonalArray) -> str:
     lines = [f"OA {oa.N} {oa.n} {oa.q} {oa.t} {oa.lam}"]
     for row in oa.entries:
-        lines.append(" ".join(str(int(v)) for v in row))
+        lines.append(" ".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -169,10 +215,18 @@ def read_oa_file(path) -> tuple[np.ndarray, tuple[int, int, int, int, int],
         raise ValueError(f"{path}: malformed OA header")
     header = tuple(int(x) for x in head[1:])
     N, n, q, _, _ = header
-    entries = np.array([[int(v) for v in ln.split()] for ln in lines[1:]],
-                       dtype=np.int64)
-    if entries.shape != (n, N):
-        raise ValueError(f"{path}: array shape {entries.shape} != ({n}, {N})")
+    rows = []
+    for i, ln in enumerate(lines[1:]):
+        # np.array parses each token as int() does, so "1.5" is rejected
+        try:
+            rows.append(np.array(ln.split(), dtype=np.int64))
+        except OverflowError as exc:
+            raise ValueError(f"{path}: array row {i}: {exc}") from None
+    widths = sorted({row.size for row in rows})
+    if len(rows) != n or widths != [N]:
+        raise ValueError(f"{path}: array shape ({len(rows)}, "
+                         f"{'/'.join(map(str, widths))}) != ({n}, {N})")
+    entries = np.array(rows)
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError(f"{path}: symbols out of range [0, {q})")
     return entries, header, trailer

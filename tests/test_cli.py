@@ -203,6 +203,26 @@ def test_sim_eulerian_pass(tmp_path, eoa256_file):
     assert data["method"] == "exact"
 
 
+def test_sim_eulerian_names_non_eulerian_array(tmp_path, eoa256_file, capsys):
+    """A column-shuffled array keeps strength 2, so sim accepts it, but the
+    residual fails; the failure line names the first Eulerian violation,
+    after the residual line."""
+    lines = eoa256_file.read_text().splitlines()
+    arr = np.array([ln.split() for ln in lines[1:-1]])
+    arr = arr[:, np.random.default_rng(5).permutation(arr.shape[1])]
+    shuffled = tmp_path / "shuffled.txt"
+    shuffled.write_text("\n".join([lines[0]] + [" ".join(r) for r in arr]
+                                  + [lines[-1]]) + "\n")
+    capsys.readouterr()
+    assert main(["sim", "eulerian", "--oa", str(shuffled), "--n", "5",
+                 "--t", "2", "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("residual = ")
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("FAIL: residual ")
+    assert "not Eulerian at strength 2: rows (0, 1): (vertex" in err[0]
+
+
 def test_sim_eulerian_sweep_reports_slope(tmp_path, capsys):
     # 2-qubit identity-code array keeps the full space small for the sweep
     eoa2 = tmp_path / "eoa2.txt"
@@ -255,6 +275,9 @@ BAD_INPUTS = [
     "sim eulerian --oa {eoa256} --n 5 --t 2 --method quadrature --order 0",
     "sim eulerian --oa {eoa256} --n 5 --t 2 --sweep-tc 1",
     "sim eulerian --oa {eoa256} --n 5 --t 2 --sweep-tc 2 --sweep-base 0",
+    "oa verify --in {w}/ragged.txt",
+    "euler verify --in {w}/ragged.txt",
+    "oa verify --in {w}/huge.txt",
 ]
 
 
@@ -262,13 +285,16 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_with_one_line(line, tmp_path, oa16_file, eoa256_file,
                                          capsys):
     """Out-of-range strengths, drift parameters, pulse lengths, quadrature
-    orders and sweep lengths are input errors: exit 2 and one stderr line,
-    never a traceback or a vacuous OK."""
+    orders and sweep lengths, ragged array rows and symbols beyond int64
+    are input errors: exit 2 and one stderr line, never a traceback or a
+    vacuous OK."""
     from eoa.decoupling import DriftHamiltonian, write_drift
     q6 = tmp_path / "q6.txt"
     q6.write_text("OA 36 2 6 2 1\n{}\n{}\n".format(
         " ".join(str(j % 6) for j in range(36)),
         " ".join(str(j // 6) for j in range(36))))
+    (tmp_path / "ragged.txt").write_text("OA 2 2 4 1 1\n0 1\n2\nEULER 1 1\n")
+    (tmp_path / "huge.txt").write_text("OA 2 1 4 1 1\n0 99999999999999999999\n")
     empty = tmp_path / "empty.json"
     write_drift(empty, DriftHamiltonian(5, 2, 1, (), np.zeros((1, 1), dtype=complex)))
     capsys.readouterr()

@@ -1,0 +1,160 @@
+"""Blocked subset counting against the per-subset oracle.
+
+`oa.subset_histograms` counts a whole block of t-row subsets with one
+bincount; the oracle below is the per-subset path it replaced: one
+`column_counts` (strength) or `pair_counts` (Eulerian) call per row
+subset, judged by its own copy of the uniformity checks.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from eoa import oa as oa_module
+from eoa.codes import LinearCode, gf_matmul, hamming_code
+from eoa.euler import (EulerianCertificate, EulerianViolation, certify_eulerian,
+                       euler_cycle_full, pair_counts, verify_eulerian)
+from eoa.gf import gf_new
+from eoa.oa import StrengthViolation, column_counts, verify_strength
+
+FIELDS = {2: gf_new(2, 1), 3: gf_new(3, 1), 4: gf_new(2, 2), 9: gf_new(3, 2)}
+
+
+# ---------------------------------------------------------------------------
+# Per-subset oracle
+# ---------------------------------------------------------------------------
+
+def check_rows(entries, q, t, rows):
+    N = entries.shape[1]
+    counts = column_counts(entries[list(rows)], q)
+    if np.all(counts == counts[0]):
+        return int(counts[0])
+    expected = N / q**t
+    target = int(expected) if expected == int(expected) else counts[0]
+    bad = int(np.nonzero(counts != target)[0][0])
+    symbols = tuple(int(s) for s in np.unravel_index(bad, (q,) * t))
+    return StrengthViolation(rows, symbols, int(counts[bad]), expected)
+
+
+def oracle_strength(entries, q, t):
+    lam = None
+    for rows in itertools.combinations(range(entries.shape[0]), t):
+        res = check_rows(entries, q, t, rows)
+        if isinstance(res, StrengthViolation):
+            return res
+        if lam is None:
+            lam = res
+        elif res != lam:
+            return StrengthViolation(rows, (0,) * t, res, lam)
+    return lam
+
+
+def check_euler_rows(entries, field, t, rows):
+    q = field.q
+    N = entries.shape[1]
+    counts = pair_counts(entries[list(rows)], field)
+    used = np.nonzero(counts.sum(axis=0))[0]
+    block = counts[:, used]
+    expected = N / (q**t * len(used))
+    target = int(expected) if expected == int(expected) else int(block[0, 0])
+    if not np.all(block == target):
+        v, si = np.argwhere(block != target)[0]
+        return EulerianViolation(
+            rows, "pair-count",
+            tuple(int(x) for x in np.unravel_index(int(v), (q,) * t)),
+            tuple(int(x) for x in np.unravel_index(int(used[si]), (q,) * t)),
+            int(block[v, si]), expected)
+    gens = tuple(tuple(int(x) for x in np.unravel_index(int(s), (q,) * t))
+                 for s in used)
+    return gens, target
+
+
+def oracle_eulerian(entries, field, t):
+    """(edge multiplicity, gensets) or the first EulerianViolation."""
+    gensets = {}
+    lam = None
+    for rows in itertools.combinations(range(entries.shape[0]), t):
+        res = check_euler_rows(entries, field, t, rows)
+        if isinstance(res, EulerianViolation):
+            return res
+        gensets[rows], sub_lam = res
+        if lam is None:
+            lam = sub_lam
+        elif sub_lam != lam:
+            return EulerianViolation(rows, "pair-count", None, None, sub_lam, lam)
+    return lam, gensets
+
+
+# ---------------------------------------------------------------------------
+# Arrays: Eulerian OAs from codes, then transformed
+# ---------------------------------------------------------------------------
+
+def _eulerian_entries(code):
+    cycle = euler_cycle_full(code.field, code.k)
+    return gf_matmul(code.gen, cycle.vertices.T, code.field)
+
+
+# q -> [(entries, strength)]: the dual Hamming code (n = q + 1, strength 2)
+# and, for q <= 4, the [4, 3] code with a parity row (strength 3)
+BASES = {q: [(_eulerian_entries(hamming_code(f, 2).dual()), 2)]
+         + ([(_eulerian_entries(LinearCode(f, np.array(
+             [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]))), 3)] if q <= 4 else [])
+         for q, f in FIELDS.items()}
+
+
+@st.composite
+def arrays(draw):
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    base, strength = draw(st.sampled_from(BASES[q]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_base, N = base.shape
+    t = draw(st.integers(1, 3 if q <= 4 else 2))
+    n = draw(st.integers(t, min(n_base, 5)))
+    # a row subset, any order, cyclically rotated: still Eulerian
+    entries = np.roll(base[rng.permutation(n_base)[:n]], int(rng.integers(N)), axis=1)
+    kind = draw(st.sampled_from(["valid", "shuffled", "tampered", "random"]))
+    if kind == "shuffled":
+        entries = entries[:, rng.permutation(N)]
+    elif kind == "tampered":
+        i, j = int(rng.integers(n)), int(rng.integers(N))
+        entries[i, j] = (entries[i, j] + int(rng.integers(1, q))) % q
+    elif kind == "random":
+        entries = rng.integers(0, q, size=entries.shape)
+    return q, t, entries, kind, t <= strength
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=arrays(), budget=st.sampled_from([1, 2, 3, 0]),
+       threads=st.sampled_from(["1", "4"]))
+def test_blocked_verifiers_match_per_subset_oracle(case, budget, threads):
+    """Same lambda, edge multiplicity, gensets and first violation as the
+    per-subset path, with blocks of 1 to 3 rows that split prefixes, and
+    the full budget (0 here), serially and on four threads."""
+    q, t, entries, kind, certified = case
+    field = FIELDS[q]
+    N = entries.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("EOA_THREADS", threads)
+        if budget:
+            mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, q ** (2 * t)))
+        strength = verify_strength(entries, q, t)
+        euler = verify_eulerian(entries, field, t)
+        paired = certify_eulerian(entries, field, t)
+    assert strength == oracle_strength(entries, q, t)
+    expected = oracle_eulerian(entries, field, t)
+    if isinstance(euler, EulerianCertificate):
+        assert (euler.edge_multiplicity, euler.gensets) == expected
+        assert euler.lam == strength == N // q**t
+    else:
+        assert euler == expected
+    # the paired verdicts: strength lambda read off the certificate, else
+    # the strength pass's own verdict
+    assert paired == (strength, euler)
+    if kind == "valid" and certified:
+        assert isinstance(euler, EulerianCertificate)
+    if kind == "tampered" and certified:
+        # any single-symbol tamper is rejected by both verifiers
+        assert isinstance(strength, StrengthViolation)
+        assert isinstance(euler, EulerianViolation)

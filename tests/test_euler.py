@@ -1,12 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eoa.codes import LinearCode, hamming_code
-from eoa.euler import (EulerianCertificate, EulerianViolation, euler_cycle_full,
-                       eulerian_oa_from_code, pair_counts, read_eulerian_oa,
-                       verify_eulerian, write_eulerian_oa)
+from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
+                       euler_cycle_full, eulerian_oa_from_code, pair_counts,
+                       read_eulerian_oa, verify_eulerian, write_eulerian_oa)
 from eoa.gf import gf_new
-from eoa.oa import oa_from_code, verify_strength
+from eoa.oa import OrthogonalArray, oa_from_code, read_oa_file, verify_strength
 
 F2 = gf_new(2, 1)
 F4 = gf_new(2, 2)
@@ -164,6 +168,42 @@ def test_eoa_file_roundtrip(tmp_path, eoa256):
     assert back.edge_multiplicity == 1
     write_eulerian_oa(tmp_path / "again.txt", back)
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(field=st.sampled_from([F2, gf_new(3, 1), F4]), t_oa=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_eoa_file_roundtrip_is_exact(field, t_oa, seed):
+    """write_eulerian_oa then read_eulerian_oa (which re-verifies) gives back
+    the entries, header, trailer and certificate of random Eulerian arrays:
+    a constructed one with its rows permuted and subset, its columns rotated
+    and each row shifted by a field element.  The header may claim strength
+    1 under an Euler trailer of strength 2."""
+    rng = np.random.default_rng(seed)
+    base = eulerian_oa_from_code(hamming_code(field, 2).dual(),
+                                 euler_cycle_full(field, 2), 2).entries
+    q, N = field.q, base.shape[1]
+    rows = rng.permutation(base.shape[0])[:int(rng.integers(2, base.shape[0] + 1))]
+    shifts = rng.integers(0, q, size=(len(rows), 1))
+    entries = field.add_table[np.roll(base[rows], int(rng.integers(N)), axis=1), shifts]
+    cert = verify_eulerian(entries, field, 2)
+    assert isinstance(cert, EulerianCertificate)
+    eoa = EulerianOA(OrthogonalArray(q, len(rows), N, t_oa, N // q**t_oa,
+                                     entries), 2, cert.edge_multiplicity, cert.gensets)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "eoa.txt"
+        write_eulerian_oa(path, eoa)
+        _, header, trailer = read_oa_file(path)
+        back = read_eulerian_oa(path)
+        write_eulerian_oa(Path(tmp) / "again.txt", back)
+        assert (Path(tmp) / "again.txt").read_bytes() == path.read_bytes()
+    lam = N // q**t_oa
+    assert np.array_equal(back.entries, entries)
+    assert header == (N, len(rows), q, t_oa, lam)
+    assert (back.oa.q, back.oa.n, back.oa.N, back.oa.t, back.oa.lam) == (
+        q, len(rows), N, t_oa, lam)
+    assert trailer == (back.t, back.edge_multiplicity) == (2, cert.edge_multiplicity)
+    assert back.gensets == cert.gensets
 
 
 def test_read_eoa_requires_trailer(tmp_path, eoa256):

@@ -1,12 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eoa.codes import LinearCode, hamming_code
 from eoa.gf import gf_new
 from eoa import config
 from eoa.oa import (OrthogonalArray, StrengthViolation, column_counts,
-                    max_strength, oa_from_code, read_oa, read_oa_entries,
-                    read_oa_file, verify_strength, write_oa)
+                    format_oa, max_strength, oa_from_code, read_oa,
+                    read_oa_entries, read_oa_file, verify_strength, write_oa)
 
 F4 = gf_new(2, 2)
 F2 = gf_new(2, 1)
@@ -103,6 +107,26 @@ def test_oa_file_roundtrip(tmp_path, oa16):
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(qt=st.sampled_from([(2, 1), (2, 3), (3, 2), (4, 2), (9, 1), (16, 2), (256, 1)]),
+       lam=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_oa_file_roundtrip_is_exact(qt, lam, n, seed):
+    """write_oa then read_oa_file gives back the entries and the header of
+    any array, with multi-digit symbols too, and rewriting is byte-exact."""
+    q, t = qt
+    N = lam * q**t
+    entries = np.random.default_rng(seed).integers(0, q, size=(n, N))
+    oa = OrthogonalArray(q, n, N, t, lam, entries)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "oa.txt"
+        write_oa(path, oa)
+        back, header, trailer = read_oa_file(path)
+        text = path.read_text()
+    assert back.dtype == np.int64 and np.array_equal(back, entries)
+    assert header == (N, n, q, t, lam) and trailer is None
+    assert format_oa(OrthogonalArray(q, n, N, t, lam, back)) == text
+
+
 def test_read_oa_rejects_tampered_file(tmp_path, oa16):
     path = tmp_path / "tampered.txt"
     write_oa(path, oa16)
@@ -149,11 +173,22 @@ def test_read_oa_file_trailer(tmp_path, oa16):
 
 
 @pytest.mark.parametrize("text", ["", "EULER 2 1\n", "OX 16 5 4 2 1\n",
-                                  "OA 2 2 4 1 1\n0 1\n"])
+                                  "OA 2 2 4 1 1\n0 1\n",
+                                  "OA 2 2 4 1 1\n0 1\n2\n",
+                                  "OA 2 2 4 1 1\n0 1\n2 1.5\n",
+                                  "OA 2 1 4 1 1\n0 99999999999999999999\n",
+                                  "OA 2 0 4 1 1\n"])
 def test_read_oa_file_rejects_bad_input(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError):
+        read_oa_file(path)
+
+
+def test_read_oa_file_ragged_rows_name_the_shape(tmp_path):
+    path = tmp_path / "ragged.txt"
+    path.write_text("OA 2 2 4 1 1\n0 1\n2\n")
+    with pytest.raises(ValueError, match=r"array shape \(2, 1/2\) != \(2, 2\)"):
         read_oa_file(path)
 
 

@@ -19,9 +19,10 @@ import numpy as np
 
 from . import config
 from .codes import LinearCode, hamming_code, read_code, write_code
-from .decoupling import (bangbang_average, euler_schedule, eulerian_average,
-                         exact_evolution, random_drift, read_drift,
-                         report_to_json, verify_schedule, write_schedule)
+from .decoupling import (_distinct_hamiltonians, bangbang_average,
+                         euler_schedule, eulerian_average, exact_evolution,
+                         random_drift, read_drift, report_to_json,
+                         verify_schedule, write_schedule)
 from .euler import (EulerianViolation, certify_eulerian, euler_cycle_full,
                     eulerian_oa_from_code, verify_eulerian)
 from .gf import field_from_order
@@ -218,8 +219,8 @@ def cmd_schedule_export(args) -> int:
         return _fail_input(str(exc))
     write_schedule(args.out, sched)
     worst = verify_schedule(sched)
-    max_h = max(np.linalg.norm(sched.hams[j, k], 2)
-                for j in range(sched.N) for k in range(sched.n))
+    table, _ = _distinct_hamiltonians(sched)
+    max_h = np.linalg.norm(table, 2, axis=(1, 2)).max()
     print(f"{sched.N} segments x {sched.n} qudits, T_c = {sched.cycle_time:g}, "
           f"max ||h|| = {max_h:.6f} (pi/delta = {np.pi / args.delta:.6f}), "
           f"unitary check {worst:.3e}")

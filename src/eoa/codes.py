@@ -230,7 +230,10 @@ def read_code(path) -> LinearCode:
     q, n, k = (int(x) for x in head[1:])
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} generator rows, got {len(lines) - 1}")
-    gen = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=np.int64)
+    try:
+        gen = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: generator: {exc}") from None
     if gen.shape != (n, k):
         raise ValueError(f"{path}: generator shape {gen.shape} != ({n}, {k})")
     return LinearCode(field_from_order(q), gen)

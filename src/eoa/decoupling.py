@@ -282,9 +282,9 @@ def euler_schedule(m, delta: float) -> Schedule:
 # ---------------------------------------------------------------------------
 
 def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h via eigendecomposition."""
+    """exp(-i h t) for Hermitian h (or a stack of them) via eigendecomposition."""
     lam, vec = np.linalg.eigh(h)
-    return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+    return (vec * np.exp(-1j * lam * t)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
 
 
 def _phase_filter(lam: np.ndarray, delta: float) -> np.ndarray:
@@ -598,31 +598,79 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
 # JSON serialization: schedules, reports, drifts
 # ---------------------------------------------------------------------------
 
+def _distinct_hamiltonians(sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """(table, index) with table[index] equal to sched.hams bitwise.
+
+    table (D, d, d) holds the distinct segment Hamiltonians in order of
+    first appearance and index (N, n) each segment's row of it.  Blocks are
+    keyed by their bytes, so -0.0 and 0.0 stay apart and a round trip
+    through the table is exact.
+    """
+    d = sched.d
+    blocks = np.ascontiguousarray(sched.hams, dtype=complex).reshape(-1, d * d)
+    keys = blocks.view(np.dtype((np.void, blocks.itemsize * d * d))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return (blocks[first[order]].reshape(-1, d, d),
+            rank[inverse].reshape(sched.N, sched.n))
+
+
 def schedule_to_json(sched: Schedule) -> dict:
-    segments = []
-    for j in range(sched.N):
-        seg = {"labels": [[int(a), int(b)] for a, b in sched.labels[j]]}
-        if sched.mode == "eulerian":
-            seg["hamiltonians"] = [matrix_to_pairs(sched.hams[j, k])
-                                   for k in range(sched.n)]
-        segments.append(seg)
-    return {"n": sched.n, "d": sched.d, "N": sched.N, "delta": sched.delta,
-            "mode": sched.mode, "segments": segments}
+    """Each distinct Hamiltonian once, as row-major [re, im] pairs; each
+    segment its n labels and, in eulerian mode, its n table indices."""
+    data = {"n": sched.n, "d": sched.d, "N": sched.N, "delta": sched.delta,
+            "mode": sched.mode}
+    labels = sched.labels.tolist()
+    if sched.mode == "bangbang":
+        data["segments"] = [{"labels": row} for row in labels]
+        return data
+    table, index = _distinct_hamiltonians(sched)
+    data["hamiltonians"] = table.view(np.float64).reshape(
+        len(table), sched.d**2, 2).tolist()
+    data["segments"] = [{"labels": row, "hamiltonians": idx}
+                        for row, idx in zip(labels, index.tolist())]
+    return data
+
+
+def _json_array(raw, shape: tuple, what: str, dtype=None) -> np.ndarray:
+    """np.array(raw) of the given shape (integers unless dtype is given),
+    else a one-line ValueError naming the field."""
+    try:
+        arr = np.array(raw, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"schedule {what}: {exc}") from None
+    if dtype is None and arr.dtype.kind != "i":
+        raise ValueError(f"schedule {what}: expected integers, got {arr.dtype}")
+    if arr.shape != shape:
+        raise ValueError(f"schedule {what}: shape {arr.shape} != {shape}")
+    return arr.astype(np.int64, copy=False) if dtype is None else arr
 
 
 def schedule_from_json(data: dict) -> Schedule:
-    n, d, N = data["n"], data["d"], data["N"]
-    labels = np.array([[seg["labels"][k] for k in range(n)]
-                       for seg in data["segments"]], dtype=np.int64)
+    n, d, N, mode = data["n"], data["d"], data["N"], data["mode"]
+    segments = data["segments"]
+    labels = _json_array([seg["labels"] for seg in segments], (N, n, 2), "labels")
     hams = None
-    if data["mode"] == "eulerian":
-        hams = np.array([[matrix_from_pairs(seg["hamiltonians"][k], d)
-                          for k in range(n)] for seg in data["segments"]])
-    return Schedule(n, d, N, float(data["delta"]), data["mode"], labels, hams)
+    if mode == "eulerian":
+        raw = data["hamiltonians"]
+        for i, entry in enumerate(raw):
+            if len(entry) != d * d:
+                raise ValueError(f"schedule Hamiltonian {i} has {len(entry)} "
+                                 f"[re, im] pairs, expected {d * d}")
+        pairs = _json_array(raw, (len(raw), d * d, 2), "Hamiltonians", np.float64)
+        index = _json_array([seg["hamiltonians"] for seg in segments], (N, n),
+                            "Hamiltonian indices")
+        if index.size and not 0 <= index.min() <= index.max() < len(raw):
+            raise ValueError(f"schedule Hamiltonian indices span [{index.min()}, "
+                             f"{index.max()}], outside the table of {len(raw)}")
+        hams = pairs.view(np.complex128).reshape(len(raw), d, d)[index]
+    return Schedule(n, d, N, float(data["delta"]), mode, labels, hams)
 
 
 def write_schedule(path, sched: Schedule) -> None:
-    Path(path).write_text(json.dumps(schedule_to_json(sched), indent=1) + "\n")
+    Path(path).write_text(json.dumps(schedule_to_json(sched)) + "\n")
 
 
 def read_schedule(path) -> Schedule:
@@ -633,17 +681,24 @@ def verify_schedule(sched: Schedule) -> float:
     """Largest phase-aligned distance of exp(-i h Delta) from the labeled Weyl.
 
     Re-verifies an (imported) eulerian schedule: each segment Hamiltonian
-    must reproduce its segment unitary up to a global phase.
+    must reproduce its segment unitary up to a global phase.  The distance
+    depends on the (Hamiltonian, label) pair alone, so it is computed once
+    per distinct pair, in one batch; the maximum still covers every segment.
     """
     if sched.mode != "eulerian":
         raise ValueError("only eulerian schedules carry Hamiltonians to verify")
-    worst = 0.0
-    for j in range(sched.N):
-        for k in range(sched.n):
-            u = _expm_hermitian(sched.hams[j, k], sched.delta)
-            a, b = sched.labels[j, k]
-            worst = max(worst, aligned_distance(u, weyl(sched.d, int(a), int(b))))
-    return worst
+    d, labels = sched.d, sched.labels
+    outside = np.argwhere(((labels < 0) | (labels >= d)).any(axis=-1))
+    if len(outside):
+        j, k = outside[0]
+        raise ValueError(f"segment {j}, qudit {k}: label "
+                         f"{tuple(labels[j, k].tolist())} out of range for d = {d}")
+    table, index = _distinct_hamiltonians(sched)
+    pairs = np.unique((index * d + labels[..., 0]) * d + labels[..., 1])
+    weyls = np.array([[weyl(d, a, b) for b in range(d)] for a in range(d)])
+    dist = aligned_distance(_expm_hermitian(table[pairs // d**2], sched.delta),
+                            weyls[pairs // d % d, pairs % d])
+    return float(np.max(dist, initial=0.0))
 
 
 def report_to_json(report: AverageReport, tolerance: float, extra: dict | None = None) -> dict:

@@ -50,18 +50,20 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, 2 * dim - 2 * overlap)))
 
 
-def aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
+def aligned_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """||u - phase * v||_F with the phase chosen from their overlap.
 
     Unlike phase_distance this is linear in the deviation, so it resolves
     agreement all the way down to roundoff (phase_distance saturates at
     sqrt(2 dim epsilon)); use it when asserting near-exact phase equality.
+    Stacks of matrices broadcast and give an array of distances.
     """
-    overlap = np.trace(v.conj().T @ u)
-    if abs(overlap) < 1e-300:
-        return frob(u - v)
-    phase = overlap / abs(overlap)
-    return frob(u - phase * v)
+    u, v = np.asarray(u), np.asarray(v)
+    overlap = np.einsum("...ab,...ab->...", v.conj(), u)     # tr(v^dag u)
+    size = np.abs(overlap)
+    phase = np.where(size < 1e-300, 1, overlap / np.maximum(size, 1e-300))
+    dist = np.linalg.norm(u - phase[..., None, None] * v, axis=(-2, -1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,14 @@ def test_schedule_export(tmp_path, eoa256_file, capsys):
     assert len(data["segments"]) == 256
     assert len(data["segments"][0]["labels"]) == 5
     assert len(data["segments"][0]["hamiltonians"]) == 5
-    # all exported h satisfy ||h|| <= pi/delta
-    for seg in data["segments"][:8]:
-        for pairs in seg["hamiltonians"]:
-            h = np.array([complex(re, im) for re, im in pairs]).reshape(2, 2)
-            assert np.linalg.norm(h, 2) <= np.pi / 0.1 + 1e-9
+    # one table row per GF(4) transition symbol, each used by some segment
+    table = np.array(data["hamiltonians"])
+    assert table.shape == (4, 4, 2)
+    used = {i for seg in data["segments"] for i in seg["hamiltonians"]}
+    assert used == set(range(4))
+    # every exported h satisfies ||h|| <= pi/delta
+    h = (table[..., 0] + 1j * table[..., 1]).reshape(-1, 2, 2)
+    assert np.linalg.norm(h, 2, axis=(1, 2)).max() <= np.pi / 0.1 + 1e-9
 
 
 def test_schedule_export_requires_eulerian_file(tmp_path, oa16_file):
@@ -278,6 +281,7 @@ BAD_INPUTS = [
     "oa verify --in {w}/ragged.txt",
     "euler verify --in {w}/ragged.txt",
     "oa verify --in {w}/huge.txt",
+    "code info --in {w}/hugecode.txt",
 ]
 
 
@@ -295,6 +299,7 @@ def test_bad_input_exits_2_with_one_line(line, tmp_path, oa16_file, eoa256_file,
         " ".join(str(j // 6) for j in range(36))))
     (tmp_path / "ragged.txt").write_text("OA 2 2 4 1 1\n0 1\n2\nEULER 1 1\n")
     (tmp_path / "huge.txt").write_text("OA 2 1 4 1 1\n0 99999999999999999999\n")
+    (tmp_path / "hugecode.txt").write_text("CODE 4 2 1\n99999999999999999999\n1\n")
     empty = tmp_path / "empty.json"
     write_drift(empty, DriftHamiltonian(5, 2, 1, (), np.zeros((1, 1), dtype=complex)))
     capsys.readouterr()

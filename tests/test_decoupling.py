@@ -1,5 +1,7 @@
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 
 from eoa import config
 from eoa.codes import LinearCode, hamming_code
-from eoa.decoupling import (_cycle_action, _symbol_hamiltonians,
-                            _symbol_unitaries)
-from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm,
+from eoa.decoupling import (_cycle_action, _distinct_hamiltonians,
+                            _symbol_hamiltonians, _symbol_unitaries,
+                            schedule_to_json)
+from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                             bangbang_average, bangbang_schedule, drift_from_json,
                             drift_to_json, euler_schedule, eulerian_average,
                             exact_evolution, fs_map, generator_hamiltonian,
@@ -714,23 +717,209 @@ def test_schedule_json_roundtrip(tmp_path, eoa256):
     back = read_schedule(path)
     assert (back.n, back.d, back.N, back.mode) == (5, 2, 256, "eulerian")
     assert np.array_equal(back.labels, sched.labels)
-    assert np.allclose(back.hams, sched.hams)
+    assert np.array_equal(back.hams, sched.hams)
     assert verify_schedule(back) < 1e-12
     write_schedule(tmp_path / "again.json", back)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_schedule_json_shape():
+    """Eulerian files hold one table row per distinct Hamiltonian and one
+    index per (segment, qudit); bang-bang files hold labels only."""
     sched = euler_schedule(
         eulerian_oa_from_code(LinearCode(F4, np.eye(1, dtype=np.int64)),
                               euler_cycle_full(F4, 1), 1), 0.1)
-    data = json.loads(json.dumps(
-        __import__("eoa.decoupling", fromlist=["schedule_to_json"])
-        .schedule_to_json(sched)))
+    data = json.loads(json.dumps(schedule_to_json(sched)))
+    assert list(data) == ["n", "d", "N", "delta", "mode", "hamiltonians", "segments"]
     assert data["N"] == 16 and len(data["segments"]) == 16
+    assert len(data["hamiltonians"]) == 4     # one per GF(4) transition symbol
+    assert all(len(h) == 4 and all(len(z) == 2 for z in h)
+               for h in data["hamiltonians"])  # d^2 [re, im] pairs, row-major
     seg = data["segments"][0]
     assert len(seg["labels"]) == 1 and len(seg["labels"][0]) == 2
-    assert len(seg["hamiltonians"][0]) == 4   # d^2 [re, im] pairs, row-major
+    assert len(seg["hamiltonians"]) == 1 and isinstance(seg["hamiltonians"][0], int)
+    bang = schedule_to_json(bangbang_schedule((np.zeros((3, 2), dtype=np.int64), 4), 0.1))
+    assert "hamiltonians" not in bang
+    assert bang["segments"] == [{"labels": [[0, 0]] * 3}] * 2
+
+
+def test_distinct_hamiltonians_bitwise_first_appearance():
+    """-0.0 and 0.0 are different keys; rows come in order of first use."""
+    a = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+    a_neg = a.copy()
+    a_neg[0, 1] = complex(-0.0, 0.0)
+    b = np.diag([1.0, -1.0]).astype(complex)
+    hams = np.stack([b, a, b, a_neg, a, b]).reshape(3, 2, 2, 2)
+    labels = np.zeros((3, 2, 2), dtype=np.int64)
+    table, index = _distinct_hamiltonians(Schedule(2, 2, 3, 0.1, "eulerian", labels, hams))
+    assert table.shape == (3, 2, 2) and index.tolist() == [[0, 1], [0, 2], [1, 0]]
+    assert np.array_equal(table[index].view(np.uint64), hams.view(np.uint64))
+    assert np.signbit(table[2, 0, 1].real) and not np.signbit(table[1, 0, 1].real)
+
+
+@st.composite
+def random_schedules(draw):
+    """Schedules of either mode over d = 2, 3 with random labels and, in
+    eulerian mode, per-segment Hamiltonians drawn from a small pool that is
+    not tied to the labels and holds bitwise-distinct copies of equal
+    values (0.0 against -0.0)."""
+    mode = draw(st.sampled_from(["bangbang", "eulerian"]))
+    d = draw(st.sampled_from([2, 3]))
+    N, n = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    delta = draw(st.floats(1e-3, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, d, size=(N, n, 2))
+    hams = None
+    if mode == "eulerian":
+        pool = [random_hermitian(rng, d) for _ in range(3)]
+        signed = pool[0].copy()
+        signed[0, 0] = complex(signed[0, 0].real, -0.0)
+        pool += [signed, np.zeros((d, d), dtype=complex),
+                 np.full((d, d), complex(-0.0, -0.0))]
+        hams = np.stack(pool)[rng.integers(0, len(pool), size=(N, n))]
+    return Schedule(n, d, N, delta, mode, labels, hams)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_schedules())
+def test_schedule_file_roundtrip_is_exact(sched):
+    """write_schedule then read_schedule gives back the labels and every
+    segment Hamiltonian bit for bit, and rewriting is byte-exact."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sched.json"
+        write_schedule(path, sched)
+        back = read_schedule(path)
+        write_schedule(Path(tmp) / "again.json", back)
+        assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
+    assert (back.n, back.d, back.N, back.delta, back.mode) == \
+        (sched.n, sched.d, sched.N, sched.delta, sched.mode)
+    assert back.labels.dtype == np.int64 and np.array_equal(back.labels, sched.labels)
+    if sched.mode == "bangbang":
+        assert back.hams is None
+    else:
+        assert back.hams.dtype == np.complex128
+        assert np.array_equal(back.hams.view(np.uint64), sched.hams.view(np.uint64))
+
+
+def _break_negative_index(data):
+    data["segments"][1]["hamiltonians"][0] = -1
+
+
+def _break_index_past_table(data):
+    data["segments"][2]["hamiltonians"][1] = len(data["hamiltonians"])
+
+
+def _break_fractional_index(data):
+    data["segments"][0]["hamiltonians"][0] = 0.5
+
+
+def _break_short_entry(data):
+    data["hamiltonians"][1] = data["hamiltonians"][1][:-1]
+
+
+def _break_labels_shape(data):
+    data["segments"][1]["labels"] = data["segments"][1]["labels"][:-1]
+
+
+def _break_label_width(data):
+    data["segments"][0]["labels"][0] = [0, 1, 1]
+
+
+def _break_index_shape(data):
+    data["segments"][3]["hamiltonians"] = [0]
+
+
+@pytest.mark.parametrize("tamper", [
+    _break_negative_index, _break_index_past_table, _break_fractional_index,
+    _break_short_entry, _break_labels_shape, _break_label_width,
+    _break_index_shape])
+def test_read_schedule_rejects_malformed_file(tmp_path, tamper):
+    """An index outside the table (numpy would wrap a negative one), a
+    table entry without d^2 pairs, and labels or indices of the wrong shape
+    are one-line ValueErrors."""
+    entries = np.array([[0, 1, 2, 3], [0, 2, 3, 1]], dtype=np.int64)
+    data = schedule_to_json(euler_schedule((entries, 4), 0.1))
+    tamper(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as excinfo:
+        read_schedule(path)
+    assert len(str(excinfo.value).splitlines()) == 1
+
+
+def verify_schedule_oracle(sched):
+    """The per-segment check verify_schedule replaced: one matrix
+    exponential and one phase-aligned distance per (segment, qudit)."""
+    worst = 0.0
+    for j in range(sched.N):
+        for k in range(sched.n):
+            u = expm_herm(sched.hams[j, k], sched.delta)
+            v = weyl(sched.d, *(int(x) for x in sched.labels[j, k]))
+            overlap = np.trace(v.conj().T @ u)
+            phase = overlap / abs(overlap) if abs(overlap) >= 1e-300 else 1.0
+            worst = max(worst, frob(u - phase * v))
+    return worst
+
+
+@st.composite
+def realized_schedules(draw):
+    """(schedule, other): an eulerian schedule over d = 2, 3 whose segment
+    Hamiltonians realize their random labels, few enough labels that pairs
+    repeat, and a second schedule with a random subset of segments given a
+    random Hermitian or another label's Hamiltonian."""
+    d = draw(st.sampled_from([2, 3]))
+    N, n = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    delta = draw(st.sampled_from([0.1, 0.37, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, d, size=(N, n, 2))
+    by_label = np.array([[generator_hamiltonian(weyl(d, a, b), delta)
+                          for b in range(d)] for a in range(d)])
+    sched = Schedule(n, d, N, delta, "eulerian", labels,
+                     by_label[labels[..., 0], labels[..., 1]])
+    hams = sched.hams.copy()
+    for j, k in zip(*np.nonzero(rng.random((N, n)) < 0.3)):
+        hams[j, k] = (random_hermitian(rng, d) if rng.random() < 0.5
+                      else by_label[tuple(rng.integers(0, d, size=2))])
+    return sched, Schedule(n, d, N, delta, "eulerian", labels, hams)
+
+
+def _with(sched, labels=None, hams=None):
+    return Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
+                    sched.labels if labels is None else labels,
+                    sched.hams if hams is None else hams)
+
+
+@settings(max_examples=40, deadline=None)
+@given(realized_schedules(), st.data())
+def test_batched_verify_schedule_equals_per_segment_oracle(case, data):
+    """The batched check over distinct (Hamiltonian, label) pairs equals the
+    per-segment loop (the trace is summed in another order: roundoff-level
+    tolerance), and one tampered segment Hamiltonian or label among repeated
+    pairs fails it; an out-of-range label raises instead of wrapping."""
+    sched, other = case
+    for s in (sched, other):
+        assert verify_schedule(s) == pytest.approx(verify_schedule_oracle(s),
+                                                   rel=1e-12, abs=1e-14)
+    assert verify_schedule(sched) <= config.EPS_MAT
+    d = sched.d
+    j = data.draw(st.integers(0, sched.N - 1))
+    k = data.draw(st.integers(0, sched.n - 1))
+    label = tuple(sched.labels[j, k].tolist())
+    wrong = data.draw(st.sampled_from(
+        [(a, b) for a in range(d) for b in range(d) if (a, b) != label]))
+    hams = sched.hams.copy()
+    hams[j, k] = generator_hamiltonian(weyl(d, *wrong), sched.delta)
+    labels = sched.labels.copy()
+    labels[j, k] = wrong
+    for tampered in (_with(sched, hams=hams), _with(sched, labels=labels)):
+        worst = verify_schedule(tampered)
+        assert worst > config.EPS_MAT
+        assert worst == pytest.approx(verify_schedule_oracle(tampered), rel=1e-12)
+    for bad in ((d, 0), (0, -1)):
+        labels = sched.labels.copy()
+        labels[j, k] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            verify_schedule(_with(sched, labels=labels))
 
 
 def test_drift_json_roundtrip(tmp_path):

@@ -26,8 +26,8 @@ from .decoupling import (_distinct_hamiltonians, bangbang_average,
 from .euler import (EulerianViolation, certify_eulerian, euler_cycle_full,
                     eulerian_oa_from_code, verify_eulerian)
 from .gf import field_from_order
-from .oa import (StrengthViolation, oa_from_code, read_oa, read_oa_entries,
-                 read_oa_file, verify_strength, write_oa)
+from .oa import (StrengthViolation, max_strength, oa_from_code, read_oa,
+                 read_oa_entries, read_oa_file, verify_strength, write_oa)
 from .weyl import phase_distance
 
 
@@ -102,8 +102,15 @@ def _resolve_d_dual(code: LinearCode, override: int | None) -> int | str:
         dual = code.dual()
     except ValueError:
         return code.n + 1   # full-space code: trivial dual, by convention
-    if dual.q**dual.k > config.ENUMERATION_CAP:
-        return ("dual code too large to enumerate; pass --d-dual explicitly")
+    # Delsarte: the codewords form an OA of strength exactly d(C^perp) - 1,
+    # so count whichever of C and C^perp has fewer words (at a tie the
+    # dual's one weight pass is cheaper than d(C^perp) strength passes)
+    smaller = code if code.k < dual.k else dual
+    if smaller.q**smaller.k > config.ENUMERATION_CAP:
+        return ("code and dual code too large to enumerate; pass --d-dual "
+                "explicitly")
+    if smaller is code:
+        return 1 + max_strength(code.codewords(), code.q)
     return dual.min_distance()
 
 

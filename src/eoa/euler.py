@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config
-from .codes import LinearCode, gf_matmul
+from .codes import LinearCode
 from .gf import FieldTable, field_from_order
 from .oa import (OrthogonalArray, StrengthViolation, column_counts, format_oa,
                  read_oa_file, subset_histograms, verify_strength)
@@ -276,7 +276,11 @@ def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
     if cycle.q != code.q or cycle.k != code.k:
         raise ValueError(f"cycle over F_{cycle.q}^{cycle.k} does not match "
                          f"code message space F_{code.q}^{code.k}")
-    entries = gf_matmul(code.gen, cycle.vertices.T, code.field)
+    # column j is codeword number m_j (base q, messages() order): gather
+    # the q^k codewords along the cycle; np.take returns C order, where a
+    # [:, idx] gather would return F order
+    encoded = cycle.vertices @ (code.q ** np.arange(code.k - 1, -1, -1))
+    entries = np.take(code.codewords(), encoded, axis=1)
     N = entries.shape[1]
 
     strength, euler = certify_eulerian(entries, code.field, t)

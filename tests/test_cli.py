@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from eoa.cli import main
+from eoa.cli import _resolve_d_dual, main
+from eoa.codes import hamming_code
+from eoa.gf import gf_new
+from eoa.oa import max_strength
 
 
 @pytest.fixture()
@@ -65,6 +68,48 @@ def test_oa_build_and_verify(tmp_path, dual_code_file, capsys):
     assert main(["oa", "verify", "--in", str(oa_path)]) == 0
     assert main(["oa", "verify", "--in", str(oa_path), "--t", "1"]) == 0
     assert "lambda = 4" in capsys.readouterr().out
+
+
+# (p, m, r, dual): the Hamming code of redundancy r over GF(p^m), or its
+# dual; strength passes on a Hamming code's own words run up to q^(r-1) - 1,
+# so the larger Hamming codes enter through their duals only
+SMALL_CODES = [(p, m, r, dual) for p, m, r in [(2, 1, 2), (2, 1, 3), (3, 1, 2),
+                                                (2, 2, 2)]
+               for dual in (False, True)] + [(2, 1, 4, True), (3, 1, 3, True)]
+
+
+@pytest.mark.parametrize("p, m, r, dual", SMALL_CODES)
+def test_dual_distance_routes_agree(p, m, r, dual):
+    """Delsarte: 1 + the codewords' OA strength is the dual's minimum
+    distance; the resolver counts whichever code has fewer words."""
+    code = hamming_code(gf_new(p, m), r)
+    if dual:
+        code = code.dual()
+    d_dual = code.dual().min_distance()
+    assert 1 + max_strength(code.codewords(), code.q) == d_dual
+    assert _resolve_d_dual(code, None) == d_dual
+
+
+@pytest.fixture()
+def dual_ham92_file(tmp_path):
+    path = tmp_path / "dualham92.txt"
+    assert main(["code", "hamming", "--q", "9", "--m", "2", "--dual",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def test_builds_from_gf9_dual_hamming_without_distance(tmp_path, dual_ham92_file,
+                                                        capsys):
+    """The [10, 8]_9 dual has 9^8 words; the strength comes from the 81
+    codewords instead, so neither --d-dual nor --t is needed."""
+    capsys.readouterr()
+    assert main(["oa", "build", "--code", str(dual_ham92_file),
+                 "--out", str(tmp_path / "oa81.txt")]) == 0
+    assert "OA(81, 10, 9, 2) lambda = 1" in capsys.readouterr().out
+    assert main(["euler", "build", "--code", str(dual_ham92_file),
+                 "--out", str(tmp_path / "eoa6561.txt")]) == 0
+    assert "Eulerian OA(6561, 10, 9, 2)" in capsys.readouterr().out
+    assert main(["euler", "verify", "--in", str(tmp_path / "eoa6561.txt")]) == 0
 
 
 def test_oa_verify_tampered_exits_1(tmp_path, oa16_file, capsys):

@@ -158,3 +158,21 @@ def test_blocked_verifiers_match_per_subset_oracle(case, budget, threads):
         # any single-symbol tamper is rejected by both verifiers
         assert isinstance(strength, StrengthViolation)
         assert isinstance(euler, EulerianViolation)
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_verdicts_do_not_depend_on_memory_layout(q, shuffle):
+    """C-ordered, Fortran-ordered and column-gathered copies of one array
+    give identical strength, Eulerian and paired verdicts."""
+    field = FIELDS[q]
+    base, t = BASES[q][0]
+    if shuffle:
+        base = base[:, np.random.default_rng(q).permutation(base.shape[1])]
+    copies = [np.ascontiguousarray(base), np.asfortranarray(base),
+              base[:, np.arange(base.shape[1])]]
+    assert not copies[2].flags["C_CONTIGUOUS"]
+    verdicts = [(verify_strength(a, q, t), verify_eulerian(a, field, t),
+                 certify_eulerian(a, field, t)) for a in copies]
+    assert verdicts[0] == verdicts[1] == verdicts[2]
+    assert isinstance(verdicts[0][1], EulerianViolation) == shuffle

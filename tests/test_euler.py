@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eoa.codes import LinearCode, hamming_code
+from eoa.codes import LinearCode, gf_matmul, hamming_code
 from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
                        euler_cycle_full, eulerian_oa_from_code, pair_counts,
                        read_eulerian_oa, verify_eulerian, write_eulerian_oa)
@@ -158,6 +158,23 @@ def test_full_space_code_gives_full_factorial_eoa():
     code = LinearCode(F4, np.eye(2, dtype=np.int64))
     eoa = eulerian_oa_from_code(code, euler_cycle_full(F4, 2), 2)
     assert (eoa.oa.N, eoa.oa.n, eoa.oa.lam) == (256, 2, 16)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_gathered_construction_equals_matmul(p, m, k):
+    """Column j gathered from codewords() by the base-q index of m_j is the
+    product G m_j, and the array is C-contiguous."""
+    field = gf_new(p, m)
+    q = field.q
+    if k == 1:
+        code, t = LinearCode(field, np.array([[1], [q - 1], [1]])), 1
+    else:
+        code, t = hamming_code(field, 2).dual(), 2
+    cycle = euler_cycle_full(field, k)
+    eoa = eulerian_oa_from_code(code, cycle, t)
+    assert np.array_equal(eoa.entries, gf_matmul(code.gen, cycle.vertices.T, field))
+    assert eoa.entries.flags["C_CONTIGUOUS"]
 
 
 def test_eoa_file_roundtrip(tmp_path, eoa256):

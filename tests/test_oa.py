@@ -1,5 +1,7 @@
+import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,29 @@ from eoa.oa import (OrthogonalArray, StrengthViolation, column_counts,
 
 F4 = gf_new(2, 2)
 F2 = gf_new(2, 1)
+
+
+def format_oa_oracle(oa) -> str:
+    """The per-symbol writer that format_oa replaced: one str() per symbol."""
+    lines = [f"OA {oa.N} {oa.n} {oa.q} {oa.t} {oa.lam}"]
+    for row in oa.entries:
+        lines.append(" ".join(map(str, row.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def read_rows_oracle(rows: list[str]) -> np.ndarray:
+    """The per-row parser that read_oa_file replaced: one np.array per row
+    (tokens parsed as int() does), ragged rows rejected by width."""
+    parsed = []
+    for i, ln in enumerate(rows):
+        try:
+            parsed.append(np.array(ln.split(), dtype=np.int64))
+        except OverflowError as exc:
+            raise ValueError(f"array row {i}: {exc}") from None
+    widths = sorted({row.size for row in parsed})
+    if len(widths) != 1:
+        raise ValueError(f"array widths {widths}")
+    return np.array(parsed)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +152,54 @@ def test_oa_file_roundtrip_is_exact(qt, lam, n, seed):
     assert format_oa(OrthogonalArray(q, n, N, t, lam, back)) == text
 
 
+def _header_only(q, entries):
+    """Stand-in with the fields format_oa reads, for any shape (an
+    OrthogonalArray needs N = lambda q^t)."""
+    n, N = entries.shape
+    return SimpleNamespace(q=q, n=n, N=N, t=1, lam=1, entries=entries)
+
+
+# a row block written with separators other than single spaces
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\t\t"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 9, 16, 256]), n=st.integers(1, 5),
+       N=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       crlf=st.booleans(), blank=st.booleans(), sep=st.sampled_from(_SEPARATORS))
+def test_text_format_matches_oracles(q, n, N, seed, crlf, blank, sep):
+    """format_oa equals the per-symbol writer byte for byte, and
+    read_oa_file equals the per-row parser, on the written text and on the
+    same rows respaced with tabs or runs of spaces, CRLF line ends and
+    blank lines."""
+    entries = np.random.default_rng(seed).integers(0, q, size=(n, N))
+    oa = _header_only(q, entries)
+    text = format_oa(oa)
+    assert text == format_oa_oracle(oa)
+    head, *rows = text.splitlines()
+    respaced = [sep + sep.join(row.split()) + sep for row in rows]
+    end = "\r\n" if crlf else "\n"
+    gap = end if blank else ""
+    variants = [text, head + end + gap + (end + gap).join(respaced) + end]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "oa.txt"
+        for variant in variants:
+            path.write_bytes(variant.encode())
+            back, header, trailer = read_oa_file(path)
+            assert back.dtype == np.int64 and back.flags["C_CONTIGUOUS"]
+            lines = [ln for ln in variant.splitlines()[1:] if ln.strip()]
+            assert np.array_equal(back, read_rows_oracle(lines))
+            assert np.array_equal(back, entries)
+            assert header == (N, n, q, 1, 1) and trailer is None
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_format_oa_rejects_out_of_range_symbols(bad):
+    entries = np.array([[0, 1, 2, 3], [3, 2, bad, 0]])
+    with pytest.raises(ValueError, match=r"symbols in \[0, 4\)"):
+        format_oa(_header_only(4, entries))
+
+
 def test_read_oa_rejects_tampered_file(tmp_path, oa16):
     path = tmp_path / "tampered.txt"
     write_oa(path, oa16)
@@ -177,12 +250,46 @@ def test_read_oa_file_trailer(tmp_path, oa16):
                                   "OA 2 2 4 1 1\n0 1\n2\n",
                                   "OA 2 2 4 1 1\n0 1\n2 1.5\n",
                                   "OA 2 1 4 1 1\n0 99999999999999999999\n",
-                                  "OA 2 0 4 1 1\n"])
+                                  "OA 2 0 4 1 1\n",
+                                  "OA 2 2 4 1 1\n0 1\n2 3 # comment\n",
+                                  "OA 2 2 4 1 1\n0 1\n# 2 3\n",
+                                  "OA 2 2 4 1 1\n0 1\n2 #3\n",
+                                  "OA 2 1 16 1 1\n0 1_0\n",
+                                  "OA 2 1 4 1 1\n0 \u0661\n",
+                                  "OA 2 1 4 1 1\n0 1.5\n",
+                                  "OA 2 1 4 1 1\n-99999999999999999999 0\n"])
 def test_read_oa_file_rejects_bad_input(tmp_path, text):
+    """Bad headers, shapes and tokens: one-line ValueErrors.  A symbol is
+    ASCII decimal digits with an optional sign, so comments, digit
+    separators, non-ASCII digits, decimals and int64 overflow are refused."""
     path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError):
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
         read_oa_file(path)
+    assert len(str(info.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1_0", "bad symbol '1_0'"), ("\u0661", "bad symbol '\u0661'"),
+    ("1.5", "bad symbol '1.5'"), ("#", "bad symbol '#'"),
+    ("99999999999999999999", "symbol 99999999999999999999 overflows int64")])
+def test_read_oa_file_names_file_and_bad_token(tmp_path, token, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"OA 2 2 16 1 1\n0 1\n2 {token}\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match="^" + re.escape(f"{path}: array row 1: {message}") + "$"):
+        read_oa_file(path)
+
+
+def test_read_oa_file_whitespace_and_line_ends(tmp_path):
+    """CRLF line ends, blank lines and runs of spaces or tabs between
+    symbols all read as the plain format does; signs are allowed."""
+    path = tmp_path / "spaced.txt"
+    path.write_bytes(b"OA 3 2 4 1 1\r\n\r\n  0\t\t1   2 \r\n \t \r\n"
+                     b"+3\t0 \t 1\r\nEULER 1 1\r\n")
+    entries, header, trailer = read_oa_file(path)
+    assert np.array_equal(entries, [[0, 1, 2], [3, 0, 1]])
+    assert header == (3, 2, 4, 1, 1) and trailer == (1, 1)
 
 
 def test_read_oa_file_ragged_rows_name_the_shape(tmp_path):

@@ -294,12 +294,22 @@ def _phase_filter(lam: np.ndarray, delta: float) -> np.ndarray:
     return np.exp(0.5j * theta) * np.sinc(theta / (2 * np.pi))
 
 
+def _pulse_eigensystem(h: np.ndarray, delta: float) -> tuple:
+    """(vec, vec^dag, phase weights) of a control-Hamiltonian stack h: the
+    part of F_h that does not depend on the filtered operator."""
+    lam, vec = np.linalg.eigh(h)
+    return vec, vec.conj().swapaxes(-1, -2), _phase_filter(lam, delta)
+
+
+def _apply_pulse_filter(x: np.ndarray, eig: tuple) -> np.ndarray:
+    vec, vec_dag, phases = eig
+    return vec @ ((vec_dag @ x @ vec) * phases) @ vec_dag
+
+
 def _square_pulse_filter(x: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     """F_h(x) = (1/Delta) int_0^Delta e^{i h tau} x e^{-i h tau} dtau in closed
     form, one per control Hamiltonian of a stack h."""
-    lam, vec = np.linalg.eigh(h)
-    vec_dag = vec.conj().swapaxes(-1, -2)
-    return vec @ ((vec_dag @ x @ vec) * _phase_filter(lam, delta)) @ vec_dag
+    return _apply_pulse_filter(x, _pulse_eigensystem(h, delta))
 
 
 def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
@@ -367,13 +377,16 @@ def _histogram_average(filtered: np.ndarray, counts: np.ndarray,
 
 def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
                   unitaries: np.ndarray, hams: np.ndarray, delta: float,
-                  method: str, order: int) -> np.ndarray:
+                  method: str, order: int, tables: dict | None = None) -> np.ndarray:
     """(1/N) sum_j V_j^dag F_{s_j}(x) V_j along a t x N projection, V_j the
     control prefix and s_j the transition of column j.
 
     "exact" is the histogram kernel, V_j = W(g_j - g_0) up to a phase.
     "quadrature" walks the columns with prefixes multiplied from
     matrix-exponential steps; F_s is computed once per distinct transition.
+    `tables` memoizes the exact kernel's x-independent operator tables,
+    keyed by the used vertex and transition codes; share it only between
+    calls with the same field, unitaries, hams and delta.
     """
     q, (t, N) = field.q, sub.shape
     if method == "exact":
@@ -381,10 +394,15 @@ def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
         counts = pair_counts(vertices, field)
         used_v = np.nonzero(counts.any(axis=1))[0]
         used_s = np.nonzero(counts.any(axis=0))[0]
-        filtered = _square_pulse_filter(
-            x, _support_table(hams, used_s, q, t, _kron_sum), delta)
-        return _histogram_average(filtered, counts[np.ix_(used_v, used_s)],
-                                  _support_table(unitaries, used_v, q, t, _kron))
+        tables = {} if tables is None else tables
+        key = (t, used_v.tobytes(), used_s.tobytes())
+        if key not in tables:
+            tables[key] = (
+                _pulse_eigensystem(_support_table(hams, used_s, q, t, _kron_sum), delta),
+                _support_table(unitaries, used_v, q, t, _kron))
+        eig, weyls = tables[key]
+        return _histogram_average(_apply_pulse_filter(x, eig),
+                                  counts[np.ix_(used_v, used_s)], weyls)
     if method == "quadrature":
         codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
         used_s, column_s = np.unique(codes, return_inverse=True)
@@ -489,7 +507,9 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
 
     Each term's action Q_C = Pi_G o F_S is computed on its own support
     (see _cycle_action for the two backends); the environment factor of
-    every term passes through untouched.
+    every term passes through untouched.  Terms share the exact backend's
+    operator tables; on a code-built Eulerian array every projection of
+    one arity typically uses the same codes, so each table is built once.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
@@ -501,9 +521,10 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     _check_strength(m, drift)
     unitaries = _symbol_unitaries(field)
     hams = _symbol_hamiltonians(unitaries, delta)
+    tables: dict = {}
     averaged = [(term.support,
                  _cycle_action(term.sys_block, entries[list(term.support)], field,
-                               unitaries, hams, delta, method, order),
+                               unitaries, hams, delta, method, order, tables),
                  term.env_block) for term in drift.terms]
     label = "exact" if method == "exact" else f"quadrature({order})"
     return _assemble_report(averaged, drift, label, unitaries)

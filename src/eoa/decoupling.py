@@ -312,6 +312,23 @@ def _square_pulse_filter(x: np.ndarray, h: np.ndarray, delta: float) -> np.ndarr
     return _apply_pulse_filter(x, _pulse_eigensystem(h, delta))
 
 
+def _quadrature_propagators(h: np.ndarray, delta: float, order: int) -> tuple:
+    """(weights, u(tau_i)) at the Gauss-Legendre nodes tau_i of [0, Delta]:
+    the part of the quadrature average that does not depend on the operator."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return weights, [scipy.linalg.expm(-1j * h * ((node + 1) * delta / 2))
+                     for node in nodes]
+
+
+def _apply_quadrature(x: np.ndarray, props: tuple, v: np.ndarray) -> np.ndarray:
+    weights, us = props
+    acc = np.zeros_like(x)
+    for weight, u in zip(weights, us):
+        uv = u @ v
+        acc += weight * (uv.conj().T @ x @ uv)
+    return acc / 2
+
+
 def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
                     method: str = "exact",
                     order: int = config.DEFAULT_QUAD_ORDER) -> np.ndarray:
@@ -332,13 +349,7 @@ def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
     if method == "exact":
         return v.conj().T @ _square_pulse_filter(x, h, delta) @ v
     if method == "quadrature":
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        acc = np.zeros_like(x)
-        for node, weight in zip(nodes, weights):
-            u = scipy.linalg.expm(-1j * h * ((node + 1) * delta / 2))
-            uv = u @ v
-            acc += weight * (uv.conj().T @ x @ uv)
-        return acc / 2
+        return _apply_quadrature(x, _quadrature_propagators(h, delta, order), v)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -384,17 +395,19 @@ def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
     "exact" is the histogram kernel, V_j = W(g_j - g_0) up to a phase.
     "quadrature" walks the columns with prefixes multiplied from
     matrix-exponential steps; F_s is computed once per distinct transition.
-    `tables` memoizes the exact kernel's x-independent operator tables,
-    keyed by the used vertex and transition codes; share it only between
-    calls with the same field, unitaries, hams and delta.
+    `tables` memoizes each backend's x-independent operators: the exact
+    kernel's eigensystems and Weyl tables, keyed by the used vertex and
+    transition codes, and the walk's node propagators and steps, keyed by
+    the order and the used transition codes.  Share it only between calls
+    with the same field, unitaries, hams and delta.
     """
     q, (t, N) = field.q, sub.shape
+    tables = {} if tables is None else tables
     if method == "exact":
         vertices = field.add_table[sub, field.neg_table[sub[:, :1]]]
         counts = pair_counts(vertices, field)
         used_v = np.nonzero(counts.any(axis=1))[0]
         used_s = np.nonzero(counts.any(axis=0))[0]
-        tables = {} if tables is None else tables
         key = (t, used_v.tobytes(), used_s.tobytes())
         if key not in tables:
             tables[key] = (
@@ -406,10 +419,15 @@ def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
     if method == "quadrature":
         codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
         used_s, column_s = np.unique(codes, return_inverse=True)
-        h = _support_table(hams, used_s, q, t, _kron_sum)
-        eye = np.eye(h.shape[-1], dtype=complex)
-        filtered = [segment_average(x, hs, eye, delta, method, order) for hs in h]
-        steps = [scipy.linalg.expm(-1j * delta * hs) for hs in h]
+        x = np.asarray(x, dtype=complex)
+        key = ("quadrature", order, t, used_s.tobytes())
+        if key not in tables:
+            h = _support_table(hams, used_s, q, t, _kron_sum)
+            tables[key] = ([_quadrature_propagators(hs, delta, order) for hs in h],
+                           [scipy.linalg.expm(-1j * delta * hs) for hs in h])
+        props, steps = tables[key]
+        eye = np.eye(x.shape[-1], dtype=complex)
+        filtered = [_apply_quadrature(x, p, eye) for p in props]
         prefix, acc = eye, np.zeros_like(eye)
         for s in column_s:
             acc += prefix.conj().T @ filtered[s] @ prefix
@@ -507,9 +525,10 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
 
     Each term's action Q_C = Pi_G o F_S is computed on its own support
     (see _cycle_action for the two backends); the environment factor of
-    every term passes through untouched.  Terms share the exact backend's
-    operator tables; on a code-built Eulerian array every projection of
-    one arity typically uses the same codes, so each table is built once.
+    every term passes through untouched.  Terms share either backend's
+    x-independent operators; on a code-built Eulerian array every
+    projection of one arity typically uses the same codes, so each table
+    is built once.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
@@ -586,6 +605,11 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
     the lab propagator whenever the first column's unitary is the
     identity (true for every code-built array: column 0 is the zero
     codeword).
+
+    A segment's step depends only on its labels (bang-bang) or on the bytes
+    of its control Hamiltonians (eulerian; never on the labels, which a
+    schedule read from a file need not match), so each distinct segment is
+    exponentiated once and the steps are multiplied in column order.
     """
     if sched.n != drift.n or sched.d != drift.d:
         raise ValueError("schedule does not match the drift's qudit layout")
@@ -594,9 +618,15 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
     h_total = drift.total_matrix()
     dim = h_total.shape[0]
     d_env = drift.d_env
-    u = np.eye(dim, dtype=complex)
     dt = sched.delta / substeps
-    for j in range(sched.N):
+    if sched.mode == "bangbang":
+        rows = sched.labels.reshape(sched.N, -1)
+    else:
+        rows = _distinct_hamiltonians(sched)[1]
+    _, first, column_step = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+    steps = []
+    for j in first:
         if sched.mode == "bangbang":
             w = np.eye(1, dtype=complex)
             for k in range(sched.n):
@@ -609,9 +639,11 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
             for k in range(sched.n):
                 h_ctrl += embed(sched.hams[j, k], (k,), sched.n, sched.d)
             h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
-        step = _expm_hermitian(h_seg, dt)
+        steps.append(_expm_hermitian(h_seg, dt))
+    u = np.eye(dim, dtype=complex)
+    for s in column_step.ravel():
         for _ in range(substeps):
-            u = step @ u
+            u = steps[s] @ u
     return u
 
 

@@ -53,7 +53,33 @@ def test_code_info_identity_generator(tmp_path, capsys):
     path = tmp_path / "ident.txt"
     path.write_text("CODE 4 3 3\n1 0 0\n0 1 0\n0 0 1\n")
     assert main(["code", "info", "--in", str(path)]) == 0
-    assert "d_min" in capsys.readouterr().out.replace("[n, k, d_min, d_dual]", "d_min")
+    assert "[3, 3, 1, 4]" in capsys.readouterr().out   # trivial dual: n + 1
+
+
+@pytest.mark.parametrize("q, m, dual, report", [
+    (9, 2, True, "[10, 2, 9, 3]"),     # the dual code C^perp has 9^8 words
+    (4, 3, False, "[21, 18, 3, 16]"),  # C has 4^18 words
+])
+def test_code_info_counts_the_smaller_code(tmp_path, capsys, q, m, dual, report):
+    """Both distances come from whichever of C and C^perp has fewer words:
+    a weight pass for its own distance, Delsarte's strength for the other."""
+    path = tmp_path / "code.txt"
+    assert main(["code", "hamming", "--q", str(q), "--m", str(m), "--out", str(path)]
+                + (["--dual"] if dual else [])) == 0
+    capsys.readouterr()
+    assert main(["code", "info", "--in", str(path)]) == 0
+    assert report in capsys.readouterr().out
+
+
+def test_code_info_unknown_only_when_both_codes_are_too_large(tmp_path, capsys):
+    """A [40, 20]_4 code and its dual both have 4^20 > ENUMERATION_CAP words."""
+    gen = np.vstack([np.eye(20, dtype=np.int64),
+                     np.random.default_rng(0).integers(0, 4, size=(20, 20))])
+    path = tmp_path / "big.txt"
+    path.write_text("CODE 4 40 20\n" + "".join(" ".join(map(str, row)) + "\n"
+                                               for row in gen))
+    assert main(["code", "info", "--in", str(path)]) == 0
+    assert "[40, 20, ?, ?]" in capsys.readouterr().out
 
 
 def test_code_rejects_bad_params():

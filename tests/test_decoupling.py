@@ -5,14 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eoa import config
 from eoa.codes import LinearCode, hamming_code
-from eoa.decoupling import (_cycle_action, _distinct_hamiltonians,
-                            _symbol_hamiltonians, _symbol_unitaries,
-                            schedule_to_json)
+from eoa.decoupling import (_cycle_action, _distinct_hamiltonians, _kron_sum,
+                            _support_table, _symbol_hamiltonians,
+                            _symbol_unitaries, schedule_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                             bangbang_average, bangbang_schedule, drift_from_json,
                             drift_to_json, euler_schedule, eulerian_average,
@@ -20,7 +21,8 @@ from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule
                             random_drift, read_drift, read_schedule,
                             segment_average, single_cycle_average,
                             verify_schedule, write_drift, write_schedule)
-from eoa.euler import EulerianCycle, euler_cycle_full, eulerian_oa_from_code
+from eoa.euler import (EulerianCycle, euler_cycle_full, eulerian_oa_from_code,
+                       transitions)
 from eoa.gf import field_from_order, gf_new
 from eoa.oa import OrthogonalArray, oa_from_code
 from eoa.weyl import (aligned_distance, embed, frob, group_average,
@@ -179,6 +181,31 @@ def test_segment_average_exact_matches_quadrature():
 def test_segment_average_rejects_unknown_method():
     with pytest.raises(ValueError):
         segment_average(np.eye(2), np.zeros((2, 2)), np.eye(2), 0.1, method="magic")
+
+
+def quadrature_oracle(x, h, v, delta, order):
+    """The inline Gauss-Legendre loop segment_average's quadrature branch
+    replaced: node propagators recomputed for every operator."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    acc = np.zeros_like(x)
+    for node, weight in zip(nodes, weights):
+        u = scipy.linalg.expm(-1j * h * ((node + 1) * delta / 2))
+        uv = u @ v
+        acc += weight * (uv.conj().T @ x @ uv)
+    return acc / 2
+
+
+@pytest.mark.parametrize("dim, order", [(2, 1), (3, 7), (4, 24)])
+def test_segment_average_quadrature_equals_inline_loop(dim, order):
+    """Splitting off the operator-independent node propagators changes no bit."""
+    rng = np.random.default_rng(dim * 100 + order)
+    for delta in (0.05, 0.2, 1.3):
+        x = random_complex(rng, dim)
+        h = random_hermitian(rng, dim)
+        v = np.linalg.qr(random_complex(rng, dim))[0]
+        assert np.array_equal(
+            segment_average(x, h, v, delta, method="quadrature", order=order),
+            quadrature_oracle(x, h, v, delta, order))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +414,25 @@ def small_arrays(draw):
             draw(st.integers(1, 2)), seed)
 
 
+def walk_oracle(x, sub, field, hams, delta, order):
+    """The quadrature walk before its x-independent operators were shared
+    across terms: each distinct transition's filter from quadrature_oracle
+    and its step from a fresh expm, on every call."""
+    x = np.asarray(x, dtype=complex)
+    q, (t, N) = field.q, sub.shape
+    codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
+    used_s, column_s = np.unique(codes, return_inverse=True)
+    h = _support_table(hams, used_s, q, t, _kron_sum)
+    eye = np.eye(h.shape[-1], dtype=complex)
+    filtered = [quadrature_oracle(x, hs, eye, delta, order) for hs in h]
+    steps = [scipy.linalg.expm(-1j * delta * hs) for hs in h]
+    prefix, acc = eye, np.zeros_like(eye)
+    for s in column_s:
+        acc += prefix.conj().T @ filtered[s] @ prefix
+        prefix = steps[s] @ prefix
+    return acc / N
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_arrays())
 def test_histogram_kernel_equals_walk_per_term(case):
@@ -396,8 +442,9 @@ def test_histogram_kernel_equals_walk_per_term(case):
     Each term's averaged block is compared as a matrix: a kernel that took
     the vertex g_j instead of g_j - g_0 conjugates every block by W(g_0),
     which no norm in the report can see.  One table memo shared by all
-    terms gives the exact blocks bit for bit, also when projections use
-    different codes."""
+    terms and both backends gives each backend's blocks bit for bit, also
+    when projections use different codes, and the walk equals the walk
+    that recomputed its propagators per term."""
     entries, q, d_env, arity, seed = case
     field = field_from_order(q)
     drift = random_drift(entries.shape[0], field.coord_dim(), arity, d_env, seed)
@@ -411,9 +458,12 @@ def test_histogram_kernel_equals_walk_per_term(case):
                                      0.1, method, config.DEFAULT_QUAD_ORDER)
                        for method in ("exact", "quadrature"))
         assert frob(exact - walk) <= tol
-        assert np.array_equal(exact, _cycle_action(
-            term.sys_block, sub, field, unitaries, hams, 0.1, "exact",
-            config.DEFAULT_QUAD_ORDER, tables))
+        for method, fresh in (("exact", exact), ("quadrature", walk)):
+            assert np.array_equal(fresh, _cycle_action(
+                term.sys_block, sub, field, unitaries, hams, 0.1, method,
+                config.DEFAULT_QUAD_ORDER, tables))
+        assert np.array_equal(walk, walk_oracle(term.sys_block, sub, field, hams,
+                                                0.1, config.DEFAULT_QUAD_ORDER))
     exact = eulerian_average((entries, q), drift, delta=0.1, method="exact")
     walk = eulerian_average((entries, q), drift, delta=0.1, method="quadrature")
     assert abs(exact.residual_norm - walk.residual_norm) <= tol
@@ -422,6 +472,21 @@ def test_histogram_kernel_equals_walk_per_term(case):
                                                 walk.per_term_norms):
         assert sup_a == sup_b
         assert abs(norm_a - norm_b) <= tol
+
+
+@pytest.mark.parametrize("order", [5, config.DEFAULT_QUAD_ORDER])
+def test_single_cycle_quadrature_unchanged_on_gf9(order):
+    """The GF(9) cycle's walk, on each qutrit Weyl operator and a random
+    operator, equals the walk that recomputed every node propagator."""
+    field = field_from_order(9)
+    cyc = euler_cycle_full(field, 1)
+    hams = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)
+    ops = [weyl(3, a, b) for a in range(3) for b in range(3)]
+    ops.append(random_complex(np.random.default_rng(27), 3))
+    for x in ops:
+        assert np.array_equal(
+            single_cycle_average(cyc, x, 0.1, method="quadrature", order=order),
+            walk_oracle(x, cyc.vertices.T, field, hams, 0.1, order))
 
 
 def test_single_cycle_kernel_matches_walk_off_identity():
@@ -477,6 +542,86 @@ def test_exact_evolution_dimension_cap():
     sched = bangbang_schedule((np.zeros((5, 1), dtype=np.int64), 4), 0.1)
     with pytest.raises(ValueError):
         exact_evolution(drift, sched)
+
+
+def exact_evolution_oracle(drift, sched, substeps=1):
+    """The per-column loop exact_evolution replaced: one segment Hamiltonian
+    and one eigendecomposition per column, whether or not it repeats."""
+    h_total = drift.total_matrix()
+    dim = h_total.shape[0]
+    d_env = drift.d_env
+    u = np.eye(dim, dtype=complex)
+    dt = sched.delta / substeps
+    for j in range(sched.N):
+        if sched.mode == "bangbang":
+            w = np.eye(1, dtype=complex)
+            for k in range(sched.n):
+                a, b = sched.labels[j, k]
+                w = np.kron(w, weyl(sched.d, int(a), int(b)))
+            w_full = np.kron(w, np.eye(d_env))
+            h_seg = w_full.conj().T @ h_total @ w_full
+        else:
+            h_ctrl = np.zeros((drift.d**drift.n,) * 2, dtype=complex)
+            for k in range(sched.n):
+                h_ctrl += embed(sched.hams[j, k], (k,), sched.n, sched.d)
+            h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
+        step = expm_herm(h_seg, dt)
+        for _ in range(substeps):
+            u = step @ u
+    return u
+
+
+@st.composite
+def evolution_cases(draw):
+    """(drift, schedule, substeps): a bang-bang or eulerian schedule of a
+    random array over GF(4) or GF(9), d^n * d_E <= 256, whose columns come
+    from a pool of three so that segments repeat; the schedule has been
+    through write_schedule/read_schedule or not."""
+    q = draw(st.sampled_from([4, 9]))
+    field = field_from_order(q)
+    d = field.coord_dim()
+    d_env = draw(st.sampled_from([1, 2]))
+    n_max = max(n for n in range(1, 9) if d**n * d_env <= 256)
+    n = draw(st.integers(1, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, q, size=(n, 3))
+    entries = pool[:, rng.integers(0, 3, size=draw(st.integers(1, 8)))]
+    build = draw(st.sampled_from([bangbang_schedule, euler_schedule]))
+    sched = build((entries, q), draw(st.sampled_from([0.05, 0.3])))
+    if draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_schedule(Path(tmp) / "sched.json", sched)
+            sched = read_schedule(Path(tmp) / "sched.json")
+    drift = random_drift(n, d, min(n, 2), d_env, int(rng.integers(2**16)))
+    return drift, sched, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(evolution_cases())
+def test_exact_evolution_equals_per_column_oracle(case):
+    """One propagator per distinct segment, multiplied in column order,
+    gives the per-column product bit for bit."""
+    drift, sched, substeps = case
+    assert np.array_equal(exact_evolution(drift, sched, substeps),
+                          exact_evolution_oracle(drift, sched, substeps))
+
+
+def test_exact_evolution_keys_on_hamiltonians_not_labels(eoa256):
+    """Two segments with equal labels but different control Hamiltonians (a
+    tampered or foreign schedule file) each get their own propagator."""
+    sched = euler_schedule((eoa256.entries[:2], 4), 0.01)
+    drift = random_drift(2, 2, 2, 2, seed=3)
+    rows = sched.labels.reshape(sched.N, -1)
+    j, k = next((j, k) for j in range(sched.N) for k in range(j + 1, sched.N)
+                if np.array_equal(rows[j], rows[k]))
+    hams = sched.hams.copy()
+    hams[k, 0] = random_hermitian(np.random.default_rng(4), 2)
+    tampered = Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
+                        sched.labels, hams)
+    assert np.array_equal(tampered.labels[j], tampered.labels[k])
+    u = exact_evolution(drift, tampered)
+    assert np.array_equal(u, exact_evolution_oracle(drift, tampered))
+    assert frob(u - exact_evolution(drift, sched)) > 1e-6
 
 
 # ---------------------------------------------------------------------------

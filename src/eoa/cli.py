@@ -80,8 +80,7 @@ def cmd_code_info(args) -> int:
         code = read_code(args.infile)
     except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
-    d_min = _code_distance(code, of_dual=False)
-    d_dual = _code_distance(code, of_dual=True)
+    d_min, d_dual = _code_distances(code)
     print(f"[n, k, d_min, d_dual] = [{code.n}, {code.k}, "
           f"{d_min if d_min is not None else '?'}, "
           f"{d_dual if d_dual is not None else '?'}]")
@@ -92,33 +91,31 @@ def cmd_code_info(args) -> int:
 # oa
 # ---------------------------------------------------------------------------
 
-def _code_distance(code: LinearCode, of_dual: bool) -> int | None:
-    """d(C), or d(C^perp) when of_dual, counted on whichever of C and C^perp
-    has fewer words; None when both are too large to enumerate.
+def _code_distances(code: LinearCode) -> tuple[int | None, int | None]:
+    """(d(C), d(C^perp)), both counted on whichever of C and C^perp has
+    fewer words (the dual at a tie); (None, None) when both are too large
+    to enumerate.
 
-    Delsarte: the codewords of either code form an OA of strength exactly
-    the other code's distance minus 1, so the smaller code gives its own
-    distance by one weight pass and the other's by its strength.  At a tie
-    the dual is counted (one weight pass is cheaper than d(C^perp) strength
-    passes when only d(C^perp) is asked for).
+    Delsarte: the words of either code form an OA of strength exactly the
+    other code's distance minus 1, so the smaller code gives its own
+    distance by one weight pass and the other's by its strength.
     """
     try:
         dual = code.dual()
     except ValueError:
-        # full-space code: weight-1 words, trivial dual (d = n + 1 by convention)
-        return code.n + 1 if of_dual else 1
+        return 1, code.n + 1   # full-space code: trivial dual, by convention
     smaller = code if code.k < dual.k else dual
     if smaller.q**smaller.k > config.ENUMERATION_CAP:
-        return None
-    if (smaller is dual) == of_dual:
-        return smaller.min_distance()
-    return 1 + max_strength(smaller.codewords(), code.q)
+        return None, None
+    own = smaller.min_distance()
+    other = 1 + max_strength(smaller.codewords(), code.q)
+    return (own, other) if smaller is code else (other, own)
 
 
 def _resolve_d_dual(code: LinearCode, override: int | None) -> int | str:
     if override is not None:
         return override
-    d_dual = _code_distance(code, of_dual=True)
+    d_dual = _code_distances(code)[1]
     if d_dual is None:
         return ("code and dual code too large to enumerate; pass --d-dual "
                 "explicitly")

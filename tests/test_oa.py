@@ -113,6 +113,34 @@ def test_max_strength_cases(oa16):
     assert max_strength(full, 2) == 3
 
 
+def max_strength_oracle(entries, q):
+    """The loop max_strength replaced: every strength checked on all rows."""
+    best = 0
+    for t in range(1, entries.shape[0] + 1):
+        if isinstance(verify_strength(entries, q, t), StrengthViolation):
+            break
+        best = t
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 9), st.integers(0, 2**32 - 1),
+       st.integers(0, 9))
+def test_max_strength_equals_all_rows_loop(q, n, seed, bad_row):
+    """Checking doubling row prefixes first changes no answer: code words of
+    random linear codes (strength d(C^perp) - 1), as they are or with one
+    symbol changed in a random row, which a late row hides from the
+    early prefixes."""
+    field = gf_new(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, min(n, 4) + 1))
+    gen = np.vstack([np.eye(k, dtype=np.int64), rng.integers(0, q, size=(n - k, k))])
+    entries = LinearCode(field, rng.permutation(gen)).codewords()
+    if bad_row < n:
+        entries[bad_row, 0] = (entries[bad_row, 0] + 1) % q
+    assert max_strength(entries, q) == max_strength_oracle(entries, q)
+
+
 def test_violation_reports_offender():
     entries = np.array([[0, 0, 1, 1], [0, 1, 0, 0]])
     result = verify_strength(entries, 2, 2)

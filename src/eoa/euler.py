@@ -145,8 +145,18 @@ def euler_cycle_full(field: FieldTable, k: int) -> EulerianCycle:
 
 
 def transitions(sub: np.ndarray, field: FieldTable) -> np.ndarray:
-    """Cyclic per-row transitions s[k, j] = g[k, j+1] - g[k, j]."""
-    return field.add_table[np.roll(sub, -1, axis=1), field.neg_table[sub]]
+    """Cyclic per-row transitions s[k, j] = g[k, j+1] - g[k, j].
+
+    One gather from the flat subtraction table, whose entry next*q + cur
+    is next - cur; the result is C-ordered whatever the layout of sub.
+    """
+    q = field.q
+    sub = np.asarray(sub)
+    index = np.empty(sub.shape, dtype=np.intp)
+    np.multiply(sub[:, 1:], q, out=index[:, :-1], dtype=np.intp)
+    np.multiply(sub[:, :1], q, out=index[:, -1:], dtype=np.intp)
+    index += sub
+    return np.take(field.add_table[:, field.neg_table].ravel(), index)
 
 
 def _check_pair_cap(q: int, t: int) -> None:

@@ -11,15 +11,18 @@ verifier).  Each row carries one digit per column: its symbol here, the
 (t-1)-row prefix the prefix key is encoded once; the keys of a block of
 later rows are that key plus each row's digits plus a per-row offset, and
 one bincount returns the histograms of the whole block of t-row subsets.
-Blocks hold at most `_BLOCK_KEYS` keys (one row when N alone is more), so
-memory stays bounded as N grows.  Each subset's histogram is then judged on its own, in
-lexicographic subset order.
+When base^(t+1) <= N a key carries two later rows, whose histograms are
+the marginals of their joint one: half the keys, and no more bins than
+keys.  Blocks hold at most `_BLOCK_KEYS` keys (one row or row pair when N
+alone is more), so memory stays bounded as N grows.  Each subset's
+histogram is then judged on its own, in lexicographic subset order.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,27 +85,59 @@ def subset_histograms(digits: np.ndarray, base: int, t: int, judge) -> list:
     with the first row most significant (as `column_counts`).  Prefixes
     run on up to `config.worker_count()` threads; each walks its later
     rows in blocks of at most `_BLOCK_KEYS` keys, one bincount per block.
+
+    When base^(t+1) <= N, later rows are counted two at a time: one key
+    per column encodes the prefix and both rows' digits, and the two
+    histograms are the marginals of the joint one.  That halves the keys,
+    and the joint histogram has no more bins than a row has keys, so its
+    zeroing and marginal sums cost less than the counting they save.  The
+    pairs are fixed from the last row back, (n-2, n-1), (n-4, n-3), ...,
+    and their joint digits computed once per call; a prefix with an odd
+    number of later rows counts the first of them on its own.
     """
     # row slices of a Fortran-ordered or column-gathered array are strided,
     # which makes every key encoding and bincount about 1.7x slower
     digits = np.ascontiguousarray(digits)
     n, N = digits.shape
     width = base**t
-    per_block = max(1, _BLOCK_KEYS // max(N, width))
-    weights = base ** np.arange(t - 1, 0, -1)
+    group = 2 if base * width <= N else 1       # later rows per key
+    first = n % group                           # rows before the first group
+    codes = digits[first:]                      # one row of joint digits per group
+    if group == 2:
+        codes = np.multiply(codes[0::2], base, dtype=np.intp)
+        codes += digits[first + 1::2]
+    bins = width * base ** (group - 1)          # histogram of a group's key
+    per_block = max(1, _BLOCK_KEYS // max(N, bins))
+    # no block holds more groups than there are, so small arrays keep
+    # small buffers
+    offsets = bins * np.arange(min(per_block, len(codes)))[:, None]
+    weights = base ** np.arange(t - 2, -1, -1)
+    local = threading.local()
 
     def count_prefix(prefix: tuple[int, ...]) -> list:
+        if not hasattr(local, "keys"):         # one key buffer per worker
+            local.keys = np.empty((len(offsets), N), dtype=np.intp)
         start = prefix[-1] + 1 if prefix else 0
-        # the prefix key (int64 zeros when t = 1) plus each block row's offset
-        head = weights @ digits[list(prefix)]
-        head = head + width * np.arange(min(per_block, n - start))[:, None]
+        # the prefix's digits as a number (int64 zeros when t = 1)
+        code = weights @ digits[list(prefix)]
         verdicts = []
-        for lo in range(start, n, per_block):
-            hi = min(lo + per_block, n)
-            keys = digits[lo:hi] + head[:hi - lo]
-            counts = np.bincount(keys.ravel(), minlength=(hi - lo) * width)
-            verdicts += [judge(prefix + (r,), c) for r, c in
-                         zip(range(lo, hi), counts.reshape(hi - lo, width))]
+        if (start - first) % group:
+            counts = np.bincount(code * base + digits[start], minlength=width)
+            verdicts.append(judge(prefix + (start,), counts))
+            start += 1
+        begin = (start - first) // group
+        # the prefix key plus each block group's offset, for the groups left
+        head = offsets[:len(codes) - begin] + code * base**group
+        for lo in range(begin, len(codes), per_block):
+            hi = min(lo + per_block, len(codes))
+            keys = np.add(codes[lo:hi], head[:hi - lo], out=local.keys[:hi - lo])
+            counts = np.bincount(keys.ravel(), minlength=(hi - lo) * bins)
+            counts = counts.reshape(hi - lo, width // base, *(base,) * group)
+            # each row's histogram: sum out the other rows of its group
+            margins = [counts.sum(axis=tuple(2 + s for s in range(group) if s != r))
+                       .reshape(hi - lo, width) for r in range(group)]
+            verdicts += [judge(prefix + (first + group * g + r,), margins[r][g - lo])
+                         for g in range(lo, hi) for r in range(group)]
         return verdicts
 
     prefixes = list(itertools.combinations(range(n), t - 1))

@@ -98,7 +98,9 @@ def _code_distances(code: LinearCode) -> tuple[int | None, int | None]:
 
     Delsarte: the words of either code form an OA of strength exactly the
     other code's distance minus 1, so the smaller code gives its own
-    distance by one weight pass and the other's by its strength.
+    distance by one weight pass and the other's by its strength.  That
+    strength search is bounded by `config.STRENGTH_WORK_CAP`; past it the
+    other distance is None.
     """
     try:
         dual = code.dual()
@@ -108,7 +110,8 @@ def _code_distances(code: LinearCode) -> tuple[int | None, int | None]:
     if smaller.q**smaller.k > config.ENUMERATION_CAP:
         return None, None
     own = smaller.min_distance()
-    other = 1 + max_strength(smaller.codewords(), code.q)
+    strength = max_strength(smaller.codewords(), code.q)
+    other = None if strength is None else 1 + strength
     return (own, other) if smaller is code else (other, own)
 
 

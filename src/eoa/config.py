@@ -32,6 +32,7 @@ ENUMERATION_CAP = 2**20     # largest q^k for codeword enumeration
 EULER_EDGE_CAP = 2**20      # largest q^{2k} for Eulerian cycle construction
 CODE_LENGTH_CAP = 4096      # largest code length n
 EVOLUTION_DIM_CAP = 256     # largest d^n * d_E for exact propagators
+STRENGTH_WORK_CAP = 10**8   # largest C(r, t) * N tuples one strength search counts
 
 
 def worker_count() -> int:

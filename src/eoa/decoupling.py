@@ -22,13 +22,22 @@ Conventions (hbar = 1 throughout):
   vertex-only histogram with F the identity.  The quadrature backend is
   the independent time-ordered walk, with matrix-exponential prefixes.
 
-* First-order averages are computed term by term on each term's support
-  (dimension d^t), mirroring the reduction used by the decoupling
-  theorems.  Each averaged term is expanded once in the Weyl strings of
-  its support; the reported residual is still the exact full-space
-  Frobenius norm of the averaged Hamiltonian minus its environment-only
-  component, a Parseval sum of squares over the full-space strings that
-  the terms' coefficients merge into, so wide arrays stay tractable.
+* First-order averages act on each term's support (dimension d^t),
+  mirroring the reduction used by the decoupling theorems, but the exact
+  kernel runs in batches: every distinct support's histogram is counted
+  once (bang-bang on the symbols, Eulerian on the verifier's pair digits
+  symbol * q + transition), and the terms that share a table key (arity,
+  used vertex codes, used transition codes) go through Pi_G o F_S as
+  stacks, in blocks of bounded size.  The quadrature walk stays per term,
+  as the independent cross-check.
+
+* Each averaged term is expanded in the Weyl strings of its support, one
+  matrix product per arity.  The reported residual is still the exact
+  full-space Frobenius norm of the averaged Hamiltonian minus its
+  environment-only component, a Parseval sum of squares over the
+  full-space strings that the terms' coefficients merge into (strings
+  keyed as sorted integer rows), so wide arrays stay tractable; the
+  strings carrying most of it are listed in the report.
 
 * Unitaries are only ever compared modulo a global phase (the Weyl
   representation is projective).
@@ -47,9 +56,10 @@ import numpy as np
 import scipy.linalg
 
 from . import config
-from .euler import EulerianCycle, EulerianOA, pair_counts, transitions
+from .euler import (EulerianCycle, EulerianOA, _check_pair_cap, pair_digits,
+                    transitions)
 from .gf import FieldTable, field_from_order
-from .oa import OrthogonalArray, column_counts
+from .oa import OrthogonalArray, support_histograms
 from .weyl import aligned_distance, embed, frob, is_hermitian, is_unitary, \
     matrix_from_pairs, matrix_to_pairs, weyl, weyl_from_field
 
@@ -378,12 +388,148 @@ def _support_table(per_symbol: np.ndarray, codes: np.ndarray, q: int, t: int,
     return functools.reduce(combine, (per_symbol[k] for k in digits))
 
 
+# A kernel call's stacked temporaries (the filtered operators and the
+# per-vertex sums of a block of terms) hold at most this many complex entries
+# each, 2^14 or 256 KB; a block holds one term when a single term needs more.
+_BLOCK_ENTRIES = 2**14
+
+
 def _histogram_average(filtered: np.ndarray, counts: np.ndarray,
                        weyls: np.ndarray) -> np.ndarray:
-    """(1/N) sum_v W_v^dag [sum_s counts[v, s] filtered[s]] W_v: Pi_G after
-    F_S, N the histogram's total count."""
-    inner = np.tensordot(counts, filtered, axes=1)
-    return (weyls.conj().swapaxes(1, 2) @ inner @ weyls).sum(axis=0) / counts.sum()
+    """(1/N) sum_v W_v^dag [sum_s counts[v, s] filtered[s]] W_v for each term
+    of a stack: Pi_G after F_S, N the term's histogram total.
+
+    filtered (T, S, D, D) holds each term's F_s(x), counts (T, V, S) its
+    (vertex, transition) histogram and weyls (V, D, D) the vertices' Weyl
+    operators.
+    """
+    T, S, D = filtered.shape[:3]
+    inner = (counts @ filtered.reshape(T, S, D * D)).reshape(T, -1, D, D)
+    total = counts.sum(axis=(1, 2))[:, None, None]
+    return (weyls.conj().swapaxes(1, 2) @ inner @ weyls).sum(axis=1) / total
+
+
+def _kernel_tables(tables: dict, t: int, used_v: np.ndarray, used_s: np.ndarray,
+                   q: int, unitaries: np.ndarray, hams: np.ndarray | None,
+                   delta: float | None) -> tuple:
+    """(F_S eigensystem, vertex Weyl table) of one table key, memoized in
+    `tables`; the eigensystem is None for bang-bang (hams None, F = 1)."""
+    key = (t, used_v.tobytes(), used_s.tobytes())
+    if key not in tables:
+        eig = None if hams is None else _pulse_eigensystem(
+            _support_table(hams, used_s, q, t, _kron_sum), delta)
+        tables[key] = eig, _support_table(unitaries, used_v, q, t, _kron)
+    return tables[key]
+
+
+def _grouped_average(xs: np.ndarray, hists: np.ndarray, bins: np.ndarray,
+                     support_of: np.ndarray, q: int, t: int, unitaries: np.ndarray,
+                     hams: np.ndarray | None, delta: float | None,
+                     tables: dict) -> np.ndarray:
+    """Pi_G o F_S of each term of a stack xs (T, D, D) of arity t.
+
+    Term i is counted by the histogram hists[support_of[i]], whose bin
+    bins[v, s] holds the columns with vertex code v and transition code s.
+    Terms are grouped by table key (arity, used vertex codes, used
+    transition codes) and each group runs through the kernel in blocks of
+    at most `_BLOCK_ENTRIES` stacked entries.
+    """
+    seen = (hists > 0)[:, bins]
+    masks, key_of = _unique_rows(np.concatenate([seen.any(axis=2), seen.any(axis=1)],
+                                                axis=1))
+    key_of = key_of[support_of]
+    out = np.empty(xs.shape, dtype=complex)
+    for k, mask in enumerate(masks):
+        used_v, used_s = np.nonzero(mask[:len(bins)])[0], np.nonzero(mask[len(bins):])[0]
+        eig, weyls = _kernel_tables(tables, t, used_v, used_s, q, unitaries,
+                                    hams, delta)
+        cells = bins[np.ix_(used_v, used_s)]
+        members = np.nonzero(key_of == k)[0]
+        step = max(1, _BLOCK_ENTRIES // ((len(used_v) + len(used_s)) * xs[0].size))
+        for lo in range(0, len(members), step):
+            block = members[lo:lo + step]
+            x = xs[block, None]
+            filtered = x if eig is None else _apply_pulse_filter(x, eig)
+            out[block] = _histogram_average(
+                filtered, hists[support_of[block, None, None], cells], weyls)
+    return out
+
+
+def _relative_pair_digits(entries: np.ndarray, field: FieldTable) -> np.ndarray:
+    """`euler.pair_digits` with each row's vertex g_j replaced by g_j - g_0.
+
+    The control prefix before column j is W(g_j - g_0) up to a phase, so
+    the kernel's vertex is relative to the first column: a permutation of
+    each row's vertex digits, applied before counting.
+    """
+    q = field.q
+    digits = pair_digits(entries, field)
+    relabel = field.add_table[:, field.neg_table[entries[:, 0]]].T[..., None] * q
+    relabel = (relabel + np.arange(q)).reshape(len(digits), q * q)
+    for row, table in zip(digits, relabel):
+        row[:] = table[row]
+    return digits
+
+
+def _pair_bins(q: int, t: int) -> np.ndarray:
+    """(q^t, q^t) bin of each (vertex code, transition code) in a histogram
+    of pair digits, vertex * q + transition per row, first row leading."""
+    code = (q * q) ** np.arange(t - 1, -1, -1) @ np.array(
+        np.unravel_index(np.arange(q**t), (q,) * t))
+    return q * code[:, None] + code
+
+
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows in lexicographic order, each row's index among them),
+    as np.unique(a, axis=0, return_inverse=True) but from one lexsort, several
+    times faster than unique's sort of rows as opaque byte strings."""
+    order = np.lexsort(a.T[::-1]) if a.size else np.arange(len(a))
+    ordered = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _terms_by_arity(drift: DriftHamiltonian) -> dict[int, list[int]]:
+    """Term indices per support size, each list in input order."""
+    groups: dict[int, list[int]] = {}
+    for i, term in enumerate(drift.terms):
+        groups.setdefault(len(term.support), []).append(i)
+    return groups
+
+
+def _exact_averages(entries: np.ndarray, drift: DriftHamiltonian, field: FieldTable,
+                    unitaries: np.ndarray, hams: np.ndarray | None,
+                    delta: float | None) -> list[np.ndarray]:
+    """Each drift term's averaged system block, in input order.
+
+    Every distinct support is counted once: the array's symbols for
+    bang-bang (hams None, F = 1), its relative pair digits for the
+    bounded-strength action.  The terms of one arity then share one
+    `_grouped_average`.
+    """
+    q = field.q
+    digits = entries if hams is None else _relative_pair_digits(entries, field)
+    averaged: list = [None] * len(drift.terms)
+    for t, idx in _terms_by_arity(drift).items():
+        rows: dict[tuple[int, ...], int] = {}
+        support_of = np.array([rows.setdefault(drift.terms[i].support, len(rows))
+                               for i in idx])
+        supports = np.array(list(rows))
+        if hams is None:
+            hists = support_histograms(digits, q, supports)
+            bins = np.arange(q**t)[:, None]
+        else:
+            _check_pair_cap(q, t)
+            hists = support_histograms(digits, q * q, supports)
+            bins = _pair_bins(q, t)
+        xs = np.stack([drift.terms[i].sys_block for i in idx])
+        for i, avg in zip(idx, _grouped_average(xs, hists, bins, support_of, q, t,
+                                                unitaries, hams, delta, {})):
+            averaged[i] = avg
+    return averaged
 
 
 def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
@@ -392,8 +538,8 @@ def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
     """(1/N) sum_j V_j^dag F_{s_j}(x) V_j along a t x N projection, V_j the
     control prefix and s_j the transition of column j.
 
-    "exact" is the histogram kernel, V_j = W(g_j - g_0) up to a phase.
-    "quadrature" walks the columns with prefixes multiplied from
+    "exact" is the histogram kernel, V_j = W(g_j - g_0) up to a phase, on
+    one term.  "quadrature" walks the columns with prefixes multiplied from
     matrix-exponential steps; F_s is computed once per distinct transition.
     `tables` memoizes each backend's x-independent operators: the exact
     kernel's eigensystems and Weyl tables, keyed by the used vertex and
@@ -404,18 +550,12 @@ def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
     q, (t, N) = field.q, sub.shape
     tables = {} if tables is None else tables
     if method == "exact":
-        vertices = field.add_table[sub, field.neg_table[sub[:, :1]]]
-        counts = pair_counts(vertices, field)
-        used_v = np.nonzero(counts.any(axis=1))[0]
-        used_s = np.nonzero(counts.any(axis=0))[0]
-        key = (t, used_v.tobytes(), used_s.tobytes())
-        if key not in tables:
-            tables[key] = (
-                _pulse_eigensystem(_support_table(hams, used_s, q, t, _kron_sum), delta),
-                _support_table(unitaries, used_v, q, t, _kron))
-        eig, weyls = tables[key]
-        return _histogram_average(_apply_pulse_filter(x, eig),
-                                  counts[np.ix_(used_v, used_s)], weyls)
+        _check_pair_cap(q, t)
+        hists = support_histograms(_relative_pair_digits(sub, field), q * q,
+                                   [range(t)])
+        return _grouped_average(np.asarray(x)[None], hists, _pair_bins(q, t),
+                                np.zeros(1, np.intp), q, t, unitaries, hams, delta,
+                                tables)[0]
     if method == "quadrature":
         codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
         used_s, column_s = np.unique(codes, return_inverse=True)
@@ -440,6 +580,10 @@ def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
 # Averaging reports
 # ---------------------------------------------------------------------------
 
+# Weyl strings listed in a report, largest residual share first.
+_TOP_STRINGS = 5
+
+
 @dataclass(frozen=True)
 class AverageReport:
     """First-order average of a drift under a control action.
@@ -447,43 +591,63 @@ class AverageReport:
     residual_norm is the full-space Frobenius norm of the averaged
     Hamiltonian minus its environment-only component; env_shift_norm is
     how far that component moved from the declared env_only part.
+    top_strings lists the Weyl strings that carry most of the residual,
+    each as its non-identity (qudit, symbol) factors with its share of the
+    norm (residual_norm^2 is the sum of all strings' squared shares).
     """
 
     residual_norm: float
     per_term_norms: tuple[tuple[tuple[int, ...], float], ...]
     method: str
     env_shift_norm: float
+    top_strings: tuple[tuple[tuple[tuple[int, int], ...], float], ...]
 
 
-def _assemble_report(averaged, drift: DriftHamiltonian, method: str,
-                     unitaries: np.ndarray) -> AverageReport:
-    """The report from one Weyl-string expansion per averaged term.
+def _assemble_report(averaged: list[np.ndarray], drift: DriftHamiltonian,
+                     method: str, unitaries: np.ndarray) -> AverageReport:
+    """The report from the Weyl-string expansions of the averaged terms.
 
     A term Y on a support of arity t expands as sum_l c_l W_l over the q^t
-    strings, c_l = tr(W_l^dag Y) / d^t, code 0 the identity: c_0 E is the
-    term's environment shift.  Strings are orthogonal with ||W||_F^2 = d^n
-    on the full space, so the residual is sqrt(d^n sum_key ||M_key||_F^2),
-    M_key summing c_l E over the strings whose non-identity (qudit, symbol)
-    factors are key, that is, over equal full-space operators.
+    strings, c_l = tr(W_l^dag Y) / d^t (one product per arity), code 0 the
+    identity: c_0 E is the term's environment shift.  Strings are
+    orthogonal with ||W||_F^2 = d^n on the full space, so the residual is
+    sqrt(d^n sum_key ||M_key||_F^2), M_key summing c_l E over the strings
+    whose non-identity (qudit, symbol) factors are key, that is, over equal
+    full-space operators.  Each key is an integer row, qudit * q + symbol
+    per non-identity factor, sorted and padded to the widest arity; equal
+    rows merge.
     """
-    q, d = len(unitaries), drift.d
-    strings, surviving, per_term = {}, {}, []
-    env_shift = np.zeros_like(drift.env_only)
-    for support, avg, env_block in averaged:
-        t = len(support)
-        if t not in strings:
-            codes = np.arange(q**t)
-            strings[t] = (_support_table(unitaries, codes, q, t, _kron),
-                          np.transpose(np.unravel_index(codes, (q,) * t)).tolist())
-        table, digits = strings[t]
-        coeffs = np.einsum("lab,ab->l", table.conj(), avg) / d**t
-        env_shift = env_shift + coeffs[0] * env_block
-        per_term.append((support, d ** (t / 2) * frob(coeffs[1:]) * frob(env_block)))
-        for c, row in zip(coeffs[1:], digits[1:]):
-            key = tuple((k, s) for k, s in zip(support, row) if s)
-            surviving[key] = surviving.get(key, 0) + c * env_block
-    residual = d ** (drift.n / 2) * sum(frob(m) ** 2 for m in surviving.values()) ** 0.5
-    return AverageReport(residual, tuple(per_term), method, frob(env_shift))
+    q, d, n, width = len(unitaries), drift.d, drift.n, drift.max_arity
+    pad = n * q                        # sorts after every factor
+    norms = np.zeros(len(drift.terms))
+    env_shift = np.zeros(drift.env_only.size, dtype=complex)
+    keys = [np.empty((0, width), dtype=np.intp)]
+    values = [np.empty((0, drift.env_only.size), dtype=complex)]
+    for t, idx in _terms_by_arity(drift).items():
+        table = _support_table(unitaries, np.arange(q**t), q, t, _kron)
+        avg = np.stack([averaged[i] for i in idx]).reshape(len(idx), -1)
+        coeffs = avg @ table.conj().reshape(q**t, -1).T / d**t
+        envs = np.stack([drift.terms[i].env_block for i in idx]).reshape(len(idx), -1)
+        env_shift += coeffs[:, 0] @ envs
+        norms[idx] = (d ** (t / 2) * np.linalg.norm(coeffs[:, 1:], axis=1)
+                      * np.linalg.norm(envs, axis=1))
+        digits = np.transpose(np.unravel_index(np.arange(1, q**t), (q,) * t))
+        supports = np.array([drift.terms[i].support for i in idx])
+        factors = np.where(digits > 0, supports[:, None] * q + digits, pad)
+        keys.append(np.pad(np.sort(factors, axis=2).reshape(-1, t),
+                           ((0, 0), (0, width - t)), constant_values=pad))
+        values.append((coeffs[:, 1:, None] * envs[:, None]).reshape(-1, envs.shape[1]))
+    strings, string_of = _unique_rows(np.concatenate(keys))
+    merged = np.zeros((len(strings), drift.env_only.size), dtype=complex)
+    np.add.at(merged, string_of, np.concatenate(values))
+    shares = d ** (n / 2) * np.linalg.norm(merged, axis=1)
+    top = tuple((tuple((int(f) // q, int(f) % q) for f in strings[i] if f != pad),
+                 float(shares[i]))
+                for i in np.argsort(-shares, kind="stable")[:_TOP_STRINGS])
+    return AverageReport(d ** (n / 2) * frob(merged),
+                         tuple((term.support, float(norm))
+                               for term, norm in zip(drift.terms, norms)),
+                         method, frob(env_shift), top)
 
 
 def _check_strength(m, drift: DriftHamiltonian) -> None:
@@ -499,7 +663,7 @@ def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
 
     Each term is conjugated by the tensor Weyl unitaries of the array
     columns restricted to the term's support and averaged over columns:
-    the histogram kernel over the strength verifier's column counts, F = 1.
+    the histogram kernel over each support's symbol histogram, F = 1.
     """
     entries, q, _ = _array_entries(m)
     field = field_from_order(q)
@@ -508,13 +672,7 @@ def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
         raise ValueError("array does not match the drift's qudit layout")
     _check_strength(m, drift)
     unitaries = _symbol_unitaries(field)
-    averaged = []
-    for term in drift.terms:
-        counts = column_counts(entries[list(term.support)], q)
-        used = np.nonzero(counts)[0]
-        weyls = _support_table(unitaries, used, q, len(term.support), _kron)
-        avg = _histogram_average(term.sys_block[None], counts[used, None], weyls)
-        averaged.append((term.support, avg, term.env_block))
+    averaged = _exact_averages(entries, drift, field, unitaries, None, None)
     return _assemble_report(averaged, drift, "bangbang", unitaries)
 
 
@@ -523,12 +681,13 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
                      order: int = config.DEFAULT_QUAD_ORDER) -> AverageReport:
     """First-order average under the bounded-strength (Eulerian) action.
 
-    Each term's action Q_C = Pi_G o F_S is computed on its own support
-    (see _cycle_action for the two backends); the environment factor of
-    every term passes through untouched.  Terms share either backend's
-    x-independent operators; on a code-built Eulerian array every
-    projection of one arity typically uses the same codes, so each table
-    is built once.
+    Each term's action Q_C = Pi_G o F_S is computed on its own support;
+    the environment factor of every term passes through untouched.
+    "exact" counts every distinct support once and runs the histogram
+    kernel once per block of terms that share a table key; on a code-built
+    Eulerian array every projection of one arity typically uses the same
+    codes, so each table is built once.  "quadrature" walks each term's
+    projection on its own (see _cycle_action), sharing the walk's tables.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
@@ -540,11 +699,13 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     _check_strength(m, drift)
     unitaries = _symbol_unitaries(field)
     hams = _symbol_hamiltonians(unitaries, delta)
-    tables: dict = {}
-    averaged = [(term.support,
-                 _cycle_action(term.sys_block, entries[list(term.support)], field,
-                               unitaries, hams, delta, method, order, tables),
-                 term.env_block) for term in drift.terms]
+    if method == "exact":
+        averaged = _exact_averages(entries, drift, field, unitaries, hams, delta)
+    else:
+        tables: dict = {}
+        averaged = [_cycle_action(term.sys_block, entries[list(term.support)], field,
+                                  unitaries, hams, delta, method, order, tables)
+                    for term in drift.terms]
     label = "exact" if method == "exact" else f"quadrature({order})"
     return _assemble_report(averaged, drift, label, unitaries)
 
@@ -763,6 +924,8 @@ def report_to_json(report: AverageReport, tolerance: float, extra: dict | None =
         "passed": report.residual_norm <= tolerance,
         "per_term_norms": [{"support": list(sup), "norm": norm}
                            for sup, norm in report.per_term_norms],
+        "top_strings": [{"string": [list(f) for f in string], "norm": norm}
+                        for string, norm in report.top_strings],
     }
     if extra:
         data.update(extra)

@@ -26,8 +26,8 @@ import numpy as np
 from . import config
 from .codes import LinearCode
 from .gf import FieldTable, field_from_order
-from .oa import (OrthogonalArray, StrengthViolation, column_counts, format_oa,
-                 read_oa_file, subset_histograms, verify_strength)
+from .oa import (OrthogonalArray, StrengthViolation, format_oa, read_oa_file,
+                 subset_histograms, verify_strength)
 
 
 @dataclass(frozen=True)
@@ -165,19 +165,13 @@ def _check_pair_cap(q: int, t: int) -> None:
                          f"cap {config.EULER_EDGE_CAP}")
 
 
-def pair_counts(sub: np.ndarray, field: FieldTable) -> np.ndarray:
-    """(q^t, q^t) histogram of the cyclic (vertex, transition) pairs of a
-    t x N projection.
-
-    counts[v, s] is the number of columns j whose t-tuple encodes to v and
-    whose transition sub[:, j+1] - sub[:, j] encodes to s (base q, first
-    row most significant).  The Eulerian verifier checks it for uniformity;
-    exact averaging sums each term's control action over it.
-    """
-    q, t = field.q, sub.shape[0]
-    _check_pair_cap(q, t)
-    pairs = np.concatenate([sub, transitions(sub, field)])
-    return column_counts(pairs, q).reshape(q**t, q**t)
+def pair_digits(entries: np.ndarray, field: FieldTable) -> np.ndarray:
+    """n x N digits symbol * q + transition, base q^2, of every (row, column):
+    the (vertex, transition) encoding that the Eulerian verifier and the
+    exact averaging kernel count, built once per array."""
+    digits = transitions(entries, field)
+    digits += field.q * np.asarray(entries)
+    return digits
 
 
 def _euler_verdict(rows: tuple[int, ...], counts: np.ndarray, N: int,
@@ -228,11 +222,10 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
     _check_pair_cap(q, t)
-    digits = transitions(entries, field)
-    digits += q * entries
+    digits = pair_digits(entries, field)
     symbols = list(itertools.product(range(q), repeat=t))
     # histogram digits interleave (vertex, transition) per row; put the t
-    # vertex digits first to get the (q^t, q^t) pair layout of pair_counts
+    # vertex digits first to get a (q^t, q^t) (vertex, transition) layout
     order = (*range(0, 2 * t, 2), *range(1, 2 * t, 2))
 
     def judge(rows, flat):

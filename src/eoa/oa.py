@@ -16,11 +16,14 @@ the marginals of their joint one: half the keys, and no more bins than
 keys.  Blocks hold at most `_BLOCK_KEYS` keys (one row or row pair when N
 alone is more), so memory stays bounded as N grows.  Each subset's
 histogram is then judged on its own, in lexicographic subset order.
+`support_histograms` counts a given list of subsets, one bincount per
+block of them, for the averaging layer.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -66,15 +69,42 @@ class OrthogonalArray:
         return f"OA_{self.lam}({self.N}, {self.n}, {self.q}, {self.t})"
 
 
-def column_counts(sub: np.ndarray, q: int) -> np.ndarray:
-    """Histogram of a t x N array's columns, encoded base q (row 0 leading)."""
-    t = sub.shape[0]
-    return np.bincount(q ** np.arange(t - 1, -1, -1) @ sub, minlength=q**t)
-
-
 # Keys per counting block: 2^19 int64 keys, about 4 MB.  Larger blocks save
 # little time and leave more freed memory with the allocator for later stages.
 _BLOCK_KEYS = 2**19
+
+# Keys per block of `support_histograms`, 2^15 or 256 KB: it counts after
+# the verifiers, where a larger block raises the peak memory of the process
+# and saves no time.
+_SUPPORT_BLOCK_KEYS = 2**15
+
+
+def support_histograms(digits: np.ndarray, base: int, supports) -> np.ndarray:
+    """(S, base^t) histograms of the columns of S row subsets of one size t.
+
+    digits is an n x N array of per-row digits in [0, base); row i of the
+    result counts the columns of digits[supports[i]], encoded base `base`
+    with the first row of the subset most significant.  Each block of
+    subsets is one bincount of at most `_SUPPORT_BLOCK_KEYS` keys (one
+    subset when N alone is more), each subset's keys offset into its own
+    bins.
+    """
+    digits = np.asarray(digits)
+    supports = np.asarray(supports, dtype=np.intp)
+    (S, t), N = supports.shape, digits.shape[1]
+    width = base**t
+    per_block = max(1, _SUPPORT_BLOCK_KEYS // max(N, width))
+    out = np.empty((S, width), dtype=np.intp)
+    for lo in range(0, S, per_block):
+        rows = supports[lo:lo + per_block]
+        keys = digits[rows[:, 0]].astype(np.intp, copy=False)
+        for i in range(1, t):
+            keys *= base
+            keys += digits[rows[:, i]]
+        keys += width * np.arange(len(rows))[:, None]
+        out[lo:lo + len(rows)] = np.bincount(
+            keys.ravel(), minlength=len(rows) * width).reshape(len(rows), width)
+    return out
 
 
 def subset_histograms(digits: np.ndarray, base: int, t: int, judge) -> list:
@@ -82,7 +112,7 @@ def subset_histograms(digits: np.ndarray, base: int, t: int, judge) -> list:
 
     digits is an n x N array of per-row digits in [0, base); counts is the
     length base^t histogram of the subset's columns, encoded base `base`
-    with the first row most significant (as `column_counts`).  Prefixes
+    with the first row most significant (as `support_histograms`).  Prefixes
     run on up to `config.worker_count()` threads; each walks its later
     rows in blocks of at most `_BLOCK_KEYS` keys, one bincount per block.
 
@@ -186,22 +216,27 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
     return lam
 
 
-def max_strength(entries: np.ndarray, q: int) -> int:
-    """Largest t at which verify_strength succeeds; 0 if even t = 1 fails.
+def max_strength(entries: np.ndarray, q: int) -> int | None:
+    """Largest t at which verify_strength succeeds; 0 if even t = 1 fails;
+    None if deciding it needs a check of more than
+    `config.STRENGTH_WORK_CAP` column tuples.
 
     A violation among the first r rows is a violation of the whole array,
     so each strength is checked on the first 2t, 4t, ... rows and then on
     all n: a failing strength usually stops long before counting all
     C(n, t) subsets, at most (1 - 2^-t)^-1 times the work of a passing one.
+    The check of r rows counts C(r, t) * N tuples; a strength that has not
+    failed by the time that exceeds the cap is left undecided.
     """
     entries = np.asarray(entries)
-    n = entries.shape[0]
+    n, N = entries.shape
     best = 0
     for t in range(1, n + 1):
-        prefixes = sorted({min(n, t << i) for i in range(1, n.bit_length() + 1)})
-        if any(isinstance(verify_strength(entries[:r], q, t), StrengthViolation)
-               for r in prefixes):
-            break
+        for r in sorted({min(n, t << i) for i in range(1, n.bit_length() + 1)}):
+            if math.comb(r, t) * N > config.STRENGTH_WORK_CAP:
+                return None
+            if isinstance(verify_strength(entries[:r], q, t), StrengthViolation):
+                return best
         best = t
     return best
 

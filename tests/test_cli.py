@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -80,6 +82,34 @@ def test_code_info_unknown_only_when_both_codes_are_too_large(tmp_path, capsys):
                                                for row in gen))
     assert main(["code", "info", "--in", str(path)]) == 0
     assert "[40, 20, ?, ?]" in capsys.readouterr().out
+
+
+def simplex_code_file(path, m):
+    """The GF(4) dual Hamming code of redundancy m, generated by the
+    projective points of F_4^m (first nonzero entry 1) as its rows."""
+    points = [vec for vec in itertools.product(range(4), repeat=m)
+              if next((v for v in vec if v), 0) == 1]
+    path.write_text(f"CODE 4 {len(points)} {m}\n"
+                    + "".join(" ".join(map(str, p)) + "\n" for p in points))
+    return path
+
+
+@pytest.mark.parametrize("m, report", [(5, "[341, 5, 256, 3]"),
+                                       (6, "[1365, 6, 1024, ?]")])
+def test_code_info_strength_search_is_bounded(tmp_path, capsys, m, report):
+    """The strength pass behind d(C^perp) counts at most STRENGTH_WORK_CAP
+    column tuples: the m = 5 code's C(341, 2) * 4^5 = 5.9e7 still gives
+    d_dual = 3, the m = 6 code's 3.8e9 gives '?' in seconds, and a build
+    that needs the unknown distance exits 2."""
+    path = simplex_code_file(tmp_path / "simplex.txt", m)
+    start = time.perf_counter()
+    assert main(["code", "info", "--in", str(path)]) == 0
+    assert time.perf_counter() - start < 20.0
+    assert report in capsys.readouterr().out
+    if report.endswith("?]"):
+        assert main(["oa", "build", "--code", str(path),
+                     "--out", str(tmp_path / "oa.txt")]) == 2
+        assert "pass --d-dual" in capsys.readouterr().err
 
 
 def test_code_rejects_bad_params():
@@ -261,9 +291,20 @@ def test_sim_bangbang_pass_and_report(tmp_path, oa16_file):
     assert len(data["per_term_norms"]) == 20
 
 
-def test_sim_bangbang_three_body_exits_1(oa16_file):
+def test_sim_bangbang_three_body_exits_1(tmp_path, oa16_file):
+    """The strength-2 array averages every string of weight <= 2 away, so
+    the report's top strings, largest first, are 3-body strings whose
+    squared norms make up part of the residual's."""
+    report = tmp_path / "rep.json"
     assert main(["sim", "bangbang", "--oa", str(oa16_file), "--n", "5",
-                 "--t", "3", "--seed", "7"]) == 1
+                 "--t", "3", "--seed", "7", "--report", str(report)]) == 1
+    data = json.loads(report.read_text())
+    tops = data["top_strings"]
+    norms = [entry["norm"] for entry in tops]
+    assert len(tops) == 5 and norms == sorted(norms, reverse=True) and norms[-1] > 1e-3
+    assert all(len(entry["string"]) == 3 for entry in tops)
+    assert all(0 <= k < 5 and 0 < s < 4 for entry in tops for k, s in entry["string"])
+    assert sum(x**2 for x in norms) <= data["residual_norm"] ** 2
 
 
 def test_sim_eulerian_pass(tmp_path, eoa256_file):

@@ -4,7 +4,8 @@
 bincount, two later rows per key when the columns allow it; the oracle
 below is the per-subset path it replaced: one `column_counts` (strength)
 or `pair_counts` (Eulerian) call per row subset, judged by its own copy of
-the uniformity checks.
+the uniformity checks.  Both counts left `src/` for test_decoupling.py,
+where they are also the per-term oracles of the averaging kernel.
 """
 
 import itertools
@@ -16,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 from eoa import euler as euler_module, oa as oa_module
 from eoa.codes import LinearCode, gf_matmul, hamming_code
 from eoa.euler import (EulerianCertificate, EulerianViolation, certify_eulerian,
-                       euler_cycle_full, pair_counts, transitions, verify_eulerian)
+                       euler_cycle_full, transitions, verify_eulerian)
 from eoa.gf import field_from_order, gf_new
-from eoa.oa import StrengthViolation, column_counts, verify_strength
+from eoa.oa import StrengthViolation, verify_strength
+from test_decoupling import column_counts, pair_counts
 
 FIELDS = {2: gf_new(2, 1), 3: gf_new(3, 1), 4: gf_new(2, 2), 9: gf_new(3, 2)}
 

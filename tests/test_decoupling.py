@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eoa import config
+from eoa import decoupling as decoupling_module, oa as oa_module
 from eoa.codes import LinearCode, hamming_code
-from eoa.decoupling import (_cycle_action, _distinct_hamiltonians, _kron_sum,
-                            _support_table, _symbol_hamiltonians,
-                            _symbol_unitaries, schedule_to_json)
+from eoa.decoupling import (_apply_pulse_filter, _cycle_action,
+                            _distinct_hamiltonians, _exact_averages, _kron,
+                            _kron_sum, _pulse_eigensystem, _support_table,
+                            _symbol_hamiltonians, _symbol_unitaries,
+                            report_to_json, schedule_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                             bangbang_average, bangbang_schedule, drift_from_json,
                             drift_to_json, euler_schedule, eulerian_average,
@@ -21,8 +24,8 @@ from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule
                             random_drift, read_drift, read_schedule,
                             segment_average, single_cycle_average,
                             verify_schedule, write_drift, write_schedule)
-from eoa.euler import (EulerianCycle, euler_cycle_full, eulerian_oa_from_code,
-                       transitions)
+from eoa.euler import (EulerianCycle, _check_pair_cap, euler_cycle_full,
+                       eulerian_oa_from_code, transitions)
 from eoa.gf import field_from_order, gf_new
 from eoa.oa import OrthogonalArray, oa_from_code
 from eoa.weyl import (aligned_distance, embed, frob, group_average,
@@ -855,6 +858,185 @@ def test_eulerian_residual_matches_full_space_oracle():
         v = step @ v
     explicit = explicit_residual(acc / 256, 3, 2, 2)
     assert abs(report.residual_norm - explicit) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Per-term oracles for the batched averaging layer
+# ---------------------------------------------------------------------------
+
+def column_counts(sub, q):
+    """Histogram of a t x N array's columns, encoded base q (row 0 leading):
+    the per-subset count that `oa.support_histograms` replaced."""
+    t = sub.shape[0]
+    return np.bincount(q ** np.arange(t - 1, -1, -1) @ sub, minlength=q**t)
+
+
+def pair_counts(sub, field):
+    """(q^t, q^t) histogram of the cyclic (vertex, transition) pairs of a
+    t x N projection, counted per projection; counts[v, s] is the number of
+    columns whose t-tuple encodes to v and whose transition encodes to s."""
+    q, t = field.q, sub.shape[0]
+    _check_pair_cap(q, t)
+    pairs = np.concatenate([sub, transitions(sub, field)])
+    return column_counts(pairs, q).reshape(q**t, q**t)
+
+
+def histogram_average_oracle(filtered, counts, weyls):
+    """The one-term kernel: (1/N) sum_v W_v^dag [sum_s counts[v, s]
+    filtered[s]] W_v."""
+    inner = np.tensordot(counts, filtered, axes=1)
+    return (weyls.conj().swapaxes(1, 2) @ inner @ weyls).sum(axis=0) / counts.sum()
+
+
+def cycle_action_oracle(x, sub, field, unitaries, hams, delta):
+    """The per-term exact kernel call the batched path replaced: the term's
+    projection shifted to g_j - g_0, its own pair histogram, its own tables."""
+    q, t = field.q, sub.shape[0]
+    counts = pair_counts(field.add_table[sub, field.neg_table[sub[:, :1]]], field)
+    used_v = np.nonzero(counts.any(axis=1))[0]
+    used_s = np.nonzero(counts.any(axis=0))[0]
+    eig = _pulse_eigensystem(_support_table(hams, used_s, q, t, _kron_sum), delta)
+    return histogram_average_oracle(_apply_pulse_filter(x, eig),
+                                    counts[np.ix_(used_v, used_s)],
+                                    _support_table(unitaries, used_v, q, t, _kron))
+
+
+def bangbang_oracle(x, sub, q, unitaries):
+    """The per-term bang-bang kernel call: the projection's column counts,
+    F the identity."""
+    counts = column_counts(sub, q)
+    used = np.nonzero(counts)[0]
+    return histogram_average_oracle(x[None], counts[used, None],
+                                    _support_table(unitaries, used, q, len(sub), _kron))
+
+
+def report_oracle(averaged, drift, unitaries):
+    """The per-(term, Weyl string) loop the vectorized report replaced:
+    (residual, [(support, norm)], env shift norm, {string: M_string})."""
+    q, d = len(unitaries), drift.d
+    strings, surviving, per_term = {}, {}, []
+    env_shift = np.zeros_like(drift.env_only)
+    for term, avg in zip(drift.terms, averaged):
+        support, env_block = term.support, term.env_block
+        t = len(support)
+        if t not in strings:
+            codes = np.arange(q**t)
+            strings[t] = (_support_table(unitaries, codes, q, t, _kron),
+                          np.transpose(np.unravel_index(codes, (q,) * t)).tolist())
+        table, digits = strings[t]
+        coeffs = np.einsum("lab,ab->l", table.conj(), avg) / d**t
+        env_shift = env_shift + coeffs[0] * env_block
+        per_term.append((support, d ** (t / 2) * frob(coeffs[1:]) * frob(env_block)))
+        for c, row in zip(coeffs[1:], digits[1:]):
+            key = tuple((k, s) for k, s in zip(support, row) if s)
+            surviving[key] = surviving.get(key, 0) + c * env_block
+    residual = d ** (drift.n / 2) * sum(frob(m) ** 2 for m in surviving.values()) ** 0.5
+    return residual, per_term, frob(env_shift), surviving
+
+
+@st.composite
+def batched_cases(draw):
+    """(entries, q, drift): a random array over GF(4) or GF(9), or a seeded
+    column order of a tiled Eulerian array (so g_0 != 0 in general), and a
+    drift of arity-1 and arity-2 terms on overlapping and repeated supports
+    with d_E 1 or 2; one case in eight has no terms at all."""
+    q = draw(st.sampled_from([4, 9]))
+    field = field_from_order(q)
+    d = field.coord_dim()
+    n = draw(st.integers(2, 4 if q == 4 else 3))
+    d_env = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        entries = rng.integers(0, q, size=(n, draw(st.integers(1, 12))))
+    else:
+        eoa = eulerian_oa_from_code(LinearCode(field, np.eye(1, dtype=np.int64)),
+                                    euler_cycle_full(field, 1), 1)
+        entries = np.tile(eoa.entries, (n, 1))[:, rng.permutation(q * q)]
+    supports = [] if draw(st.integers(0, 7)) == 0 else (
+        draw(st.lists(st.sampled_from([(k,) for k in range(n)]), max_size=3))
+        + draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                        min_size=1, max_size=5)))
+    terms = []
+    for support in supports:
+        dim = d ** len(support)
+        sys_block = random_hermitian(rng, dim)
+        sys_block -= np.trace(sys_block) / dim * np.eye(dim)
+        env = random_hermitian(rng, d_env) if d_env > 1 else np.eye(1, dtype=complex)
+        terms.append(DriftTerm(support, sys_block, env))
+    env_only = random_hermitian(rng, d_env) if d_env > 1 else np.zeros((1, 1))
+    return entries.astype(np.int64), q, DriftHamiltonian(n, d, d_env, tuple(terms),
+                                                         env_only)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batched_cases(), st.sampled_from(["one", "two", "default"]))
+def test_batched_averages_equal_per_term_oracles(case, bound):
+    """Counting each support once and running the kernel once per block of
+    terms that share a table key gives every term's averaged block of the
+    per-term kernel calls, and the vectorized report gives the per-string
+    loop's per-term norms (in input order), env shift and residual, at
+    TOL_BACKEND_AGREEMENT.  Blocks hold one term or support, two (for the
+    widest table key), or the defaults."""
+    entries, q, drift = case
+    field = field_from_order(q)
+    unitaries = _symbol_unitaries(field)
+    hams = _symbol_hamiltonians(unitaries, 0.1)
+    tol = config.TOL_BACKEND_AGREEMENT
+    oracles = {
+        "bangbang": [bangbang_oracle(term.sys_block, entries[list(term.support)], q,
+                                     unitaries) for term in drift.terms],
+        "exact": [cycle_action_oracle(term.sys_block, entries[list(term.support)],
+                                      field, unitaries, hams, 0.1)
+                  for term in drift.terms]}
+    with pytest.MonkeyPatch.context() as mp:
+        if bound != "default":
+            per = 1 if bound == "one" else 2
+            t = drift.max_arity
+            widest = 2 * q**t * field.coord_dim() ** (2 * t)   # entries per term
+            mp.setattr(decoupling_module, "_BLOCK_ENTRIES", 1 if per == 1 else 2 * widest)
+            mp.setattr(oa_module, "_SUPPORT_BLOCK_KEYS",
+                       per * max(entries.shape[1], q ** (2 * t)))
+        blocks = {"bangbang": _exact_averages(entries, drift, field, unitaries,
+                                              None, None),
+                  "exact": _exact_averages(entries, drift, field, unitaries, hams, 0.1)}
+        reports = {"bangbang": bangbang_average((entries, q), drift),
+                   "exact": eulerian_average((entries, q), drift, 0.1)}
+    for method, report in reports.items():
+        assert len(blocks[method]) == len(drift.terms)
+        for got, want in zip(blocks[method], oracles[method]):
+            assert frob(got - want) <= tol
+        residual, per_term, env_shift, _ = report_oracle(oracles[method], drift,
+                                                         unitaries)
+        assert [sup for sup, _ in report.per_term_norms] == [sup for sup, _ in per_term]
+        for (_, got), (_, want) in zip(report.per_term_norms, per_term):
+            assert abs(got - want) <= tol
+        assert abs(report.residual_norm - residual) <= tol
+        assert abs(report.env_shift_norm - env_shift) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_arity_cases())
+def test_top_strings_rank_the_oracle_surviving_map(case):
+    """The report's top strings are the largest entries of the per-string
+    loop's surviving map, norm d^(n/2) ||M_string||_F, in descending order;
+    where two norms are within tolerance the order between them is free."""
+    entries, q, drift = case
+    unitaries = _symbol_unitaries(field_from_order(q))
+    report = bangbang_average((entries, q), drift)
+    blocks = [bangbang_oracle(term.sys_block, entries[list(term.support)], q,
+                              unitaries) for term in drift.terms]
+    surviving = report_oracle(blocks, drift, unitaries)[3]
+    shares = {key: drift.d ** (drift.n / 2) * frob(m) for key, m in surviving.items()}
+    ranked = sorted(shares.values(), reverse=True)
+    tol = config.TOL_BACKEND_AGREEMENT
+    assert len(report.top_strings) == min(5, len(shares))
+    for i, (string, norm) in enumerate(report.top_strings):
+        assert abs(norm - ranked[i]) <= tol
+        assert abs(shares[string] - norm) <= tol
+    assert sum(norm**2 for _, norm in report.top_strings) <= report.residual_norm**2 + tol
+    data = report_to_json(report, 1.0)
+    assert [[tuple(f) for f in s["string"]] for s in data["top_strings"]] == \
+        [list(string) for string, _ in report.top_strings]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eoa.codes import LinearCode, gf_matmul, hamming_code
+from eoa.decoupling import _pair_bins, eulerian_average, random_drift
 from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
-                       euler_cycle_full, eulerian_oa_from_code, pair_counts,
+                       euler_cycle_full, eulerian_oa_from_code, pair_digits,
                        read_eulerian_oa, verify_eulerian, write_eulerian_oa)
 from eoa.gf import gf_new
-from eoa.oa import OrthogonalArray, oa_from_code, read_oa_file, verify_strength
+from eoa.oa import (OrthogonalArray, oa_from_code, read_oa_file,
+                    support_histograms, verify_strength)
 
 F2 = gf_new(2, 1)
 F4 = gf_new(2, 2)
@@ -114,23 +116,37 @@ def test_single_row_projection_is_eulerian(eoa256):
         assert isinstance(result, EulerianCertificate)
 
 
+def pair_histogram(entries, rows, field):
+    """(q^t, q^t) (vertex, transition) histogram of one row subset, read
+    off the shared pair digits the way the verifier and the averaging
+    kernel count them."""
+    q, t = field.q, len(rows)
+    hist = support_histograms(pair_digits(entries, field), q * q, [rows])[0]
+    return hist[_pair_bins(q, t)]
+
+
 def test_pair_counts_match_column_walk(eoa256):
     """The shared histogram against a direct per-column count."""
     rng = np.random.default_rng(3)
-    sub = eoa256.entries[[1, 4]][:, rng.permutation(256)[:40]]
-    counts = pair_counts(sub, F4)
+    sub = eoa256.entries[:, rng.permutation(256)[:40]]
+    counts = pair_histogram(sub, (1, 4), F4)
     expected = np.zeros((16, 16), dtype=np.int64)
     for j in range(sub.shape[1]):
-        v, nxt = sub[:, j], sub[:, (j + 1) % sub.shape[1]]
+        v, nxt = sub[[1, 4], j], sub[[1, 4], (j + 1) % sub.shape[1]]
         s = F4.add_table[nxt, F4.neg_table[v]]
         expected[v[0] * 4 + v[1], s[0] * 4 + s[1]] += 1
     assert np.array_equal(counts, expected)
-    assert np.all(pair_counts(eoa256.entries[[1, 4]], F4) == 1)
+    assert np.all(pair_histogram(eoa256.entries, (1, 4), F4) == 1)
 
 
 def test_pair_counts_cap():
-    with pytest.raises(ValueError):
-        pair_counts(np.zeros((3, 4), dtype=np.int64), gf_new(2, 4))   # 16^6 > cap
+    """A (vertex, transition) histogram of more than EULER_EDGE_CAP bins is
+    refused by the verifier and by exact averaging (9^8 > cap)."""
+    entries = np.zeros((4, 4), dtype=np.int64)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        verify_eulerian(entries, gf_new(3, 2), 4)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        eulerian_average((entries, 9), random_drift(4, 3, 4, 1, seed=0), 0.1)
 
 
 def test_non_generating_transitions_fail_pair_count():

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from eoa.codes import LinearCode, hamming_code
 from eoa.gf import gf_new
 from eoa import config
-from eoa.oa import (OrthogonalArray, StrengthViolation, column_counts,
-                    format_oa, max_strength, oa_from_code, read_oa,
-                    read_oa_entries, read_oa_file, verify_strength, write_oa)
+from eoa.oa import (OrthogonalArray, StrengthViolation, format_oa, max_strength,
+                    oa_from_code, read_oa, read_oa_entries, read_oa_file,
+                    support_histograms, verify_strength, write_oa)
 
 F4 = gf_new(2, 2)
 F2 = gf_new(2, 1)
@@ -100,10 +100,14 @@ def test_column_permutation_invariance(oa16):
 
 
 def test_column_counts_encoding():
+    """Column tuples encode base q, first subset row leading, whatever the
+    order of the rows in the array; one histogram per subset."""
     sub = np.array([[0, 1, 1, 3], [2, 0, 0, 3]])
-    counts = column_counts(sub, 4)
+    both = support_histograms(sub[::-1], 4, [(1, 0), (0, 1)])
+    counts = both[0]
     assert counts.shape == (16,) and counts.sum() == 4
     assert (counts[0 * 4 + 2], counts[1 * 4 + 0], counts[3 * 4 + 3]) == (1, 2, 1)
+    assert (both[1, 2 * 4 + 0], both[1, 0 * 4 + 1], both[1, 3 * 4 + 3]) == (1, 2, 1)
 
 
 def test_max_strength_cases(oa16):

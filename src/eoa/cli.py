@@ -19,10 +19,9 @@ import numpy as np
 
 from . import config
 from .codes import LinearCode, hamming_code, read_code, write_code
-from .decoupling import (_distinct_hamiltonians, bangbang_average,
-                         euler_schedule, eulerian_average, exact_evolution,
-                         random_drift, read_drift, report_to_json,
-                         verify_schedule, write_schedule)
+from .decoupling import (bangbang_average, euler_schedule, eulerian_average,
+                         exact_evolution, random_drift, read_drift,
+                         report_to_json, verify_schedule, write_schedule)
 from .euler import (EulerianViolation, certify_eulerian, euler_cycle_full,
                     eulerian_oa_from_code, verify_eulerian)
 from .gf import field_from_order
@@ -93,8 +92,9 @@ def cmd_code_info(args) -> int:
 
 def _code_distances(code: LinearCode) -> tuple[int | None, int | None]:
     """(d(C), d(C^perp)), both counted on whichever of C and C^perp has
-    fewer words (the dual at a tie); (None, None) when both are too large
-    to enumerate.
+    fewer words (the dual at a tie; C^perp has dimension n - k, and its
+    basis is built only when it is the code enumerated); (None, None) when
+    both are too large to enumerate.
 
     Delsarte: the words of either code form an OA of strength exactly the
     other code's distance minus 1, so the smaller code gives its own
@@ -102,13 +102,11 @@ def _code_distances(code: LinearCode) -> tuple[int | None, int | None]:
     strength search is bounded by `config.STRENGTH_WORK_CAP`; past it the
     other distance is None.
     """
-    try:
-        dual = code.dual()
-    except ValueError:
+    if code.k == code.n:
         return 1, code.n + 1   # full-space code: trivial dual, by convention
-    smaller = code if code.k < dual.k else dual
-    if smaller.q**smaller.k > config.ENUMERATION_CAP:
+    if code.q**min(code.k, code.n - code.k) > config.ENUMERATION_CAP:
         return None, None
+    smaller = code if code.k < code.n - code.k else code.dual()
     own = smaller.min_distance()
     strength = max_strength(smaller.codewords(), code.q)
     other = None if strength is None else 1 + strength
@@ -237,8 +235,8 @@ def cmd_schedule_export(args) -> int:
         return _fail_input(str(exc))
     write_schedule(args.out, sched)
     worst = verify_schedule(sched)
-    table, _ = _distinct_hamiltonians(sched)
-    max_h = np.linalg.norm(table, 2, axis=(1, 2)).max()
+    used = np.bincount(sched.index.ravel(), minlength=len(sched.table)) > 0
+    max_h = np.linalg.norm(sched.table[used], 2, axis=(1, 2)).max()
     print(f"{sched.N} segments x {sched.n} qudits, T_c = {sched.cycle_time:g}, "
           f"max ||h|| = {max_h:.6f} (pi/delta = {np.pi / args.delta:.6f}), "
           f"unitary check {worst:.3e}")

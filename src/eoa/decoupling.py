@@ -176,10 +176,13 @@ class Schedule:
     """N equal subintervals of per-qudit control.
 
     In bang-bang mode labels[j, k] is the Z_d x Z_d label of the unitary
-    held on qudit k during subinterval j (hams is None; the jumps between
-    subintervals are idealized kicks).  In eulerian mode labels[j, k] is
-    the generator ramped during subinterval j and hams[j, k] the constant
-    control Hamiltonian realizing it.
+    held on qudit k during subinterval j (table and index are None; the
+    jumps between subintervals are idealized kicks).  In eulerian mode
+    labels[j, k] is the generator ramped during subinterval j and
+    table[index[j, k]] the constant control Hamiltonian realizing it: the
+    table holds the control Hamiltonians (for a built schedule, the q
+    symbol Hamiltonians in symbol order) and index (N, n) each segment's
+    rows of it, so the library never holds a per-segment (N, n, d, d) array.
     """
 
     n: int
@@ -188,20 +191,41 @@ class Schedule:
     delta: float
     mode: str
     labels: np.ndarray                 # (N, n, 2)
-    hams: np.ndarray | None            # (N, n, d, d) for eulerian
+    table: np.ndarray | None = None    # (D, d, d) for eulerian
+    index: np.ndarray | None = None    # (N, n) integers in [0, D) for eulerian
 
     def __post_init__(self):
         if self.mode not in ("bangbang", "eulerian"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.labels.shape != (self.N, self.n, 2):
             raise ValueError("labels shape mismatch")
-        if self.mode == "eulerian":
-            if self.hams is None or self.hams.shape != (self.N, self.n, self.d, self.d):
-                raise ValueError("eulerian schedule needs per-segment Hamiltonians")
+        if self.mode == "bangbang":
+            if self.table is not None or self.index is not None:
+                raise ValueError("bang-bang schedule holds no Hamiltonians")
+            return
+        table, index = self.table, self.index
+        if table is None or index is None:
+            raise ValueError("eulerian schedule needs a Hamiltonian table and index")
+        if table.ndim != 3 or table.shape[1:] != (self.d, self.d):
+            raise ValueError(f"Hamiltonian table shape {table.shape} is not "
+                             f"(D, {self.d}, {self.d})")
+        if index.dtype.kind not in "iu" or index.shape != (self.N, self.n):
+            raise ValueError(f"Hamiltonian index {index.dtype} {index.shape} is not "
+                             f"integer ({self.N}, {self.n})")
+        if index.size and not 0 <= index.min() <= index.max() < len(table):
+            raise ValueError(f"schedule Hamiltonian indices span [{index.min()}, "
+                             f"{index.max()}], outside the table of {len(table)}")
 
     @property
     def cycle_time(self) -> float:
         return self.N * self.delta
+
+    @functools.cached_property
+    def hams(self) -> np.ndarray | None:
+        """(N, n, d, d) per-segment Hamiltonians table[index], built once on
+        first access (None for bang-bang).  Kept for the benchmark's segment
+        check; nothing in eoa reads it."""
+        return None if self.table is None else self.table[self.index]
 
 
 def generator_hamiltonian(u: np.ndarray, delta: float) -> np.ndarray:
@@ -261,7 +285,7 @@ def bangbang_schedule(m, delta: float) -> Schedule:
     field = field_from_order(q)
     n, N = entries.shape
     labels = _coords_array(field, entries.T)      # (N, n, 2)
-    return Schedule(n, field.coord_dim(), N, delta, "bangbang", labels, None)
+    return Schedule(n, field.coord_dim(), N, delta, "bangbang", labels)
 
 
 def euler_schedule(m, delta: float) -> Schedule:
@@ -276,15 +300,14 @@ def euler_schedule(m, delta: float) -> Schedule:
     field = field_from_order(q)
     d = field.coord_dim()
     n, N = entries.shape
-    diff = transitions(entries, field)
-    labels = _coords_array(field, diff.T)
+    index = transitions(entries, field).T.astype(np.uint8)   # q <= FIELD_ORDER_CAP
     unitaries = _symbol_unitaries(field)
-    hams_by_symbol = _symbol_hamiltonians(unitaries, delta)
-    for u, h in zip(unitaries, hams_by_symbol):
+    table = _symbol_hamiltonians(unitaries, delta)
+    for u, h in zip(unitaries, table):
         if aligned_distance(_expm_hermitian(h, delta), u) > config.EPS_MAT * d:
             raise AssertionError("control Hamiltonian does not realize its unitary")
-    hams = hams_by_symbol[diff.T]
-    return Schedule(n, d, N, delta, "eulerian", labels, hams)
+    return Schedule(n, d, N, delta, "eulerian", _coords_array(field, index),
+                    table, index)
 
 
 # ---------------------------------------------------------------------------
@@ -767,10 +790,10 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
     identity (true for every code-built array: column 0 is the zero
     codeword).
 
-    A segment's step depends only on its labels (bang-bang) or on the bytes
-    of its control Hamiltonians (eulerian; never on the labels, which a
-    schedule read from a file need not match), so each distinct segment is
-    exponentiated once and the steps are multiplied in column order.
+    A segment's step depends only on its labels (bang-bang) or on its row of
+    sched.index (eulerian; never on the labels, which a schedule read from a
+    file need not match), so each distinct row is exponentiated once and the
+    steps are multiplied in column order.
     """
     if sched.n != drift.n or sched.d != drift.d:
         raise ValueError("schedule does not match the drift's qudit layout")
@@ -780,10 +803,8 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
     dim = h_total.shape[0]
     d_env = drift.d_env
     dt = sched.delta / substeps
-    if sched.mode == "bangbang":
-        rows = sched.labels.reshape(sched.N, -1)
-    else:
-        rows = _distinct_hamiltonians(sched)[1]
+    rows = (sched.labels.reshape(sched.N, -1) if sched.mode == "bangbang"
+            else sched.index)
     _, first, column_step = np.unique(rows, axis=0, return_index=True,
                                       return_inverse=True)
     steps = []
@@ -798,7 +819,7 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
         else:
             h_ctrl = np.zeros((drift.d**drift.n,) * 2, dtype=complex)
             for k in range(sched.n):
-                h_ctrl += embed(sched.hams[j, k], (k,), sched.n, sched.d)
+                h_ctrl += embed(sched.table[sched.index[j, k]], (k,), sched.n, sched.d)
             h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
         steps.append(_expm_hermitian(h_seg, dt))
     u = np.eye(dim, dtype=complex)
@@ -812,39 +833,20 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
 # JSON serialization: schedules, reports, drifts
 # ---------------------------------------------------------------------------
 
-def _distinct_hamiltonians(sched: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """(table, index) with table[index] equal to sched.hams bitwise.
-
-    table (D, d, d) holds the distinct segment Hamiltonians in order of
-    first appearance and index (N, n) each segment's row of it.  Blocks are
-    keyed by their bytes, so -0.0 and 0.0 stay apart and a round trip
-    through the table is exact.
-    """
-    d = sched.d
-    blocks = np.ascontiguousarray(sched.hams, dtype=complex).reshape(-1, d * d)
-    keys = blocks.view(np.dtype((np.void, blocks.itemsize * d * d))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return (blocks[first[order]].reshape(-1, d, d),
-            rank[inverse].reshape(sched.N, sched.n))
-
-
 def schedule_to_json(sched: Schedule) -> dict:
-    """Each distinct Hamiltonian once, as row-major [re, im] pairs; each
-    segment its n labels and, in eulerian mode, its n table indices."""
+    """The Hamiltonian table as held, each entry row-major [re, im] pairs;
+    each segment its n labels and, in eulerian mode, its n table indices."""
     data = {"n": sched.n, "d": sched.d, "N": sched.N, "delta": sched.delta,
             "mode": sched.mode}
     labels = sched.labels.tolist()
     if sched.mode == "bangbang":
         data["segments"] = [{"labels": row} for row in labels]
         return data
-    table, index = _distinct_hamiltonians(sched)
+    table = np.ascontiguousarray(sched.table, dtype=np.complex128)
     data["hamiltonians"] = table.view(np.float64).reshape(
         len(table), sched.d**2, 2).tolist()
     data["segments"] = [{"labels": row, "hamiltonians": idx}
-                        for row, idx in zip(labels, index.tolist())]
+                        for row, idx in zip(labels, sched.index.tolist())]
     return data
 
 
@@ -866,7 +868,7 @@ def schedule_from_json(data: dict) -> Schedule:
     n, d, N, mode = data["n"], data["d"], data["N"], data["mode"]
     segments = data["segments"]
     labels = _json_array([seg["labels"] for seg in segments], (N, n, 2), "labels")
-    hams = None
+    table = index = None
     if mode == "eulerian":
         raw = data["hamiltonians"]
         for i, entry in enumerate(raw):
@@ -874,13 +876,10 @@ def schedule_from_json(data: dict) -> Schedule:
                 raise ValueError(f"schedule Hamiltonian {i} has {len(entry)} "
                                  f"[re, im] pairs, expected {d * d}")
         pairs = _json_array(raw, (len(raw), d * d, 2), "Hamiltonians", np.float64)
+        table = pairs.view(np.complex128).reshape(len(raw), d, d)
         index = _json_array([seg["hamiltonians"] for seg in segments], (N, n),
                             "Hamiltonian indices")
-        if index.size and not 0 <= index.min() <= index.max() < len(raw):
-            raise ValueError(f"schedule Hamiltonian indices span [{index.min()}, "
-                             f"{index.max()}], outside the table of {len(raw)}")
-        hams = pairs.view(np.complex128).reshape(len(raw), d, d)[index]
-    return Schedule(n, d, N, float(data["delta"]), mode, labels, hams)
+    return Schedule(n, d, N, float(data["delta"]), mode, labels, table, index)
 
 
 def write_schedule(path, sched: Schedule) -> None:
@@ -896,8 +895,9 @@ def verify_schedule(sched: Schedule) -> float:
 
     Re-verifies an (imported) eulerian schedule: each segment Hamiltonian
     must reproduce its segment unitary up to a global phase.  The distance
-    depends on the (Hamiltonian, label) pair alone, so it is computed once
+    depends on the (table row, label) pair alone, so it is computed once
     per distinct pair, in one batch; the maximum still covers every segment.
+    Pairs are encoded in np.intp, so narrow index or label dtypes never wrap.
     """
     if sched.mode != "eulerian":
         raise ValueError("only eulerian schedules carry Hamiltonians to verify")
@@ -907,10 +907,10 @@ def verify_schedule(sched: Schedule) -> float:
         j, k = outside[0]
         raise ValueError(f"segment {j}, qudit {k}: label "
                          f"{tuple(labels[j, k].tolist())} out of range for d = {d}")
-    table, index = _distinct_hamiltonians(sched)
+    index = sched.index.astype(np.intp)
     pairs = np.unique((index * d + labels[..., 0]) * d + labels[..., 1])
     weyls = np.array([[weyl(d, a, b) for b in range(d)] for a in range(d)])
-    dist = aligned_distance(_expm_hermitian(table[pairs // d**2], sched.delta),
+    dist = aligned_distance(_expm_hermitian(sched.table[pairs // d**2], sched.delta),
                             weyls[pairs // d % d, pairs % d])
     return float(np.max(dist, initial=0.0))
 

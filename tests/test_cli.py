@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eoa.cli import _resolve_d_dual, main
-from eoa.codes import hamming_code
+from eoa.codes import LinearCode, hamming_code
 from eoa.gf import gf_new
 from eoa.oa import max_strength
 
@@ -110,6 +110,20 @@ def test_code_info_strength_search_is_bounded(tmp_path, capsys, m, report):
         assert main(["oa", "build", "--code", str(path),
                      "--out", str(tmp_path / "oa.txt")]) == 2
         assert "pass --d-dual" in capsys.readouterr().err
+
+
+def test_code_info_builds_no_dual_basis_for_the_smaller_code(tmp_path, capsys,
+                                                            monkeypatch):
+    """A [21, 3]_4 code is smaller than its dual, so code info enumerates it
+    and never builds the [21, 18] dual basis."""
+    path = simplex_code_file(tmp_path / "simplex.txt", 3)
+
+    def no_dual(self):
+        raise AssertionError("dual basis built")
+
+    monkeypatch.setattr(LinearCode, "dual", no_dual)
+    assert main(["code", "info", "--in", str(path)]) == 0
+    assert "[21, 3, 16, 3]" in capsys.readouterr().out
 
 
 def test_code_rejects_bad_params():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from eoa import config
 from eoa import decoupling as decoupling_module, oa as oa_module
 from eoa.codes import LinearCode, hamming_code
-from eoa.decoupling import (_apply_pulse_filter, _cycle_action,
-                            _distinct_hamiltonians, _exact_averages, _kron,
-                            _kron_sum, _pulse_eigensystem, _support_table,
+from eoa.decoupling import (_apply_pulse_filter, _coords_array, _cycle_action,
+                            _exact_averages, _kron, _kron_sum,
+                            _pulse_eigensystem, _support_table,
                             _symbol_hamiltonians, _symbol_unitaries,
                             report_to_json, schedule_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
@@ -130,6 +130,22 @@ def test_euler_schedule_segment_hamiltonians_follow_transitions(eoa256):
             s = F4.add_table[eoa256.entries[k, (j + 1) % 256],
                              F4.neg_table[eoa256.entries[k, j]]]
             assert np.array_equal(sched.hams[j, k], by_symbol[s])
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_euler_schedule_table_index_equals_symbol_gather(q):
+    """The schedule holds the q symbol Hamiltonians and a uint8 transition
+    index; its hams view equals the dense symbol gather bit for bit and its
+    labels are the transitions' coordinates."""
+    field = field_from_order(q)
+    entries = np.random.default_rng(q).integers(0, q, size=(6, 40))
+    sched = euler_schedule((entries, q), 0.1)
+    diff = transitions(entries, field)
+    dense = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)[diff.T]
+    assert sched.index.dtype == np.uint8 and sched.table.shape[0] == q
+    assert np.array_equal(sched.index, diff.T)
+    assert np.array_equal(sched.hams.view(np.uint64), dense.view(np.uint64))
+    assert np.array_equal(sched.labels, _coords_array(field, diff.T))
 
 
 def test_euler_schedule_constant_row_gives_zero_controls():
@@ -620,7 +636,7 @@ def test_exact_evolution_keys_on_hamiltonians_not_labels(eoa256):
     hams = sched.hams.copy()
     hams[k, 0] = random_hermitian(np.random.default_rng(4), 2)
     tampered = Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
-                        sched.labels, hams)
+                        sched.labels, *_distinct_hamiltonians(hams))
     assert np.array_equal(tampered.labels[j], tampered.labels[k])
     u = exact_evolution(drift, tampered)
     assert np.array_equal(u, exact_evolution_oracle(drift, tampered))
@@ -1076,6 +1092,25 @@ def test_schedule_json_shape():
     assert bang["segments"] == [{"labels": [[0, 0]] * 3}] * 2
 
 
+def _distinct_hamiltonians(hams):
+    """(table, index) with table[index] equal to the (N, n, d, d) array hams
+    bitwise: the schedule form of a dense per-segment array.
+
+    table (D, d, d) holds the distinct segment Hamiltonians in order of
+    first appearance and index (N, n) each segment's row of it.  Blocks are
+    keyed by their bytes, so -0.0 and 0.0 stay apart and a round trip
+    through the table is exact.
+    """
+    N, n, d, _ = hams.shape
+    blocks = np.ascontiguousarray(hams, dtype=complex).reshape(-1, d * d)
+    keys = blocks.view(np.dtype((np.void, blocks.itemsize * d * d))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return blocks[first[order]].reshape(-1, d, d), rank[inverse].reshape(N, n)
+
+
 def test_distinct_hamiltonians_bitwise_first_appearance():
     """-0.0 and 0.0 are different keys; rows come in order of first use."""
     a = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
@@ -1083,8 +1118,7 @@ def test_distinct_hamiltonians_bitwise_first_appearance():
     a_neg[0, 1] = complex(-0.0, 0.0)
     b = np.diag([1.0, -1.0]).astype(complex)
     hams = np.stack([b, a, b, a_neg, a, b]).reshape(3, 2, 2, 2)
-    labels = np.zeros((3, 2, 2), dtype=np.int64)
-    table, index = _distinct_hamiltonians(Schedule(2, 2, 3, 0.1, "eulerian", labels, hams))
+    table, index = _distinct_hamiltonians(hams)
     assert table.shape == (3, 2, 2) and index.tolist() == [[0, 1], [0, 2], [1, 0]]
     assert np.array_equal(table[index].view(np.uint64), hams.view(np.uint64))
     assert np.signbit(table[2, 0, 1].real) and not np.signbit(table[1, 0, 1].real)
@@ -1102,15 +1136,15 @@ def random_schedules(draw):
     delta = draw(st.floats(1e-3, 10.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = rng.integers(0, d, size=(N, n, 2))
-    hams = None
-    if mode == "eulerian":
-        pool = [random_hermitian(rng, d) for _ in range(3)]
-        signed = pool[0].copy()
-        signed[0, 0] = complex(signed[0, 0].real, -0.0)
-        pool += [signed, np.zeros((d, d), dtype=complex),
-                 np.full((d, d), complex(-0.0, -0.0))]
-        hams = np.stack(pool)[rng.integers(0, len(pool), size=(N, n))]
-    return Schedule(n, d, N, delta, mode, labels, hams)
+    if mode == "bangbang":
+        return Schedule(n, d, N, delta, mode, labels)
+    pool = [random_hermitian(rng, d) for _ in range(3)]
+    signed = pool[0].copy()
+    signed[0, 0] = complex(signed[0, 0].real, -0.0)
+    pool += [signed, np.zeros((d, d), dtype=complex),
+             np.full((d, d), complex(-0.0, -0.0))]
+    hams = np.stack(pool)[rng.integers(0, len(pool), size=(N, n))]
+    return Schedule(n, d, N, delta, mode, labels, *_distinct_hamiltonians(hams))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1128,10 +1162,12 @@ def test_schedule_file_roundtrip_is_exact(sched):
         (sched.n, sched.d, sched.N, sched.delta, sched.mode)
     assert back.labels.dtype == np.int64 and np.array_equal(back.labels, sched.labels)
     if sched.mode == "bangbang":
-        assert back.hams is None
+        assert back.hams is None and back.table is None and back.index is None
     else:
         assert back.hams.dtype == np.complex128
         assert np.array_equal(back.hams.view(np.uint64), sched.hams.view(np.uint64))
+        assert np.array_equal(back.table.view(np.uint64), sched.table.view(np.uint64))
+        assert np.array_equal(back.index, sched.index)
 
 
 def _break_negative_index(data):
@@ -1180,6 +1216,19 @@ def test_read_schedule_rejects_malformed_file(tmp_path, tamper):
     assert len(str(excinfo.value).splitlines()) == 1
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_schedule_rejects_index_outside_table(bad):
+    """A directly built schedule gets the reader's check: an index outside
+    the table is a one-line ValueError, never a wrapped table row."""
+    sched = euler_schedule((np.array([[0, 1, 2, 3], [0, 2, 3, 1]]), 4), 0.1)
+    index = sched.index.astype(np.int64)
+    index[2, 1] = bad
+    with pytest.raises(ValueError, match="outside the table of 4") as excinfo:
+        Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
+                 sched.labels, sched.table, index)
+    assert len(str(excinfo.value).splitlines()) == 1
+
+
 def verify_schedule_oracle(sched):
     """The per-segment check verify_schedule replaced: one matrix
     exponential and one phase-aligned distance per (segment, qudit)."""
@@ -1207,19 +1256,20 @@ def realized_schedules(draw):
     labels = rng.integers(0, d, size=(N, n, 2))
     by_label = np.array([[generator_hamiltonian(weyl(d, a, b), delta)
                           for b in range(d)] for a in range(d)])
-    sched = Schedule(n, d, N, delta, "eulerian", labels,
-                     by_label[labels[..., 0], labels[..., 1]])
+    sched = Schedule(n, d, N, delta, "eulerian", labels, *_distinct_hamiltonians(
+        by_label[labels[..., 0], labels[..., 1]]))
     hams = sched.hams.copy()
     for j, k in zip(*np.nonzero(rng.random((N, n)) < 0.3)):
         hams[j, k] = (random_hermitian(rng, d) if rng.random() < 0.5
                       else by_label[tuple(rng.integers(0, d, size=2))])
-    return sched, Schedule(n, d, N, delta, "eulerian", labels, hams)
+    return sched, Schedule(n, d, N, delta, "eulerian", labels,
+                           *_distinct_hamiltonians(hams))
 
 
 def _with(sched, labels=None, hams=None):
     return Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
                     sched.labels if labels is None else labels,
-                    sched.hams if hams is None else hams)
+                    *_distinct_hamiltonians(sched.hams if hams is None else hams))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1253,6 +1303,23 @@ def test_batched_verify_schedule_equals_per_segment_oracle(case, data):
         labels[j, k] = bad
         with pytest.raises(ValueError, match="out of range"):
             verify_schedule(_with(sched, labels=labels))
+
+
+@pytest.mark.parametrize("q", [9, 25, 49, 169])
+def test_verify_schedule_on_wide_fields(q):
+    """With d^2 * q > 256 the (index, label) pair code overflows uint8, so it
+    is formed in np.intp: a realized schedule over GF(q) passes and equals the
+    per-segment oracle, and one tampered label fails it."""
+    entries = np.random.default_rng(q).integers(0, q, size=(3, 16))
+    sched = euler_schedule((entries, q), 0.1)
+    worst = verify_schedule(sched)
+    assert worst <= config.EPS_MAT
+    assert worst == pytest.approx(verify_schedule_oracle(sched), rel=1e-12, abs=1e-14)
+    labels = sched.labels.copy()
+    labels[5, 1] = (labels[5, 1] + 1) % sched.d
+    assert verify_schedule(Schedule(sched.n, sched.d, sched.N, sched.delta,
+                                    sched.mode, labels, sched.table,
+                                    sched.index)) > config.EPS_MAT
 
 
 def test_drift_json_roundtrip(tmp_path):

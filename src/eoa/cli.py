@@ -433,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:   # an output path that cannot be written
+        return _fail_input(str(exc))
 
 
 if __name__ == "__main__":

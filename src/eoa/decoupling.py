@@ -46,6 +46,7 @@ Conventions (hbar = 1 throughout):
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import warnings
@@ -59,7 +60,7 @@ from . import config
 from .euler import (EulerianCycle, EulerianOA, _check_pair_cap, pair_digits,
                     transitions)
 from .gf import FieldTable, field_from_order
-from .oa import OrthogonalArray, support_histograms
+from .oa import OrthogonalArray, _token_table, support_histograms
 from .weyl import aligned_distance, embed, frob, is_hermitian, is_unitary, \
     matrix_from_pairs, matrix_to_pairs, weyl, weyl_from_field
 
@@ -197,8 +198,19 @@ class Schedule:
     def __post_init__(self):
         if self.mode not in ("bangbang", "eulerian"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.labels.shape != (self.N, self.n, 2):
+        if self.N < 1 or self.n < 1:
+            raise ValueError(f"a schedule needs a segment and a qudit, got "
+                             f"N = {self.N}, n = {self.n}")
+        labels = self.labels
+        if labels.shape != (self.N, self.n, 2):
             raise ValueError("labels shape mismatch")
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"schedule labels are {labels.dtype}, not integers")
+        if labels.size and not 0 <= labels.min() <= labels.max() < self.d:
+            j, k = np.argwhere(((labels < 0) | (labels >= self.d)).any(axis=-1))[0]
+            raise ValueError(f"segment {j}, qudit {k}: label "
+                             f"{tuple(labels[j, k].tolist())} out of range for "
+                             f"d = {self.d}")
         if self.mode == "bangbang":
             if self.table is not None or self.index is not None:
                 raise ValueError("bang-bang schedule holds no Hamiltonians")
@@ -833,23 +845,6 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
 # JSON serialization: schedules, reports, drifts
 # ---------------------------------------------------------------------------
 
-def schedule_to_json(sched: Schedule) -> dict:
-    """The Hamiltonian table as held, each entry row-major [re, im] pairs;
-    each segment its n labels and, in eulerian mode, its n table indices."""
-    data = {"n": sched.n, "d": sched.d, "N": sched.N, "delta": sched.delta,
-            "mode": sched.mode}
-    labels = sched.labels.tolist()
-    if sched.mode == "bangbang":
-        data["segments"] = [{"labels": row} for row in labels]
-        return data
-    table = np.ascontiguousarray(sched.table, dtype=np.complex128)
-    data["hamiltonians"] = table.view(np.float64).reshape(
-        len(table), sched.d**2, 2).tolist()
-    data["segments"] = [{"labels": row, "hamiltonians": idx}
-                        for row, idx in zip(labels, sched.index.tolist())]
-    return data
-
-
 def _json_array(raw, shape: tuple, what: str, dtype=None) -> np.ndarray:
     """np.array(raw) of the given shape (integers unless dtype is given),
     else a one-line ValueError naming the field."""
@@ -882,12 +877,74 @@ def schedule_from_json(data: dict) -> Schedule:
     return Schedule(n, d, N, float(data["delta"]), mode, labels, table, index)
 
 
+SCHEDULE_BLOCK = 4096   # segments per gather: write memory stays bounded in N
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
 def write_schedule(path, sched: Schedule) -> None:
-    Path(path).write_text(json.dumps(schedule_to_json(sched)) + "\n")
+    """One JSON object: n, d, N, delta, mode, in eulerian mode the
+    Hamiltonian table (each entry row-major [re, im] pairs), then the
+    segments, each its n labels and, in eulerian mode, its n table indices.
+
+    The bytes are those of json.dumps(...) + "\n" with default separators.
+    The header is json.dumps; the segments are one byte gather of label
+    and index tokens per block of SCHEDULE_BLOCK segments, with the zero
+    padding of mixed-width tokens dropped, so no per-segment Python runs.
+    """
+    d = sched.d
+    header = {"n": sched.n, "d": d, "N": sched.N, "delta": sched.delta,
+              "mode": sched.mode}
+    keys = ['{"labels": [']
+    tokens = [_token_table([f"[{a}, {b}], " for a in range(d) for b in range(d)])]
+    if sched.mode == "eulerian":
+        table = np.ascontiguousarray(sched.table, dtype=np.complex128)
+        header["hamiltonians"] = table.view(np.float64).reshape(
+            len(table), d**2, 2).tolist()
+        keys.append(' "hamiltonians": [')
+        tokens.append(_token_table([f"{i}, " for i in range(len(table))]))
+    # a field's last token ends in ", ", which becomes its list's closing
+    # bracket (and, in the segment's last field, the object's closing brace)
+    closes = ["],"] * (len(keys) - 1) + ["]}"]
+    ragged = not all(t.all() for t in tokens)
+    with Path(path).open("wb") as f:
+        f.write((json.dumps(header)[:-1] + ', "segments": [').encode())
+        for lo in range(0, sched.N, SCHEDULE_BLOCK):
+            hi = min(lo + SCHEDULE_BLOCK, sched.N)
+            labels = sched.labels[lo:hi].astype(np.intp)
+            codes = [labels[..., 0] * d + labels[..., 1]]
+            if sched.mode == "eulerian":
+                codes.append(sched.index[lo:hi])
+            parts = []
+            for key, close, toks, code in zip(keys, closes, tokens, codes):
+                text = np.take(toks, code, axis=0).reshape(hi - lo, -1)
+                text[:, -2:] = _ascii(close)
+                parts += [np.broadcast_to(_ascii(key), (hi - lo, len(key))), text]
+            parts.append(np.broadcast_to(_ascii(", "), (hi - lo, 2)))
+            text = np.concatenate(parts, axis=1).ravel()
+            if ragged:
+                text = text[text != 0]
+            f.write(text[:-2] if hi == sched.N else text)   # no ", " after the last
+        f.write(b"]}\n")
 
 
 def read_schedule(path) -> Schedule:
-    return schedule_from_json(json.loads(Path(path).read_text()))
+    """The schedule a write_schedule file holds, parsed by json.loads.
+
+    Cyclic garbage collection is paused while the file is parsed and
+    converted: the parse allocates about N * (n + 2) lists, none in a
+    cycle, and the collector would rescan them over and over.  The
+    caller's collector state is restored, also on error.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return schedule_from_json(json.loads(Path(path).read_text()))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def verify_schedule(sched: Schedule) -> float:
@@ -902,11 +959,6 @@ def verify_schedule(sched: Schedule) -> float:
     if sched.mode != "eulerian":
         raise ValueError("only eulerian schedules carry Hamiltonians to verify")
     d, labels = sched.d, sched.labels
-    outside = np.argwhere(((labels < 0) | (labels >= d)).any(axis=-1))
-    if len(outside):
-        j, k = outside[0]
-        raise ValueError(f"segment {j}, qudit {k}: label "
-                         f"{tuple(labels[j, k].tolist())} out of range for d = {d}")
     index = sched.index.astype(np.intp)
     pairs = np.unique((index * d + labels[..., 0]) * d + labels[..., 1])
     weyls = np.array([[weyl(d, a, b) for b in range(d)] for a in range(d)])

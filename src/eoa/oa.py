@@ -265,14 +265,14 @@ def oa_from_code(code: LinearCode, d_dual: int) -> OrthogonalArray:
 # symbols.  Headers are claims; loaders re-verify before trusting them.
 # ---------------------------------------------------------------------------
 
-def _symbol_tokens(q: int) -> np.ndarray:
-    """(q, w) byte table: row s is str(s) plus a space, right-aligned, with
-    zero bytes as left padding; w is the widest token's length plus one."""
-    width = len(str(q - 1)) + 1
-    table = np.zeros((q, width), dtype=np.uint8)
-    for s in range(q):
-        token = f"{s} ".encode()
-        table[s, width - len(token):] = np.frombuffer(token, dtype=np.uint8)
+def _token_table(tokens: list[str]) -> np.ndarray:
+    """(len(tokens), w) byte table: row i is the ASCII token i, right-aligned,
+    with zero bytes as left padding; w is the longest token's length.  A
+    gather of its rows is text once the zero bytes are dropped."""
+    width = max(map(len, tokens), default=0)
+    table = np.zeros((len(tokens), width), dtype=np.uint8)
+    for i, token in enumerate(tokens):
+        table[i, width - len(token):] = np.frombuffer(token.encode(), dtype=np.uint8)
     return table
 
 
@@ -281,7 +281,7 @@ def format_oa(oa: OrthogonalArray) -> str:
     header = f"OA {oa.N} {oa.n} {oa.q} {oa.t} {oa.lam}\n"
     if oa.entries.min() < 0 or oa.entries.max() >= oa.q:
         raise ValueError(f"entries must be symbols in [0, {oa.q})")
-    table = _symbol_tokens(oa.q)
+    table = _token_table([f"{s} " for s in range(oa.q)])
     text = np.take(table, oa.entries, axis=0)  # (n, N, w)
     text[:, -1, -1] = ord("\n")                # each row's last space
     if oa.q > 10:                               # mixed widths: drop padding

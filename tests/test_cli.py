@@ -408,16 +408,21 @@ BAD_INPUTS = [
     "euler verify --in {w}/ragged.txt",
     "oa verify --in {w}/huge.txt",
     "code info --in {w}/hugecode.txt",
+    "code hamming --q 4 --m 2 --out {w}/missing/c.txt",
+    "oa build --code {dual} --out {w}/missing/oa.txt",
+    "euler build --code {dual} --out {w}/missing/eoa.txt",
+    "schedule export --oa {eoa256} --out {w}/missing/sched.json",
+    "sim bangbang --oa {oa16} --n 5 --t 2 --seed 7 --report {w}/missing/bb.json",
 ]
 
 
 @pytest.mark.parametrize("line", BAD_INPUTS)
-def test_bad_input_exits_2_with_one_line(line, tmp_path, oa16_file, eoa256_file,
-                                         capsys):
+def test_bad_input_exits_2_with_one_line(line, tmp_path, dual_code_file, oa16_file,
+                                         eoa256_file, capsys):
     """Out-of-range strengths, drift parameters, pulse lengths, quadrature
-    orders and sweep lengths, ragged array rows and symbols beyond int64
-    are input errors: exit 2 and one stderr line, never a traceback or a
-    vacuous OK."""
+    orders and sweep lengths, ragged array rows, symbols beyond int64 and
+    output paths that cannot be written are input errors: exit 2 and one
+    stderr line, never a traceback or a vacuous OK."""
     from eoa.decoupling import DriftHamiltonian, write_drift
     q6 = tmp_path / "q6.txt"
     q6.write_text("OA 36 2 6 2 1\n{}\n{}\n".format(
@@ -429,8 +434,8 @@ def test_bad_input_exits_2_with_one_line(line, tmp_path, oa16_file, eoa256_file,
     empty = tmp_path / "empty.json"
     write_drift(empty, DriftHamiltonian(5, 2, 1, (), np.zeros((1, 1), dtype=complex)))
     capsys.readouterr()
-    argv = line.format(oa16=oa16_file, eoa256=eoa256_file, q6=q6, empty=empty,
-                       w=tmp_path).split()
+    argv = line.format(dual=dual_code_file, oa16=oa16_file, eoa256=eoa256_file,
+                       q6=q6, empty=empty, w=tmp_path).split()
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "OK" not in captured.out

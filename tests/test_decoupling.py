@@ -1,7 +1,9 @@
+import gc
 import itertools
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from eoa.decoupling import (_apply_pulse_filter, _coords_array, _cycle_action,
                             _exact_averages, _kron, _kron_sum,
                             _pulse_eigensystem, _support_table,
                             _symbol_hamiltonians, _symbol_unitaries,
-                            report_to_json, schedule_to_json)
+                            report_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                             bangbang_average, bangbang_schedule, drift_from_json,
                             drift_to_json, euler_schedule, eulerian_average,
@@ -1072,13 +1074,19 @@ def test_schedule_json_roundtrip(tmp_path, eoa256):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_schedule_json_shape():
+def _schedule_file_data(tmp_path, sched):
+    path = tmp_path / "sched.json"
+    write_schedule(path, sched)
+    return json.loads(path.read_text())
+
+
+def test_schedule_json_shape(tmp_path):
     """Eulerian files hold one table row per distinct Hamiltonian and one
     index per (segment, qudit); bang-bang files hold labels only."""
     sched = euler_schedule(
         eulerian_oa_from_code(LinearCode(F4, np.eye(1, dtype=np.int64)),
                               euler_cycle_full(F4, 1), 1), 0.1)
-    data = json.loads(json.dumps(schedule_to_json(sched)))
+    data = _schedule_file_data(tmp_path, sched)
     assert list(data) == ["n", "d", "N", "delta", "mode", "hamiltonians", "segments"]
     assert data["N"] == 16 and len(data["segments"]) == 16
     assert len(data["hamiltonians"]) == 4     # one per GF(4) transition symbol
@@ -1087,7 +1095,8 @@ def test_schedule_json_shape():
     seg = data["segments"][0]
     assert len(seg["labels"]) == 1 and len(seg["labels"][0]) == 2
     assert len(seg["hamiltonians"]) == 1 and isinstance(seg["hamiltonians"][0], int)
-    bang = schedule_to_json(bangbang_schedule((np.zeros((3, 2), dtype=np.int64), 4), 0.1))
+    bang = _schedule_file_data(
+        tmp_path, bangbang_schedule((np.zeros((3, 2), dtype=np.int64), 4), 0.1))
     assert "hamiltonians" not in bang
     assert bang["segments"] == [{"labels": [[0, 0]] * 3}] * 2
 
@@ -1124,21 +1133,40 @@ def test_distinct_hamiltonians_bitwise_first_appearance():
     assert np.signbit(table[2, 0, 1].real) and not np.signbit(table[1, 0, 1].real)
 
 
+def schedule_to_json(sched: Schedule) -> dict:
+    """The schedule document the file holds, built as Python lists: the
+    reference for write_schedule's byte gather, which writes
+    json.dumps(schedule_to_json(sched)) + "\n"."""
+    data = {"n": sched.n, "d": sched.d, "N": sched.N, "delta": sched.delta,
+            "mode": sched.mode}
+    labels = sched.labels.tolist()
+    if sched.mode == "bangbang":
+        data["segments"] = [{"labels": row} for row in labels]
+        return data
+    table = np.ascontiguousarray(sched.table, dtype=np.complex128)
+    data["hamiltonians"] = table.view(np.float64).reshape(
+        len(table), sched.d**2, 2).tolist()
+    data["segments"] = [{"labels": row, "hamiltonians": idx}
+                        for row, idx in zip(labels, sched.index.tolist())]
+    return data
+
+
 @st.composite
 def random_schedules(draw):
-    """Schedules of either mode over d = 2, 3 with random labels and, in
-    eulerian mode, per-segment Hamiltonians drawn from a small pool that is
-    not tied to the labels and holds bitwise-distinct copies of equal
-    values (0.0 against -0.0)."""
+    """Schedules of either mode over d = 2, 3, 16 (two-digit labels) with
+    random labels and, in eulerian mode, per-segment Hamiltonians drawn
+    from a pool of up to 17 (two-digit table indices) that is not tied to
+    the labels and holds bitwise-distinct copies of equal values (0.0
+    against -0.0)."""
     mode = draw(st.sampled_from(["bangbang", "eulerian"]))
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from([2, 3, 16]))
     N, n = draw(st.integers(1, 7)), draw(st.integers(1, 4))
     delta = draw(st.floats(1e-3, 10.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = rng.integers(0, d, size=(N, n, 2))
     if mode == "bangbang":
         return Schedule(n, d, N, delta, mode, labels)
-    pool = [random_hermitian(rng, d) for _ in range(3)]
+    pool = [random_hermitian(rng, d) for _ in range(draw(st.integers(3, 14)))]
     signed = pool[0].copy()
     signed[0, 0] = complex(signed[0, 0].real, -0.0)
     pool += [signed, np.zeros((d, d), dtype=complex),
@@ -1170,6 +1198,32 @@ def test_schedule_file_roundtrip_is_exact(sched):
         assert np.array_equal(back.index, sched.index)
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_schedules(), st.integers(1, 8))
+def test_write_schedule_equals_json_dumps(sched, block):
+    """The byte gather writes exactly json.dumps(schedule_to_json(s)) + "\n"
+    in both modes, with one- and two-digit labels and table indices, and
+    blocks of segments that divide N or leave a remainder."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(decoupling_module, "SCHEDULE_BLOCK", block):
+        path = Path(tmp) / "sched.json"
+        write_schedule(path, sched)
+        assert path.read_bytes() == (json.dumps(schedule_to_json(sched)) + "\n").encode()
+
+
+@pytest.mark.parametrize("q, shape", [
+    (4, (5, decoupling_module.SCHEDULE_BLOCK + 5)),   # a partial last block
+    (169, (3, 16)),                                   # d = 13, 169 table rows
+])
+@pytest.mark.parametrize("build", [euler_schedule, bangbang_schedule])
+def test_write_schedule_equals_json_dumps_on_built_schedules(tmp_path, q, shape, build):
+    entries = np.random.default_rng(q).integers(0, q, size=shape)
+    sched = build((entries, q), 0.1)
+    path = tmp_path / "sched.json"
+    write_schedule(path, sched)
+    assert path.read_bytes() == (json.dumps(schedule_to_json(sched)) + "\n").encode()
+
+
 def _break_negative_index(data):
     data["segments"][1]["hamiltonians"][0] = -1
 
@@ -1198,16 +1252,24 @@ def _break_index_shape(data):
     data["segments"][3]["hamiltonians"] = [0]
 
 
+def _break_negative_label(data):
+    data["segments"][2]["labels"][1] = [0, -1]
+
+
+def _break_label_past_d(data):
+    data["segments"][1]["labels"][0] = [data["d"], 0]
+
+
 @pytest.mark.parametrize("tamper", [
     _break_negative_index, _break_index_past_table, _break_fractional_index,
     _break_short_entry, _break_labels_shape, _break_label_width,
-    _break_index_shape])
+    _break_index_shape, _break_negative_label, _break_label_past_d])
 def test_read_schedule_rejects_malformed_file(tmp_path, tamper):
-    """An index outside the table (numpy would wrap a negative one), a
-    table entry without d^2 pairs, and labels or indices of the wrong shape
-    are one-line ValueErrors."""
+    """An index outside the table or a label outside [0, d) (numpy would
+    wrap a negative one), a table entry without d^2 pairs, and labels or
+    indices of the wrong shape are one-line ValueErrors."""
     entries = np.array([[0, 1, 2, 3], [0, 2, 3, 1]], dtype=np.int64)
-    data = schedule_to_json(euler_schedule((entries, 4), 0.1))
+    data = _schedule_file_data(tmp_path, euler_schedule((entries, 4), 0.1))
     tamper(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -1227,6 +1289,56 @@ def test_schedule_rejects_index_outside_table(bad):
         Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
                  sched.labels, sched.table, index)
     assert len(str(excinfo.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("label", [(0, -1), (2, 0)])
+def test_schedule_rejects_label_outside_range(label):
+    """A label outside [0, d) would gather the wrong file token (np.take
+    wraps a negative one): a one-line ValueError at construction, in both
+    modes."""
+    sched = euler_schedule((np.array([[0, 1, 2, 3], [0, 2, 3, 1]]), 4), 0.1)
+    labels = sched.labels.astype(np.int64)
+    labels[3, 1] = label
+    for extra in ((), (sched.table, sched.index)):
+        with pytest.raises(ValueError, match=r"segment 3, qudit 1: .* out of range "
+                                             r"for d = 2") as excinfo:
+            Schedule(sched.n, sched.d, sched.N, sched.delta,
+                     "eulerian" if extra else "bangbang", labels, *extra)
+        assert len(str(excinfo.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("N, n, dtype, match", [
+    (1, 1, np.float64, "not integers"),
+    (1, 1, bool, "not integers"),
+    (0, 2, np.int64, "needs a segment and a qudit"),   # no file form reads back
+    (2, 0, np.int64, "needs a segment and a qudit"),
+])
+def test_schedule_rejects_empty_or_non_integer_labels(N, n, dtype, match):
+    with pytest.raises(ValueError, match=match):
+        Schedule(n, 2, N, 0.1, "bangbang", np.zeros((N, n, 2), dtype=dtype))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_schedule_restores_gc_state(tmp_path, enabled):
+    """read_schedule pauses cyclic garbage collection for the parse and
+    leaves it as the caller had it, after a good file and after a file it
+    rejects."""
+    sched = euler_schedule((np.array([[0, 1, 2, 3]]), 4), 0.1)
+    data = _schedule_file_data(tmp_path, sched)
+    data["segments"][0]["labels"] = [[0]]
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    (tmp_path / "cut.json").write_text((tmp_path / "sched.json").read_text()[:-3])
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        read_schedule(tmp_path / "sched.json")
+        assert gc.isenabled() is enabled
+        for name in ("bad.json", "cut.json"):   # fails converting, fails parsing
+            with pytest.raises(ValueError):
+                read_schedule(tmp_path / name)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def verify_schedule_oracle(sched):

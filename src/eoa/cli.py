@@ -131,6 +131,9 @@ def cmd_oa_build(args) -> int:
     d_dual = _resolve_d_dual(code, args.d_dual)
     if isinstance(d_dual, str):
         return _fail_input(d_dual)
+    if not 1 <= d_dual - 1 <= code.n:
+        return _fail_input(f"--d-dual {d_dual} gives strength {d_dual - 1}, "
+                           f"out of range [1, {code.n}]")
     try:
         oa = oa_from_code(code, d_dual)
     except ValueError as exc:
@@ -185,6 +188,8 @@ def cmd_euler_build(args) -> int:
         if isinstance(d_dual, str):
             return _fail_input(d_dual + " (or pass --t)")
         t = d_dual - 1
+    if not 1 <= t <= code.n:
+        return _fail_input(f"strength t = {t} out of range [1, {code.n}]")
     try:
         cycle = euler_cycle_full(code.field, code.k)
         eoa = eulerian_oa_from_code(code, cycle, t)
@@ -235,8 +240,7 @@ def cmd_schedule_export(args) -> int:
         return _fail_input(str(exc))
     write_schedule(args.out, sched)
     worst = verify_schedule(sched)
-    used = np.bincount(sched.index.ravel(), minlength=len(sched.table)) > 0
-    max_h = np.linalg.norm(sched.table[used], 2, axis=(1, 2)).max()
+    max_h = np.linalg.norm(sched.table[np.unique(sched.index)], 2, axis=(1, 2)).max()
     print(f"{sched.N} segments x {sched.n} qudits, T_c = {sched.cycle_time:g}, "
           f"max ||h|| = {max_h:.6f} (pi/delta = {np.pi / args.delta:.6f}), "
           f"unitary check {worst:.3e}")

@@ -25,11 +25,14 @@ Conventions (hbar = 1 throughout):
 * First-order averages act on each term's support (dimension d^t),
   mirroring the reduction used by the decoupling theorems, but the exact
   kernel runs in batches: every distinct support's histogram is counted
-  once (bang-bang on the symbols, Eulerian on the verifier's pair digits
-  symbol * q + transition), and the terms that share a table key (arity,
-  used vertex codes, used transition codes) go through Pi_G o F_S as
-  stacks, in blocks of bounded size.  The quadrature walk stays per term,
-  as the independent cross-check.
+  once by the verifiers' counter, `oa.subset_histograms` (bang-bang on
+  the symbols, Eulerian on the verifier's pair digits symbol * q +
+  transition), and the terms that share a table key (arity, used vertex
+  codes, used transition codes) go through Pi_G o F_S as stacks, in blocks
+  of bounded size.  The Eulerian kernel sums over the vertices g_j as
+  counted and then conjugates each block by W(g_0), which moves it to the
+  prefixes W(g_j - g_0).  The quadrature walk stays per term, as the
+  independent cross-check.
 
 * Each averaged term is expanded in the Weyl strings of its support, one
   matrix product per arity.  The reported residual is still the exact
@@ -60,7 +63,7 @@ from . import config
 from .euler import (EulerianCycle, EulerianOA, _check_pair_cap, pair_digits,
                     transitions)
 from .gf import FieldTable, field_from_order
-from .oa import OrthogonalArray, _token_table, support_histograms
+from .oa import OrthogonalArray, _token_table, subset_histograms
 from .weyl import aligned_distance, embed, frob, is_hermitian, is_unitary, \
     matrix_from_pairs, matrix_to_pairs, weyl, weyl_from_field
 
@@ -490,25 +493,28 @@ def _grouped_average(xs: np.ndarray, hists: np.ndarray, bins: np.ndarray,
     return out
 
 
-def _relative_pair_digits(entries: np.ndarray, field: FieldTable) -> np.ndarray:
-    """`euler.pair_digits` with each row's vertex g_j replaced by g_j - g_0.
+def _from_first_column(avg: np.ndarray, g0: np.ndarray, q: int,
+                       unitaries: np.ndarray) -> np.ndarray:
+    """avg with each block A replaced by W(g_0) A W(g_0)^dag, in place;
+    g0 (T, t) holds the first column's symbols on each block's support.
 
-    The control prefix before column j is W(g_j - g_0) up to a phase, so
-    the kernel's vertex is relative to the first column: a permutation of
-    each row's vertex digits, applied before counting.
+    The kernel counts the vertices g_j themselves, but the control prefix
+    before column j is W(g_j - g_0) up to a phase, and W(g_j) is
+    W(g_j - g_0) W(g_0) up to a phase.  Blocks with g_0 = 0 stay as they
+    are.
     """
-    q = field.q
-    digits = pair_digits(entries, field)
-    relabel = field.add_table[:, field.neg_table[entries[:, 0]]].T[..., None] * q
-    relabel = (relabel + np.arange(q)).reshape(len(digits), q * q)
-    for row, table in zip(digits, relabel):
-        row[:] = table[row]
-    return digits
+    codes = q ** np.arange(g0.shape[1] - 1, -1, -1) @ g0.T
+    moved = np.nonzero(codes)[0]
+    w = _support_table(unitaries, codes[moved], q, g0.shape[1], _kron)
+    avg[moved] = w @ avg[moved] @ w.conj().swapaxes(1, 2)
+    return avg
 
 
 def _pair_bins(q: int, t: int) -> np.ndarray:
     """(q^t, q^t) bin of each (vertex code, transition code) in a histogram
-    of pair digits, vertex * q + transition per row, first row leading."""
+    of pair digits, vertex * q + transition per row, first row leading;
+    raises when q^(2t) bins exceed the pair cap."""
+    _check_pair_cap(q, t)
     code = (q * q) ** np.arange(t - 1, -1, -1) @ np.array(
         np.unravel_index(np.arange(q**t), (q,) * t))
     return q * code[:, None] + code
@@ -540,29 +546,28 @@ def _exact_averages(entries: np.ndarray, drift: DriftHamiltonian, field: FieldTa
                     delta: float | None) -> list[np.ndarray]:
     """Each drift term's averaged system block, in input order.
 
-    Every distinct support is counted once: the array's symbols for
-    bang-bang (hams None, F = 1), its relative pair digits for the
-    bounded-strength action.  The terms of one arity then share one
-    `_grouped_average`.
+    Every distinct support is counted once by the verifiers' counter
+    (`oa.subset_histograms`): the array's symbols for bang-bang (hams None,
+    F = 1), the Eulerian verifier's pair digits for the bounded-strength
+    action, whose blocks `_from_first_column` then moves to the prefixes
+    W(g_j - g_0).  The terms of one arity then share one `_grouped_average`.
     """
     q = field.q
-    digits = entries if hams is None else _relative_pair_digits(entries, field)
+    digits, base = (entries, q) if hams is None else (pair_digits(entries, field), q * q)
     averaged: list = [None] * len(drift.terms)
     for t, idx in _terms_by_arity(drift).items():
         rows: dict[tuple[int, ...], int] = {}
         support_of = np.array([rows.setdefault(drift.terms[i].support, len(rows))
                                for i in idx])
-        supports = np.array(list(rows))
-        if hams is None:
-            hists = support_histograms(digits, q, supports)
-            bins = np.arange(q**t)[:, None]
-        else:
-            _check_pair_cap(q, t)
-            hists = support_histograms(digits, q * q, supports)
-            bins = _pair_bins(q, t)
+        bins = np.arange(q**t)[:, None] if hams is None else _pair_bins(q, t)
+        hists = np.stack(subset_histograms(digits, base, rows, lambda _, counts: counts))
         xs = np.stack([drift.terms[i].sys_block for i in idx])
-        for i, avg in zip(idx, _grouped_average(xs, hists, bins, support_of, q, t,
-                                                unitaries, hams, delta, {})):
+        avgs = _grouped_average(xs, hists, bins, support_of, q, t, unitaries, hams,
+                                delta, {})
+        if hams is not None:
+            g0 = entries[:, 0][np.array(list(rows))[support_of]]
+            avgs = _from_first_column(avgs, g0, q, unitaries)
+        for i, avg in zip(idx, avgs):
             averaged[i] = avg
     return averaged
 
@@ -585,12 +590,12 @@ def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
     q, (t, N) = field.q, sub.shape
     tables = {} if tables is None else tables
     if method == "exact":
-        _check_pair_cap(q, t)
-        hists = support_histograms(_relative_pair_digits(sub, field), q * q,
-                                   [range(t)])
-        return _grouped_average(np.asarray(x)[None], hists, _pair_bins(q, t),
-                                np.zeros(1, np.intp), q, t, unitaries, hams, delta,
-                                tables)[0]
+        bins = _pair_bins(q, t)
+        hists = np.stack(subset_histograms(pair_digits(sub, field), q * q, [range(t)],
+                                           lambda _, counts: counts))
+        avg = _grouped_average(np.asarray(x)[None], hists, bins, np.zeros(1, np.intp),
+                               q, t, unitaries, hams, delta, tables)
+        return _from_first_column(avg, sub[None, :, 0], q, unitaries)[0]
     if method == "quadrature":
         codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
         used_s, column_s = np.unique(codes, return_inverse=True)

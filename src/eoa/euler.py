@@ -232,11 +232,11 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
         counts = flat.reshape((q,) * (2 * t)).transpose(order)
         return _euler_verdict(rows, counts.reshape(q**t, q**t), N, symbols)
 
-    results = subset_histograms(digits, q * q, t, judge)
+    subsets = list(itertools.combinations(range(n), t))
+    results = subset_histograms(digits, q * q, subsets, judge)
     gensets: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     lam = None
-    combos = itertools.combinations(range(n), t)
-    for rows, res in zip(combos, results, strict=True):
+    for rows, res in zip(subsets, results, strict=True):
         if isinstance(res, EulerianViolation):
             return res
         gens, sub_lam = res

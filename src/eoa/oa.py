@@ -5,19 +5,20 @@ sub-array contains each of the q^t column tuples exactly lambda times.
 Verification is exhaustive counting over all C(n, t) row subsets -- a
 certificate, not a sample.
 
-The counting is blocked (`subset_histograms`, shared with the Eulerian
-verifier).  Each row carries one digit per column: its symbol here, the
-(symbol, transition) pair in base q^2 for the Eulerian check.  For every
-(t-1)-row prefix the prefix key is encoded once; the keys of a block of
-later rows are that key plus each row's digits plus a per-row offset, and
-one bincount returns the histograms of the whole block of t-row subsets.
+The counting is blocked, and `subset_histograms` is the one counter: the
+strength and Eulerian verifiers ask it for every t-row subset, the
+averaging layer for the supports of a drift's terms.  Each row carries one
+digit per column: its symbol here, the (symbol, transition) pair in base
+q^2 for the Eulerian check.  The requested subsets are grouped by their
+(t-1)-row prefix, whose key is encoded once; the keys of a block of later
+rows are that key plus each row's digits plus a per-row offset, and one
+bincount returns the histograms of the whole block of t-row subsets.
 When base^(t+1) <= N a key carries two later rows, whose histograms are
 the marginals of their joint one: half the keys, and no more bins than
 keys.  Blocks hold at most `_BLOCK_KEYS` keys (one row or row pair when N
 alone is more), so memory stays bounded as N grows.  Each subset's
-histogram is then judged on its own, in lexicographic subset order.
-`support_histograms` counts a given list of subsets, one bincount per
-block of them, for the averaging layer.
+histogram is then judged on its own, and the verdicts come back in the
+order the subsets were asked for.
 """
 
 from __future__ import annotations
@@ -73,47 +74,16 @@ class OrthogonalArray:
 # little time and leave more freed memory with the allocator for later stages.
 _BLOCK_KEYS = 2**19
 
-# Keys per block of `support_histograms`, 2^15 or 256 KB: it counts after
-# the verifiers, where a larger block raises the peak memory of the process
-# and saves no time.
-_SUPPORT_BLOCK_KEYS = 2**15
 
+def subset_histograms(digits: np.ndarray, base: int, subsets, judge) -> list:
+    """[judge(rows, counts) for rows in subsets], in the order given.
 
-def support_histograms(digits: np.ndarray, base: int, supports) -> np.ndarray:
-    """(S, base^t) histograms of the columns of S row subsets of one size t.
-
-    digits is an n x N array of per-row digits in [0, base); row i of the
-    result counts the columns of digits[supports[i]], encoded base `base`
-    with the first row of the subset most significant.  Each block of
-    subsets is one bincount of at most `_SUPPORT_BLOCK_KEYS` keys (one
-    subset when N alone is more), each subset's keys offset into its own
-    bins.
-    """
-    digits = np.asarray(digits)
-    supports = np.asarray(supports, dtype=np.intp)
-    (S, t), N = supports.shape, digits.shape[1]
-    width = base**t
-    per_block = max(1, _SUPPORT_BLOCK_KEYS // max(N, width))
-    out = np.empty((S, width), dtype=np.intp)
-    for lo in range(0, S, per_block):
-        rows = supports[lo:lo + per_block]
-        keys = digits[rows[:, 0]].astype(np.intp, copy=False)
-        for i in range(1, t):
-            keys *= base
-            keys += digits[rows[:, i]]
-        keys += width * np.arange(len(rows))[:, None]
-        out[lo:lo + len(rows)] = np.bincount(
-            keys.ravel(), minlength=len(rows) * width).reshape(len(rows), width)
-    return out
-
-
-def subset_histograms(digits: np.ndarray, base: int, t: int, judge) -> list:
-    """[judge(rows, counts) for every t-row subset, in lexicographic order].
-
-    digits is an n x N array of per-row digits in [0, base); counts is the
-    length base^t histogram of the subset's columns, encoded base `base`
-    with the first row most significant (as `support_histograms`).  Prefixes
-    run on up to `config.worker_count()` threads; each walks its later
+    digits is an n x N array of per-row digits in [0, base); subsets are
+    strictly increasing row tuples of one size t; counts is the length
+    base^t histogram of a subset's columns, encoded base `base` with the
+    first row most significant.  The subsets are grouped by their (t-1)-row
+    prefix, whose key is encoded once; prefixes run on up to
+    `config.worker_count()` threads, and each counts the requested later
     rows in blocks of at most `_BLOCK_KEYS` keys, one bincount per block.
 
     When base^(t+1) <= N, later rows are counted two at a time: one key
@@ -122,20 +92,37 @@ def subset_histograms(digits: np.ndarray, base: int, t: int, judge) -> list:
     and the joint histogram has no more bins than a row has keys, so its
     zeroing and marginal sums cost less than the counting they save.  The
     pairs are fixed from the last row back, (n-2, n-1), (n-4, n-3), ...,
-    and their joint digits computed once per call; a prefix with an odd
-    number of later rows counts the first of them on its own.
+    row 0 paired with zero digits when n is odd, and their joint digits
+    computed once per call; the later rows of a prefix then fill all their
+    pairs but the first.  A prefix counts only the pairs that hold a
+    requested row; a pair whose first row ends the prefix still gives the
+    second row's histogram as its marginal.  A block is a run of
+    consecutive pairs, so its keys are one slice of the joint digits.
     """
     # row slices of a Fortran-ordered or column-gathered array are strided,
     # which makes every key encoding and bincount about 1.7x slower
     digits = np.ascontiguousarray(digits)
     n, N = digits.shape
+    subsets = np.array(list(subsets), dtype=np.intp)
+    if not len(subsets):
+        return []
+    if subsets.ndim != 2 or not subsets.size or subsets.min() < 0 \
+            or subsets.max() >= n or np.any(np.diff(subsets, axis=1) <= 0):
+        raise ValueError(f"subsets must be strictly increasing row tuples of "
+                         f"one size in [0, {n})")
+    t = subsets.shape[1]
+    order = np.lexsort(subsets.T[::-1])
+    ordered = subsets[order]                    # lexicographic, by prefix
+    starts = np.flatnonzero((ordered[1:, :-1] != ordered[:-1, :-1]).any(axis=1)) + 1
     width = base**t
     group = 2 if base * width <= N else 1       # later rows per key
-    first = n % group                           # rows before the first group
-    codes = digits[first:]                      # one row of joint digits per group
+    first = n % group                           # zero rows before row 0
+    codes = digits                              # one row of joint digits per group
     if group == 2:
-        codes = np.multiply(codes[0::2], base, dtype=np.intp)
-        codes += digits[first + 1::2]
+        codes = np.zeros(((n + 1) // 2, N), dtype=np.intp)
+        codes[first:] = digits[first::2]
+        codes *= base
+        codes += digits[1 - first::2]
     bins = width * base ** (group - 1)          # histogram of a group's key
     per_block = max(1, _BLOCK_KEYS // max(N, bins))
     # no block holds more groups than there are, so small arrays keep
@@ -144,35 +131,37 @@ def subset_histograms(digits: np.ndarray, base: int, t: int, judge) -> list:
     weights = base ** np.arange(t - 2, -1, -1)
     local = threading.local()
 
-    def count_prefix(prefix: tuple[int, ...]) -> list:
+    def count_prefix(span: tuple[int, int]) -> list:
         if not hasattr(local, "keys"):         # one key buffer per worker
             local.keys = np.empty((len(offsets), N), dtype=np.intp)
-        start = prefix[-1] + 1 if prefix else 0
-        # the prefix's digits as a number (int64 zeros when t = 1)
-        code = weights @ digits[list(prefix)]
+        prefix = tuple(ordered[span[0], :-1].tolist())
+        lasts = ordered[span[0]:span[1], -1]    # requested later rows, sorted
+        rank = (lasts + first) // group         # each requested row's group
+        # the prefix's digits as a number (int64 zeros when t = 1), plus
+        # each block group's offset
+        head = offsets[:len(lasts)] + (weights @ digits[list(prefix)]) * base**group
         verdicts = []
-        if (start - first) % group:
-            counts = np.bincount(code * base + digits[start], minlength=width)
-            verdicts.append(judge(prefix + (start,), counts))
-            start += 1
-        begin = (start - first) // group
-        # the prefix key plus each block group's offset, for the groups left
-        head = offsets[:len(codes) - begin] + code * base**group
-        for lo in range(begin, len(codes), per_block):
-            hi = min(lo + per_block, len(codes))
-            keys = np.add(codes[lo:hi], head[:hi - lo], out=local.keys[:hi - lo])
-            counts = np.bincount(keys.ravel(), minlength=(hi - lo) * bins)
-            counts = counts.reshape(hi - lo, width // base, *(base,) * group)
-            # each row's histogram: sum out the other rows of its group
-            margins = [counts.sum(axis=tuple(2 + s for s in range(group) if s != r))
-                       .reshape(hi - lo, width) for r in range(group)]
-            verdicts += [judge(prefix + (first + group * g + r,), margins[r][g - lo])
-                         for g in range(lo, hi) for r in range(group)]
+        # blocks: runs of consecutive groups, at most per_block long
+        jumps = np.flatnonzero(rank[1:] > rank[:-1] + 1) + 1
+        for a, b in itertools.pairwise([0, *jumps.tolist(), len(rank)]):
+            end = int(rank[b - 1]) + 1
+            for g in range(int(rank[a]), end, per_block):
+                size = min(per_block, end - g)
+                keys = np.add(codes[g:g + size], head[:size], out=local.keys[:size])
+                counts = np.bincount(keys.ravel(), minlength=size * bins)
+                # a pair's row histograms: sum out the other row of the pair
+                margins = [counts.reshape(size, width)] if group == 1 else \
+                    [counts.reshape(size, width // base, base, base).sum(axis=3 - r)
+                     .reshape(size, width) for r in range(2)]
+                lo, hi = np.searchsorted(rank, [g, g + size])
+                verdicts += [judge(prefix + (row,), margins[(row + first) % group]
+                                   [(row + first) // group - g])
+                             for row in lasts[lo:hi].tolist()]
         return verdicts
 
-    prefixes = list(itertools.combinations(range(n), t - 1))
-    return [v for block in config.parallel_map(count_prefix, prefixes)
-            for v in block]
+    spans = list(itertools.pairwise([0, *starts.tolist(), len(ordered)]))
+    verdicts = [v for block in config.parallel_map(count_prefix, spans) for v in block]
+    return [verdicts[i] for i in np.argsort(order).tolist()]
 
 
 def _strength_verdict(rows: tuple[int, ...], counts: np.ndarray, N: int, q: int,
@@ -199,11 +188,12 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
         raise ValueError(f"strength t = {t} out of range for {n} rows")
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
+    subsets = list(itertools.combinations(range(n), t))
     results = subset_histograms(
-        entries, q, t, lambda rows, counts: _strength_verdict(rows, counts, N, q, t))
+        entries, q, subsets,
+        lambda rows, counts: _strength_verdict(rows, counts, N, q, t))
     lam = None
-    combos = itertools.combinations(range(n), t)
-    for rows, res in zip(combos, results, strict=True):
+    for rows, res in zip(subsets, results, strict=True):
         if isinstance(res, StrengthViolation):
             return res
         if lam is None:

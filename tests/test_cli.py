@@ -392,6 +392,11 @@ BAD_INPUTS = [
     "oa verify --in {oa16} --t 0",
     "oa verify --in {oa16} --t 9",
     "euler verify --in {eoa256} --t 0",
+    "euler build --q 4 --k 2 --t 0 --out {w}/e.txt",
+    "euler build --q 4 --k 2 --t 5 --out {w}/e.txt",
+    "oa build --code {dual} --d-dual 0 --out {w}/oa.txt",
+    "oa build --code {dual} --d-dual 1 --out {w}/oa.txt",
+    "oa build --code {dual} --d-dual 9 --out {w}/oa.txt",
     "sim bangbang --oa {q6}",
     "sim bangbang --oa {oa16} --n 5 --t 0",
     "sim bangbang --oa {oa16} --n 5 --t 2 --denv 0",

@@ -1,18 +1,20 @@
-"""Blocked subset counting against the per-subset oracle.
+"""Blocked subset counting against the per-subset oracles.
 
 `oa.subset_histograms` counts a whole block of t-row subsets with one
-bincount, two later rows per key when the columns allow it; the oracle
-below is the per-subset path it replaced: one `column_counts` (strength)
-or `pair_counts` (Eulerian) call per row subset, judged by its own copy of
-the uniformity checks.  Both counts left `src/` for test_decoupling.py,
-where they are also the per-term oracles of the averaging kernel.
+bincount, two later rows per key when the columns allow it.  Its oracles
+are the paths it replaced: for the verifiers, one `column_counts`
+(strength) or `pair_counts` (Eulerian) call per row subset, judged by its
+own copy of the uniformity checks (both counts left `src/` for
+test_decoupling.py, where they are also the per-term oracles of the
+averaging kernel); for the averaging layer, `support_histograms_oracle`,
+which re-encodes every requested support from scratch.
 """
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eoa import euler as euler_module, oa as oa_module
 from eoa.codes import LinearCode, gf_matmul, hamming_code
@@ -198,7 +200,7 @@ class Recorder:
         self.real = oa_module.subset_histograms
         self.calls = []
 
-    def __call__(self, digits, base, t, judge):
+    def __call__(self, digits, base, subsets, judge):
         seen = {}
 
         def recording_judge(rows, counts):
@@ -206,7 +208,7 @@ class Recorder:
             seen.setdefault(rows, []).append((counts.copy(), verdict))
             return verdict
 
-        results = self.real(digits, base, t, recording_judge)
+        results = self.real(digits, base, subsets, recording_judge)
         self.calls.append((base, seen, results))
         return results
 
@@ -292,3 +294,93 @@ def test_transitions_match_two_table_formula(q, shape):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
         assert got.flags["C_CONTIGUOUS"]
+
+
+# ---------------------------------------------------------------------------
+# Any list of subsets: the averaging layer's requests
+# ---------------------------------------------------------------------------
+
+# Keys per block of the oracle below, 2^15 as in the counter it was
+SUPPORT_BLOCK_KEYS = 2**15
+
+
+def support_histograms_oracle(digits, base, supports):
+    """(S, base^t) histograms of the columns of S row subsets of one size t.
+
+    The averaging layer's own counter before it shared the verifiers' one:
+    row i of the result counts the columns of digits[supports[i]], encoded
+    base `base` with the first row of the subset most significant.  Each
+    block of subsets is one bincount of at most `SUPPORT_BLOCK_KEYS` keys
+    (one subset when N alone is more), each subset's keys offset into its
+    own bins.
+    """
+    digits = np.asarray(digits)
+    supports = np.asarray(supports, dtype=np.intp)
+    (S, t), N = supports.shape, digits.shape[1]
+    width = base**t
+    per_block = max(1, SUPPORT_BLOCK_KEYS // max(N, width))
+    out = np.empty((S, width), dtype=np.intp)
+    for lo in range(0, S, per_block):
+        rows = supports[lo:lo + per_block]
+        keys = digits[rows[:, 0]].astype(np.intp, copy=False)
+        for i in range(1, t):
+            keys *= base
+            keys += digits[rows[:, i]]
+        keys += width * np.arange(len(rows))[:, None]
+        out[lo:lo + len(rows)] = np.bincount(
+            keys.ravel(), minlength=len(rows) * width).reshape(len(rows), width)
+    return out
+
+
+@st.composite
+def subset_requests(draw):
+    """(digits, base, subsets): random digits in bases 2 to 81 with N on
+    both sides of base^(t+1), and up to a dozen strictly increasing t-row
+    subsets in any order, repeats allowed, so that prefixes skip rows and
+    a paired group may hold one requested row."""
+    base = draw(st.sampled_from([2, 3, 4, 9, 16, 81]))
+    t = draw(st.integers(1, 3 if base <= 16 else 2))
+    n = draw(st.integers(t, 8))
+    sizes = sorted({1, 3, base**t, base ** (t + 1), base ** (t + 1) + 1})
+    N = draw(st.sampled_from([size for size in sizes if size <= 4097]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    digits = rng.integers(0, base, size=(n, N))
+    subsets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=t, max_size=t)
+                            .map(lambda rows: tuple(sorted(rows))), max_size=12))
+    return digits, base, subsets
+
+
+# With base^(t+1) <= N the six rows pair as (0, 1), (2, 3), (4, 5): one
+# requested row of a pair (3 and 5 after prefix 0, which skips row 1), rows
+# asked out of order (5 before 2 after prefix 1) and the row that shares
+# its pair with the prefix (3 after 2)
+PAIRED_REQUEST = (np.random.default_rng(7).integers(0, 4, size=(6, 64)), 4,
+                  [(0, 3), (1, 5), (1, 2), (2, 3), (0, 5), (2, 5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=subset_requests(), budget=st.sampled_from([0, 1, 2, 3]),
+       threads=st.sampled_from(["1", "4"]))
+@example(case=PAIRED_REQUEST, budget=0, threads="1")
+@example(case=PAIRED_REQUEST, budget=1, threads="4")
+def test_any_subsets_match_support_histograms_oracle(case, budget, threads):
+    """For any list of subsets the counter judges each one once, with its
+    own rows, in the order given, and its histogram equals the oracle's
+    bit for bit: blocks of one to three groups or the default budget (0),
+    serially and on four threads."""
+    digits, base, subsets = case
+    N = digits.shape[1]
+    t = len(subsets[0]) if subsets else 1
+    bins = base ** (t + 1) if base ** (t + 1) <= N else base**t
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("EOA_THREADS", threads)
+        if budget:
+            mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, bins))
+        got = oa_module.subset_histograms(digits, base, subsets,
+                                          lambda rows, counts: (rows, counts))
+    assert [rows for rows, _ in got] == subsets
+    if subsets:
+        expected = support_histograms_oracle(digits, base, subsets)
+        counts = np.stack([c for _, c in got])
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected)

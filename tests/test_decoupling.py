@@ -884,7 +884,7 @@ def test_eulerian_residual_matches_full_space_oracle():
 
 def column_counts(sub, q):
     """Histogram of a t x N array's columns, encoded base q (row 0 leading):
-    the per-subset count that `oa.support_histograms` replaced."""
+    the per-subset count that `oa.subset_histograms` replaced."""
     t = sub.shape[0]
     return np.bincount(q ** np.arange(t - 1, -1, -1) @ sub, minlength=q**t)
 
@@ -987,14 +987,17 @@ def batched_cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(batched_cases(), st.sampled_from(["one", "two", "default"]))
-def test_batched_averages_equal_per_term_oracles(case, bound):
+@given(batched_cases(), st.sampled_from(["one", "two", "default"]),
+       st.sampled_from(["1", "4"]))
+def test_batched_averages_equal_per_term_oracles(case, bound, threads):
     """Counting each support once and running the kernel once per block of
     terms that share a table key gives every term's averaged block of the
     per-term kernel calls, and the vectorized report gives the per-string
     loop's per-term norms (in input order), env shift and residual, at
-    TOL_BACKEND_AGREEMENT.  Blocks hold one term or support, two (for the
-    widest table key), or the defaults."""
+    TOL_BACKEND_AGREEMENT.  Blocks hold one term or counting group, two
+    (for the widest table key), or the defaults; the counter runs serially
+    or on four threads.  The Eulerian oracle shifts each projection to
+    g_j - g_0 itself, so it checks the shift applied after counting."""
     entries, q, drift = case
     field = field_from_order(q)
     unitaries = _symbol_unitaries(field)
@@ -1007,12 +1010,13 @@ def test_batched_averages_equal_per_term_oracles(case, bound):
                                       field, unitaries, hams, 0.1)
                   for term in drift.terms]}
     with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("EOA_THREADS", threads)
         if bound != "default":
             per = 1 if bound == "one" else 2
             t = drift.max_arity
             widest = 2 * q**t * field.coord_dim() ** (2 * t)   # entries per term
             mp.setattr(decoupling_module, "_BLOCK_ENTRIES", 1 if per == 1 else 2 * widest)
-            mp.setattr(oa_module, "_SUPPORT_BLOCK_KEYS",
+            mp.setattr(oa_module, "_BLOCK_KEYS",
                        per * max(entries.shape[1], q ** (2 * t)))
         blocks = {"bangbang": _exact_averages(entries, drift, field, unitaries,
                                               None, None),

@@ -12,7 +12,7 @@ from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
                        read_eulerian_oa, verify_eulerian, write_eulerian_oa)
 from eoa.gf import gf_new
 from eoa.oa import (OrthogonalArray, oa_from_code, read_oa_file,
-                    support_histograms, verify_strength)
+                    subset_histograms, verify_strength)
 
 F2 = gf_new(2, 1)
 F4 = gf_new(2, 2)
@@ -121,7 +121,8 @@ def pair_histogram(entries, rows, field):
     off the shared pair digits the way the verifier and the averaging
     kernel count them."""
     q, t = field.q, len(rows)
-    hist = support_histograms(pair_digits(entries, field), q * q, [rows])[0]
+    hist, = subset_histograms(pair_digits(entries, field), q * q, [rows],
+                              lambda rows, counts: counts)
     return hist[_pair_bins(q, t)]
 
 

@@ -12,7 +12,7 @@ from eoa.gf import gf_new
 from eoa import config
 from eoa.oa import (OrthogonalArray, StrengthViolation, format_oa, max_strength,
                     oa_from_code, read_oa, read_oa_entries, read_oa_file,
-                    support_histograms, verify_strength, write_oa)
+                    subset_histograms, verify_strength, write_oa)
 
 F4 = gf_new(2, 2)
 F2 = gf_new(2, 1)
@@ -101,13 +101,19 @@ def test_column_permutation_invariance(oa16):
 
 def test_column_counts_encoding():
     """Column tuples encode base q, first subset row leading, whatever the
-    order of the rows in the array; one histogram per subset."""
+    order of the rows in the array; one histogram per subset.  Subsets
+    must be strictly increasing, of one size and inside the array."""
     sub = np.array([[0, 1, 1, 3], [2, 0, 0, 3]])
-    both = support_histograms(sub[::-1], 4, [(1, 0), (0, 1)])
-    counts = both[0]
+    collect = lambda rows, counts: counts
+    counts, = subset_histograms(sub, 4, [(0, 1)], collect)
+    flipped, = subset_histograms(sub[::-1], 4, [(0, 1)], collect)
     assert counts.shape == (16,) and counts.sum() == 4
     assert (counts[0 * 4 + 2], counts[1 * 4 + 0], counts[3 * 4 + 3]) == (1, 2, 1)
-    assert (both[1, 2 * 4 + 0], both[1, 0 * 4 + 1], both[1, 3 * 4 + 3]) == (1, 2, 1)
+    assert (flipped[2 * 4 + 0], flipped[0 * 4 + 1], flipped[3 * 4 + 3]) == (1, 2, 1)
+    assert subset_histograms(sub, 4, [], collect) == []
+    for bad in ([(1, 0)], [(0, 0)], [(0, 2)], [(-1, 0)], [(0,), (0, 1)], [()]):
+        with pytest.raises(ValueError):
+            subset_histograms(sub, 4, bad, collect)
 
 
 def test_max_strength_cases(oa16):

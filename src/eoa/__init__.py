@@ -8,8 +8,7 @@ per-qudit control schedules -> group-averaging verification that few-body
 drifts and environment couplings vanish at first order.
 """
 
-from .codes import (CodeReport, LinearCode, code_report, hamming_code,
-                    read_code, write_code)
+from .codes import LinearCode, hamming_code, read_code, write_code
 from .decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                          bangbang_average, bangbang_schedule, euler_schedule,
                          eulerian_average, exact_evolution, fs_map,
@@ -21,17 +20,17 @@ from .euler import (EulerianCertificate, EulerianCycle, EulerianOA,
                     eulerian_oa_from_code, read_eulerian_oa, verify_eulerian,
                     write_eulerian_oa)
 from .gf import FieldSpec, FieldTable, field_from_order, gf_new
-from .oa import (OrthogonalArray, StrengthViolation, max_strength,
-                 oa_from_code, read_oa, verify_strength, write_oa)
+from .oa import (CertificateError, OrthogonalArray, StrengthViolation,
+                 max_strength, oa_from_code, read_oa, verify_strength, write_oa)
 from .weyl import (embed, group_average, is_hermitian, is_traceless,
                    is_unitary, shift_clock, weyl, weyl_from_field)
 
 __all__ = [
-    "AverageReport", "CodeReport", "DriftHamiltonian", "DriftTerm",
+    "AverageReport", "CertificateError", "DriftHamiltonian", "DriftTerm",
     "EulerianCertificate", "EulerianCycle", "EulerianOA", "EulerianViolation",
     "FieldSpec", "FieldTable", "LinearCode", "OrthogonalArray", "Schedule",
     "StrengthViolation", "bangbang_average", "bangbang_schedule",
-    "certify_eulerian", "code_report", "embed", "euler_cycle_full", "euler_schedule",
+    "certify_eulerian", "embed", "euler_cycle_full", "euler_schedule",
     "eulerian_average", "eulerian_oa_from_code", "exact_evolution",
     "field_from_order", "fs_map", "generator_hamiltonian", "gf_new",
     "group_average", "hamming_code", "is_hermitian", "is_traceless",

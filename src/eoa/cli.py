@@ -1,10 +1,14 @@
 """Batch CLI: code/array construction, verification, schedule export, and
 first-order averaging runs.
 
-Exit codes are a stable contract for CI: 0 success, 1 verification or
-tolerance failure, 2 usage/input error.  Every subcommand is
-deterministic given its flags (seeds included), and loaded files are
-always re-verified -- headers are claims, counts are proofs.
+Exit codes are a stable contract for CI: 0 success, 1 a failed
+certificate (a built array, a re-counted file or an averaging residual
+over its tolerance), 2 usage/input error.  `main` alone maps exceptions
+to exit codes: a CertificateError from a constructor exits 1, any other
+ValueError or an OSError exits 2, each with one stderr line; verdicts a
+command finds itself are returned.  Every subcommand is deterministic
+given its flags (seeds included), and loaded files are always
+re-verified -- headers are claims, counts are proofs.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from .decoupling import (bangbang_average, euler_schedule, eulerian_average,
                          exact_evolution, random_drift, read_drift,
                          report_to_json, verify_schedule, write_schedule)
 from .euler import (EulerianViolation, certify_eulerian, euler_cycle_full,
-                    eulerian_oa_from_code, verify_eulerian)
+                    eulerian_oa_from_code, read_eulerian_oa, verify_eulerian,
+                    write_eulerian_oa)
 from .gf import field_from_order
-from .oa import (StrengthViolation, max_strength, oa_from_code, read_oa,
-                 read_oa_entries, read_oa_file, verify_strength, write_oa)
+from .oa import (CertificateError, StrengthViolation, max_strength, oa_from_code,
+                 read_oa, read_oa_entries, read_oa_file, verify_strength, write_oa)
 from .weyl import phase_distance
 
 
@@ -51,12 +56,7 @@ def _try_min_distance(code: LinearCode) -> int | None:
 # ---------------------------------------------------------------------------
 
 def cmd_code_hamming(args) -> int:
-    try:
-        field = field_from_order(args.q)
-        code = hamming_code(field, args.m)
-    except ValueError as exc:
-        return _fail_input(str(exc))
-    full = code
+    full = code = hamming_code(field_from_order(args.q), args.m)
     if args.dual:
         code = full.dual()
         d_min = _try_min_distance(code)
@@ -75,10 +75,7 @@ def cmd_code_hamming(args) -> int:
 
 
 def cmd_code_info(args) -> int:
-    try:
-        code = read_code(args.infile)
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
+    code = read_code(args.infile)
     d_min, d_dual = _code_distances(code)
     print(f"[n, k, d_min, d_dual] = [{code.n}, {code.k}, "
           f"{d_min if d_min is not None else '?'}, "
@@ -113,31 +110,19 @@ def _code_distances(code: LinearCode) -> tuple[int | None, int | None]:
     return (own, other) if smaller is code else (other, own)
 
 
-def _resolve_d_dual(code: LinearCode, override: int | None) -> int | str:
+def _resolve_d_dual(code: LinearCode, override: int | None) -> int:
     if override is not None:
         return override
     d_dual = _code_distances(code)[1]
     if d_dual is None:
-        return ("code and dual code too large to enumerate; pass --d-dual "
-                "explicitly")
+        raise ValueError("code and dual code too large to enumerate; pass "
+                         "--d-dual (oa build) or --t (euler build)")
     return d_dual
 
 
 def cmd_oa_build(args) -> int:
-    try:
-        code = read_code(args.code)
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
-    d_dual = _resolve_d_dual(code, args.d_dual)
-    if isinstance(d_dual, str):
-        return _fail_input(d_dual)
-    if not 1 <= d_dual - 1 <= code.n:
-        return _fail_input(f"--d-dual {d_dual} gives strength {d_dual - 1}, "
-                           f"out of range [1, {code.n}]")
-    try:
-        oa = oa_from_code(code, d_dual)
-    except ValueError as exc:
-        return _fail_verify(str(exc))
+    code = read_code(args.code)
+    oa = oa_from_code(code, _resolve_d_dual(code, args.d_dual))
     write_oa(args.out, oa)
     print(f"OA({oa.N}, {oa.n}, {oa.q}, {oa.t}) lambda = {oa.lam}")
     print(f"wrote {args.out}")
@@ -145,12 +130,9 @@ def cmd_oa_build(args) -> int:
 
 
 def cmd_oa_verify(args) -> int:
-    try:
-        entries, (N, n, q, t_header, lam_header) = read_oa_entries(args.infile)
-        t = args.t if args.t is not None else t_header
-        result = verify_strength(entries, q, t)
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
+    entries, (N, n, q, t_header, lam_header) = read_oa_entries(args.infile)
+    t = args.t if args.t is not None else t_header
+    result = verify_strength(entries, q, t)
     if isinstance(result, StrengthViolation):
         return _fail_verify(f"strength {t}: {result}")
     print(f"OK: strength {t} with lambda = {result}")
@@ -165,10 +147,7 @@ def cmd_oa_verify(args) -> int:
 
 def cmd_euler_build(args) -> int:
     if args.code is not None:
-        try:
-            code = read_code(args.code)
-        except (OSError, ValueError) as exc:
-            return _fail_input(str(exc))
+        code = read_code(args.code)
     else:
         if args.q is None or args.k is None:
             return _fail_input("need --code, or --q/--k (with optional --rows)")
@@ -176,26 +155,9 @@ def cmd_euler_build(args) -> int:
         if rows != args.k:
             return _fail_input("without --code only the identity generator is "
                                "supported, which needs rows == k")
-        try:
-            field = field_from_order(args.q)
-            code = LinearCode(field, np.eye(args.k, dtype=np.int64))
-        except ValueError as exc:
-            return _fail_input(str(exc))
-    if args.t is not None:
-        t = args.t
-    else:
-        d_dual = _resolve_d_dual(code, None)
-        if isinstance(d_dual, str):
-            return _fail_input(d_dual + " (or pass --t)")
-        t = d_dual - 1
-    if not 1 <= t <= code.n:
-        return _fail_input(f"strength t = {t} out of range [1, {code.n}]")
-    try:
-        cycle = euler_cycle_full(code.field, code.k)
-        eoa = eulerian_oa_from_code(code, cycle, t)
-    except ValueError as exc:
-        return _fail_verify(str(exc))
-    from .euler import write_eulerian_oa
+        code = LinearCode(field_from_order(args.q), np.eye(args.k, dtype=np.int64))
+    t = args.t if args.t is not None else _resolve_d_dual(code, None) - 1
+    eoa = eulerian_oa_from_code(code, euler_cycle_full(code.field, code.k), t)
     write_eulerian_oa(args.out, eoa)
     print(f"Eulerian OA({eoa.oa.N}, {eoa.oa.n}, {eoa.oa.q}, {eoa.t}) "
           f"lambda = {eoa.oa.lam}, edge multiplicity = {eoa.edge_multiplicity}")
@@ -204,18 +166,15 @@ def cmd_euler_build(args) -> int:
 
 
 def cmd_euler_verify(args) -> int:
-    try:
-        entries, (N, n, q, t_header, _), trailer = read_oa_file(args.infile)
-        field = field_from_order(q)
-        if args.t is not None:
-            t = args.t
-        elif trailer is not None:
-            t = trailer[0]
-        else:
-            t = t_header
-        strength, result = certify_eulerian(entries, field, t)
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
+    entries, (N, n, q, t_header, _), trailer = read_oa_file(args.infile)
+    field = field_from_order(q)
+    if args.t is not None:
+        t = args.t
+    elif trailer is not None:
+        t = trailer[0]
+    else:
+        t = t_header
+    strength, result = certify_eulerian(entries, field, t)
     if isinstance(strength, StrengthViolation):
         return _fail_verify(f"strength {t}: {strength}")
     if isinstance(result, EulerianViolation):
@@ -232,12 +191,7 @@ def cmd_euler_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_schedule_export(args) -> int:
-    try:
-        from .euler import read_eulerian_oa
-        eoa = read_eulerian_oa(args.oa)
-        sched = euler_schedule(eoa, args.delta)
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
+    sched = euler_schedule(read_eulerian_oa(args.oa), args.delta)
     write_schedule(args.out, sched)
     worst = verify_schedule(sched)
     max_h = np.linalg.norm(sched.table[np.unique(sched.index)], 2, axis=(1, 2)).max()
@@ -260,7 +214,7 @@ def _sweep(oa, drift, base_tc: float, points: int):
     tc = base_tc
     for _ in range(points):
         sched = euler_schedule(oa, tc / oa.N)
-        u = exact_evolution(drift, sched, substeps=1)
+        u = exact_evolution(drift, sched)
         lam, vec = np.linalg.eigh(drift.env_only)
         env_u = (vec * np.exp(-1j * lam * tc)) @ vec.conj().T
         target = np.kron(np.eye(drift.d**drift.n), env_u)
@@ -272,20 +226,14 @@ def _sweep(oa, drift, base_tc: float, points: int):
 
 
 def cmd_sim(args) -> int:
-    try:
-        oa = read_oa(args.oa)
-        field = field_from_order(oa.q)
-        d = field.coord_dim()
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
+    oa = read_oa(args.oa)
+    field = field_from_order(oa.q)
+    d = field.coord_dim()
     n = args.n if args.n is not None else oa.n
     if n != oa.n:
         return _fail_input(f"--n {n} does not match the array's {oa.n} rows")
-    try:
-        drift = (read_drift(args.drift) if args.drift is not None
-                 else random_drift(n, d, args.t, args.denv, args.seed))
-    except (OSError, ValueError) as exc:
-        return _fail_input(str(exc))
+    drift = (read_drift(args.drift) if args.drift is not None
+             else random_drift(n, d, args.t, args.denv, args.seed))
     if (drift.n, drift.d) != (n, d):
         return _fail_input("drift file does not match the array layout")
     if not drift.terms:
@@ -316,17 +264,14 @@ def cmd_sim(args) -> int:
             if tol is None:
                 tol = config.TOL_EULERIAN_RESIDUAL
             extra["delta"] = args.delta
-            try:
-                report = eulerian_average(oa, drift, args.delta,
-                                          method=args.method, order=args.order)
-                if args.sweep_tc:
-                    slope, times, errors = _sweep(oa, drift, args.sweep_base,
-                                                  args.sweep_tc)
-                    extra["sweep"] = {"slope": slope, "cycle_times": times,
-                                      "errors": errors}
-                    print(f"convergence slope = {slope:.3f} over {times}")
-            except ValueError as exc:
-                return _fail_input(str(exc))
+            report = eulerian_average(oa, drift, args.delta,
+                                      method=args.method, order=args.order)
+            if args.sweep_tc:
+                slope, times, errors = _sweep(oa, drift, args.sweep_base,
+                                              args.sweep_tc)
+                extra["sweep"] = {"slope": slope, "cycle_times": times,
+                                  "errors": errors}
+                print(f"convergence slope = {slope:.3f} over {times}")
 
     data = report_to_json(report, tol, extra)
     if args.report:
@@ -439,7 +384,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:   # an output path that cannot be written
+    except CertificateError as exc:   # a built array failed its certificate
+        return _fail_verify(str(exc))
+    except (OSError, ValueError) as exc:
         return _fail_input(str(exc))
 
 

@@ -13,7 +13,6 @@ orthogonal-array column order and schedule order downstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,14 +86,6 @@ def nullspace(mat: np.ndarray, field: FieldTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Codes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CodeReport:
-    n: int
-    k: int
-    d_min: int
-    d_dual: int
-
 
 class LinearCode:
     """[n, k]_q code given by an n x k generator matrix of full column rank."""
@@ -196,16 +187,6 @@ def hamming_code(field: FieldTable, m: int) -> LinearCode:
     assert check.shape == (m, n)
     gen = nullspace(check, field)
     return LinearCode(field, gen)
-
-
-def code_report(code: LinearCode, d_min: int | None = None,
-                d_dual: int | None = None) -> CodeReport:
-    """[n, k, d_min] plus dual distance, enumerating unless supplied."""
-    if d_min is None:
-        d_min = code.min_distance()
-    if d_dual is None:
-        d_dual = code.dual().min_distance()
-    return CodeReport(code.n, code.k, d_min, d_dual)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ Conventions (hbar = 1 throughout):
   codes, used transition codes) go through Pi_G o F_S as stacks, in blocks
   of bounded size.  The Eulerian kernel sums over the vertices g_j as
   counted and then conjugates each block by W(g_0), which moves it to the
-  prefixes W(g_j - g_0).  The quadrature walk stays per term, as the
-  independent cross-check.
+  prefixes W(g_j - g_0).  `_exact_averages` is the one exact entry: the
+  bang-bang and Eulerian averages of a drift and the single-qudit cycle
+  (one support, (0,)) all go through it.  The quadrature walk
+  (`_quadrature_walk`) stays per term, as the independent cross-check.
 
 * Each averaged term is expanded in the Weyl strings of its support, one
   matrix product per arity.  The reported residual is still the exact
@@ -350,14 +352,10 @@ def _pulse_eigensystem(h: np.ndarray, delta: float) -> tuple:
 
 
 def _apply_pulse_filter(x: np.ndarray, eig: tuple) -> np.ndarray:
+    """F_h(x) = (1/Delta) int_0^Delta e^{i h tau} x e^{-i h tau} dtau in closed
+    form, one per control Hamiltonian of the stack eig was taken of."""
     vec, vec_dag, phases = eig
     return vec @ ((vec_dag @ x @ vec) * phases) @ vec_dag
-
-
-def _square_pulse_filter(x: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
-    """F_h(x) = (1/Delta) int_0^Delta e^{i h tau} x e^{-i h tau} dtau in closed
-    form, one per control Hamiltonian of a stack h."""
-    return _apply_pulse_filter(x, _pulse_eigensystem(h, delta))
 
 
 def _quadrature_propagators(h: np.ndarray, delta: float, order: int) -> tuple:
@@ -395,7 +393,7 @@ def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
     if x.shape != h.shape or x.shape != v.shape:
         raise ValueError("dimension mismatch between operator, control, and prefix")
     if method == "exact":
-        return v.conj().T @ _square_pulse_filter(x, h, delta) @ v
+        return v.conj().T @ _apply_pulse_filter(x, _pulse_eigensystem(h, delta)) @ v
     if method == "quadrature":
         return _apply_quadrature(x, _quadrature_propagators(h, delta, order), v)
     raise ValueError(f"unknown method {method!r}")
@@ -533,37 +531,40 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], inverse
 
 
-def _terms_by_arity(drift: DriftHamiltonian) -> dict[int, list[int]]:
+def _terms_by_arity(supports) -> dict[int, list[int]]:
     """Term indices per support size, each list in input order."""
     groups: dict[int, list[int]] = {}
-    for i, term in enumerate(drift.terms):
-        groups.setdefault(len(term.support), []).append(i)
+    for i, support in enumerate(supports):
+        groups.setdefault(len(support), []).append(i)
     return groups
 
 
-def _exact_averages(entries: np.ndarray, drift: DriftHamiltonian, field: FieldTable,
-                    unitaries: np.ndarray, hams: np.ndarray | None,
+def _exact_averages(entries: np.ndarray, supports: list, blocks: list,
+                    field: FieldTable, unitaries: np.ndarray, hams: np.ndarray | None,
                     delta: float | None) -> list[np.ndarray]:
-    """Each drift term's averaged system block, in input order.
+    """Each term's averaged system block, blocks[i] on supports[i], in input
+    order.
 
     Every distinct support is counted once by the verifiers' counter
     (`oa.subset_histograms`): the array's symbols for bang-bang (hams None,
     F = 1), the Eulerian verifier's pair digits for the bounded-strength
     action, whose blocks `_from_first_column` then moves to the prefixes
-    W(g_j - g_0).  The terms of one arity then share one `_grouped_average`.
+    W(g_j - g_0).  The terms of one arity then share one `_grouped_average`,
+    and all arities one memo of kernel tables.
     """
     q = field.q
     digits, base = (entries, q) if hams is None else (pair_digits(entries, field), q * q)
-    averaged: list = [None] * len(drift.terms)
-    for t, idx in _terms_by_arity(drift).items():
+    averaged: list = [None] * len(supports)
+    tables: dict = {}
+    for t, idx in _terms_by_arity(supports).items():
         rows: dict[tuple[int, ...], int] = {}
-        support_of = np.array([rows.setdefault(drift.terms[i].support, len(rows))
+        support_of = np.array([rows.setdefault(supports[i], len(rows))
                                for i in idx])
         bins = np.arange(q**t)[:, None] if hams is None else _pair_bins(q, t)
         hists = np.stack(subset_histograms(digits, base, rows, lambda _, counts: counts))
-        xs = np.stack([drift.terms[i].sys_block for i in idx])
+        xs = np.stack([blocks[i] for i in idx])
         avgs = _grouped_average(xs, hists, bins, support_of, q, t, unitaries, hams,
-                                delta, {})
+                                delta, tables)
         if hams is not None:
             g0 = entries[:, 0][np.array(list(rows))[support_of]]
             avgs = _from_first_column(avgs, g0, q, unitaries)
@@ -572,47 +573,51 @@ def _exact_averages(entries: np.ndarray, drift: DriftHamiltonian, field: FieldTa
     return averaged
 
 
-def _cycle_action(x: np.ndarray, sub: np.ndarray, field: FieldTable,
-                  unitaries: np.ndarray, hams: np.ndarray, delta: float,
-                  method: str, order: int, tables: dict | None = None) -> np.ndarray:
+def _quadrature_walk(x: np.ndarray, sub: np.ndarray, field: FieldTable,
+                     hams: np.ndarray, delta: float, order: int,
+                     tables: dict | None = None) -> np.ndarray:
     """(1/N) sum_j V_j^dag F_{s_j}(x) V_j along a t x N projection, V_j the
-    control prefix and s_j the transition of column j.
+    control prefix and s_j the transition of column j, by the time-ordered
+    walk: prefixes multiplied from matrix-exponential steps, F_s by
+    Gauss-Legendre quadrature once per distinct transition.
 
-    "exact" is the histogram kernel, V_j = W(g_j - g_0) up to a phase, on
-    one term.  "quadrature" walks the columns with prefixes multiplied from
-    matrix-exponential steps; F_s is computed once per distinct transition.
-    `tables` memoizes each backend's x-independent operators: the exact
-    kernel's eigensystems and Weyl tables, keyed by the used vertex and
-    transition codes, and the walk's node propagators and steps, keyed by
-    the order and the used transition codes.  Share it only between calls
-    with the same field, unitaries, hams and delta.
+    `tables` memoizes the x-independent node propagators and steps, keyed
+    by the order and the used transition codes.  Share it only between
+    calls with the same field, hams and delta.
     """
     q, (t, N) = field.q, sub.shape
     tables = {} if tables is None else tables
+    codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
+    used_s, column_s = np.unique(codes, return_inverse=True)
+    x = np.asarray(x, dtype=complex)
+    key = (order, t, used_s.tobytes())
+    if key not in tables:
+        h = _support_table(hams, used_s, q, t, _kron_sum)
+        tables[key] = ([_quadrature_propagators(hs, delta, order) for hs in h],
+                       [scipy.linalg.expm(-1j * delta * hs) for hs in h])
+    props, steps = tables[key]
+    eye = np.eye(x.shape[-1], dtype=complex)
+    filtered = [_apply_quadrature(x, p, eye) for p in props]
+    prefix, acc = eye, np.zeros_like(eye)
+    for s in column_s:
+        acc += prefix.conj().T @ filtered[s] @ prefix
+        prefix = steps[s] @ prefix
+    return acc / N
+
+
+def _bounded_averages(entries: np.ndarray, supports: list, blocks: list,
+                      field: FieldTable, unitaries: np.ndarray, delta: float,
+                      method: str, order: int) -> list[np.ndarray]:
+    """Q_C of each block on its support under the square-pulse schedule of
+    the array: "exact" by the histogram kernel, "quadrature" by one walk
+    per term, the walks sharing their tables."""
+    hams = _symbol_hamiltonians(unitaries, delta)
     if method == "exact":
-        bins = _pair_bins(q, t)
-        hists = np.stack(subset_histograms(pair_digits(sub, field), q * q, [range(t)],
-                                           lambda _, counts: counts))
-        avg = _grouped_average(np.asarray(x)[None], hists, bins, np.zeros(1, np.intp),
-                               q, t, unitaries, hams, delta, tables)
-        return _from_first_column(avg, sub[None, :, 0], q, unitaries)[0]
+        return _exact_averages(entries, supports, blocks, field, unitaries, hams, delta)
     if method == "quadrature":
-        codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
-        used_s, column_s = np.unique(codes, return_inverse=True)
-        x = np.asarray(x, dtype=complex)
-        key = ("quadrature", order, t, used_s.tobytes())
-        if key not in tables:
-            h = _support_table(hams, used_s, q, t, _kron_sum)
-            tables[key] = ([_quadrature_propagators(hs, delta, order) for hs in h],
-                           [scipy.linalg.expm(-1j * delta * hs) for hs in h])
-        props, steps = tables[key]
-        eye = np.eye(x.shape[-1], dtype=complex)
-        filtered = [_apply_quadrature(x, p, eye) for p in props]
-        prefix, acc = eye, np.zeros_like(eye)
-        for s in column_s:
-            acc += prefix.conj().T @ filtered[s] @ prefix
-            prefix = steps[s] @ prefix
-        return acc / N
+        tables: dict = {}
+        return [_quadrature_walk(x, entries[list(support)], field, hams, delta, order,
+                                 tables) for support, x in zip(supports, blocks)]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -663,7 +668,7 @@ def _assemble_report(averaged: list[np.ndarray], drift: DriftHamiltonian,
     env_shift = np.zeros(drift.env_only.size, dtype=complex)
     keys = [np.empty((0, width), dtype=np.intp)]
     values = [np.empty((0, drift.env_only.size), dtype=complex)]
-    for t, idx in _terms_by_arity(drift).items():
+    for t, idx in _terms_by_arity(term.support for term in drift.terms).items():
         table = _support_table(unitaries, np.arange(q**t), q, t, _kron)
         avg = np.stack([averaged[i] for i in idx]).reshape(len(idx), -1)
         coeffs = avg @ table.conj().reshape(q**t, -1).T / d**t
@@ -690,12 +695,25 @@ def _assemble_report(averaged: list[np.ndarray], drift: DriftHamiltonian,
                          method, frob(env_shift), top)
 
 
-def _check_strength(m, drift: DriftHamiltonian) -> None:
-    _, _, declared_t = _array_entries(m)
+def _averaging_setup(m, drift: DriftHamiltonian) -> tuple:
+    """(entries, field, symbol unitaries) of an array that averages the
+    drift; warns when the array's declared strength is below the drift's
+    arity."""
+    entries, q, declared_t = _array_entries(m)
+    field = field_from_order(q)
+    if field.coord_dim() != drift.d or entries.shape[0] != drift.n:
+        raise ValueError("array does not match the drift's qudit layout")
     if declared_t is not None and declared_t < drift.max_arity:
         warnings.warn(f"array strength {declared_t} is below the drift's "
                       f"maximum term arity {drift.max_arity}; residual will "
                       f"generally not vanish", stacklevel=3)
+    return entries, field, _symbol_unitaries(field)
+
+
+def _drift_blocks(drift: DriftHamiltonian) -> tuple[list, list]:
+    """(supports, system blocks) of the drift's terms, in input order."""
+    return ([term.support for term in drift.terms],
+            [term.sys_block for term in drift.terms])
 
 
 def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
@@ -705,14 +723,9 @@ def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
     columns restricted to the term's support and averaged over columns:
     the histogram kernel over each support's symbol histogram, F = 1.
     """
-    entries, q, _ = _array_entries(m)
-    field = field_from_order(q)
-    d = field.coord_dim()
-    if d != drift.d or entries.shape[0] != drift.n:
-        raise ValueError("array does not match the drift's qudit layout")
-    _check_strength(m, drift)
-    unitaries = _symbol_unitaries(field)
-    averaged = _exact_averages(entries, drift, field, unitaries, None, None)
+    entries, field, unitaries = _averaging_setup(m, drift)
+    averaged = _exact_averages(entries, *_drift_blocks(drift), field, unitaries,
+                               None, None)
     return _assemble_report(averaged, drift, "bangbang", unitaries)
 
 
@@ -727,25 +740,13 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     kernel once per block of terms that share a table key; on a code-built
     Eulerian array every projection of one arity typically uses the same
     codes, so each table is built once.  "quadrature" walks each term's
-    projection on its own (see _cycle_action), sharing the walk's tables.
+    projection on its own (see _quadrature_walk), sharing the walk's tables.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
-    entries, q, _ = _array_entries(m)
-    field = field_from_order(q)
-    d = field.coord_dim()
-    if d != drift.d or entries.shape[0] != drift.n:
-        raise ValueError("array does not match the drift's qudit layout")
-    _check_strength(m, drift)
-    unitaries = _symbol_unitaries(field)
-    hams = _symbol_hamiltonians(unitaries, delta)
-    if method == "exact":
-        averaged = _exact_averages(entries, drift, field, unitaries, hams, delta)
-    else:
-        tables: dict = {}
-        averaged = [_cycle_action(term.sys_block, entries[list(term.support)], field,
-                                  unitaries, hams, delta, method, order, tables)
-                    for term in drift.terms]
+    entries, field, unitaries = _averaging_setup(m, drift)
+    averaged = _bounded_averages(entries, *_drift_blocks(drift), field, unitaries,
+                                 delta, method, order)
     label = "exact" if method == "exact" else f"quadrature({order})"
     return _assemble_report(averaged, drift, label, unitaries)
 
@@ -766,9 +767,8 @@ def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
     x = np.asarray(x, dtype=complex)
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} does not match d = {d}")
-    unitaries = _symbol_unitaries(field)
-    return _cycle_action(x, cycle.vertices.T, field, unitaries,
-                         _symbol_hamiltonians(unitaries, delta), delta, method, order)
+    return _bounded_averages(cycle.vertices.T, [(0,)], [x], field,
+                             _symbol_unitaries(field), delta, method, order)[0]
 
 
 def fs_map(d: int, labels, x: np.ndarray, delta: float, method: str = "exact",
@@ -796,16 +796,15 @@ def fs_map(d: int, labels, x: np.ndarray, delta: float, method: str = "exact",
 # Exact evolution
 # ---------------------------------------------------------------------------
 
-def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
-                    substeps: int = 1) -> np.ndarray:
+def exact_evolution(drift: DriftHamiltonian, sched: Schedule) -> np.ndarray:
     """Propagator over one control cycle, on the full d^n * d_env space.
 
-    Eulerian mode: time-ordered product of exp(-i (H + H_c) dt) with the
-    control Hamiltonian constant on each subinterval.  Bang-bang mode:
-    toggling-frame product of exp(-i U_j^dag H U_j Delta), which equals
-    the lab propagator whenever the first column's unitary is the
-    identity (true for every code-built array: column 0 is the zero
-    codeword).
+    Eulerian mode: time-ordered product of exp(-i (H + H_c) Delta), one
+    exact step per subinterval, on which the control Hamiltonian is
+    constant.  Bang-bang mode: toggling-frame product of
+    exp(-i U_j^dag H U_j Delta), which equals the lab propagator whenever
+    the first column's unitary is the identity (true for every code-built
+    array: column 0 is the zero codeword).
 
     A segment's step depends only on its labels (bang-bang) or on its row of
     sched.index (eulerian; never on the labels, which a schedule read from a
@@ -814,12 +813,9 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
     """
     if sched.n != drift.n or sched.d != drift.d:
         raise ValueError("schedule does not match the drift's qudit layout")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     h_total = drift.total_matrix()
     dim = h_total.shape[0]
     d_env = drift.d_env
-    dt = sched.delta / substeps
     rows = (sched.labels.reshape(sched.N, -1) if sched.mode == "bangbang"
             else sched.index)
     _, first, column_step = np.unique(rows, axis=0, return_index=True,
@@ -838,11 +834,10 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule,
             for k in range(sched.n):
                 h_ctrl += embed(sched.table[sched.index[j, k]], (k,), sched.n, sched.d)
             h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
-        steps.append(_expm_hermitian(h_seg, dt))
+        steps.append(_expm_hermitian(h_seg, sched.delta))
     u = np.eye(dim, dtype=complex)
     for s in column_step.ravel():
-        for _ in range(substeps):
-            u = steps[s] @ u
+        u = steps[s] @ u
     return u
 
 
@@ -1000,15 +995,21 @@ def drift_to_json(drift: DriftHamiltonian) -> dict:
 
 
 def drift_from_json(data: dict) -> DriftHamiltonian:
-    n, d, d_env = data["n"], data["d"], data["d_env"]
-    terms = []
-    for entry in data["terms"]:
-        support = tuple(int(k) for k in entry["support"])
-        sys_block = matrix_from_pairs(entry["sys"], d ** len(support))
-        env_block = matrix_from_pairs(entry["env"], d_env)
-        terms.append(DriftTerm(support, sys_block, env_block))
-    env_only = matrix_from_pairs(data["env_only"], d_env)
-    return DriftHamiltonian(n, d, d_env, tuple(terms), env_only)
+    """The drift of a drift_to_json document.  A document of another shape
+    (a missing field, a matrix that is not [re, im] pairs, a top level that
+    is not an object) raises a one-line ValueError."""
+    try:
+        n, d, d_env = data["n"], data["d"], data["d_env"]
+        terms = []
+        for entry in data["terms"]:
+            support = tuple(int(k) for k in entry["support"])
+            sys_block = matrix_from_pairs(entry["sys"], d ** len(support))
+            env_block = matrix_from_pairs(entry["env"], d_env)
+            terms.append(DriftTerm(support, sys_block, env_block))
+        env_only = matrix_from_pairs(data["env_only"], d_env)
+        return DriftHamiltonian(n, d, d_env, tuple(terms), env_only)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed drift document: {exc!r}") from None
 
 
 def write_drift(path, drift: DriftHamiltonian) -> None:

@@ -26,8 +26,8 @@ import numpy as np
 from . import config
 from .codes import LinearCode
 from .gf import FieldTable, field_from_order
-from .oa import (OrthogonalArray, StrengthViolation, format_oa, read_oa_file,
-                 subset_histograms, verify_strength)
+from .oa import (CertificateError, OrthogonalArray, StrengthViolation, format_oa,
+                 read_oa_file, subset_histograms, verify_strength)
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,7 @@ def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
     Requires the cycle to live over the code's message space.  Both the
     strength and the Eulerian verifier run before returning, and every
     t-row generating set is checked to be the full product group, which
-    the construction guarantees.
+    the construction guarantees; a failure of any raises CertificateError.
     """
     if cycle.q != code.q or cycle.k != code.k:
         raise ValueError(f"cycle over F_{cycle.q}^{cycle.k} does not match "
@@ -288,14 +288,14 @@ def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
 
     strength, euler = certify_eulerian(entries, code.field, t)
     if isinstance(strength, StrengthViolation):
-        raise ValueError(f"strength-{t} verification failed: {strength}")
+        raise CertificateError(f"strength-{t} verification failed: {strength}")
     if isinstance(euler, EulerianViolation):
-        raise ValueError(f"Eulerian verification failed: {euler}")
+        raise CertificateError(f"Eulerian verification failed: {euler}")
     full = code.q**t
     for rows, gens in euler.gensets.items():
         if len(gens) != full:
-            raise ValueError(f"rows {rows}: generating set has {len(gens)} "
-                             f"elements, expected the full group ({full})")
+            raise CertificateError(f"rows {rows}: generating set has {len(gens)} "
+                                   f"elements, expected the full group ({full})")
     oa = OrthogonalArray(code.q, code.n, N, t, strength, entries)
     return EulerianOA(oa, t, euler.edge_multiplicity, euler.gensets)
 

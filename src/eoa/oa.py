@@ -50,6 +50,12 @@ class StrengthViolation:
                 f"times, expected {self.expected:g}")
 
 
+class CertificateError(ValueError):
+    """A constructed array failed its own certificate (strength, Eulerian
+    property or full generating sets).  Only the constructors raise it; a
+    file whose header claims fail is bad input, a plain ValueError."""
+
+
 @dataclass(frozen=True)
 class OrthogonalArray:
     """Verified n x N array with q levels, strength t, multiplicity lam."""
@@ -234,8 +240,8 @@ def max_strength(entries: np.ndarray, q: int) -> int | None:
 def oa_from_code(code: LinearCode, d_dual: int) -> OrthogonalArray:
     """OA(q^k, n, q, d_dual - 1) whose columns are the codewords of the code.
 
-    Runs the exhaustive verifier before returning; a failure means the
-    supplied dual distance is wrong for this code.
+    Runs the exhaustive verifier before returning; a failure raises
+    CertificateError: the supplied dual distance is wrong for this code.
     """
     if d_dual < 2:
         raise ValueError("dual distance must be >= 2 for positive strength")
@@ -243,8 +249,8 @@ def oa_from_code(code: LinearCode, d_dual: int) -> OrthogonalArray:
     entries = code.codewords()
     result = verify_strength(entries, code.q, t)
     if isinstance(result, StrengthViolation):
-        raise ValueError(f"strength-{t} verification failed ({result}); "
-                         f"is d_dual = {d_dual} correct for this code?")
+        raise CertificateError(f"strength-{t} verification failed ({result}); "
+                               f"is d_dual = {d_dual} correct for this code?")
     lam = result
     assert lam == code.q ** (code.k - t)
     return OrthogonalArray(code.q, code.n, entries.shape[1], t, lam, entries)

@@ -159,7 +159,7 @@ def test_first_order_convergence():
     errors = []
     for tc in cycle_times:
         sched = euler_schedule(eoa, tc / 256)
-        u = exact_evolution(drift, sched, substeps=1)
+        u = exact_evolution(drift, sched)
         lam, vec = np.linalg.eigh(drift.env_only)
         target = np.kron(np.eye(4), (vec * np.exp(-1j * lam * tc)) @ vec.conj().T)
         errors.append(phase_distance(u, target))

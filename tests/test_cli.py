@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eoa.cli import _resolve_d_dual, main
-from eoa.codes import LinearCode, hamming_code
+from eoa.codes import LinearCode, hamming_code, write_code
 from eoa.gf import gf_new
 from eoa.oa import max_strength
 
@@ -193,9 +193,32 @@ def test_oa_verify_tampered_exits_1(tmp_path, oa16_file, capsys):
     assert "rows (" in capsys.readouterr().err
 
 
-def test_oa_build_wrong_dual_distance_exits_1(tmp_path, dual_code_file):
+def assert_one_fail_line(capsys, out_path):
+    """A built array that failed its own certificate: one FAIL: line, no
+    output file."""
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("FAIL: strength-3 verification failed")
+    assert captured.out == "" and not out_path.exists()
+
+
+def test_oa_build_wrong_dual_distance_exits_1(tmp_path, dual_code_file, capsys):
+    capsys.readouterr()
     assert main(["oa", "build", "--code", str(dual_code_file),
                  "--d-dual", "4", "--out", str(tmp_path / "bad.txt")]) == 1
+    assert_one_fail_line(capsys, tmp_path / "bad.txt")
+
+
+def test_euler_build_failed_certificate_exits_1(tmp_path, capsys):
+    """Strength 3 of the strength-2 [21, 3]_4 dual Hamming code is a
+    verdict, not an input error."""
+    code = tmp_path / "dualham43.txt"
+    assert main(["code", "hamming", "--q", "4", "--m", "3", "--dual",
+                 "--out", str(code)]) == 0
+    capsys.readouterr()
+    assert main(["euler", "build", "--code", str(code), "--t", "3",
+                 "--out", str(tmp_path / "bad.txt")]) == 1
+    assert_one_fail_line(capsys, tmp_path / "bad.txt")
 
 
 def test_euler_build_and_verify(tmp_path, dual_code_file, capsys):
@@ -418,6 +441,12 @@ BAD_INPUTS = [
     "euler build --code {dual} --out {w}/missing/eoa.txt",
     "schedule export --oa {eoa256} --out {w}/missing/sched.json",
     "sim bangbang --oa {oa16} --n 5 --t 2 --seed 7 --report {w}/missing/bb.json",
+    "sim bangbang --oa {oa16} --drift {w}/nokeys.json",
+    "sim bangbang --oa {oa16} --drift {w}/badsys.json",
+    "sim bangbang --oa {oa16} --drift {w}/toplist.json",
+    "euler build --q 4 --k 11 --out {w}/big.txt",
+    "oa build --code {w}/ham43.txt --d-dual 16 --out {w}/x.txt",
+    "euler build --code {w}/ham43.txt --t 2 --out {w}/y.txt",
 ]
 
 
@@ -425,10 +454,12 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_with_one_line(line, tmp_path, dual_code_file, oa16_file,
                                          eoa256_file, capsys):
     """Out-of-range strengths, drift parameters, pulse lengths, quadrature
-    orders and sweep lengths, ragged array rows, symbols beyond int64 and
-    output paths that cannot be written are input errors: exit 2 and one
-    stderr line, never a traceback or a vacuous OK."""
-    from eoa.decoupling import DriftHamiltonian, write_drift
+    orders and sweep lengths, ragged array rows, symbols beyond int64,
+    malformed drift files, size caps ([21, 18]_4 Hamming code: 4^18 words)
+    and output paths that cannot be written are input errors: exit 2 and
+    one stderr line, never a traceback or a vacuous OK."""
+    from eoa.decoupling import (DriftHamiltonian, drift_to_json, random_drift,
+                                write_drift)
     q6 = tmp_path / "q6.txt"
     q6.write_text("OA 36 2 6 2 1\n{}\n{}\n".format(
         " ".join(str(j % 6) for j in range(36)),
@@ -438,6 +469,12 @@ def test_bad_input_exits_2_with_one_line(line, tmp_path, dual_code_file, oa16_fi
     (tmp_path / "hugecode.txt").write_text("CODE 4 2 1\n99999999999999999999\n1\n")
     empty = tmp_path / "empty.json"
     write_drift(empty, DriftHamiltonian(5, 2, 1, (), np.zeros((1, 1), dtype=complex)))
+    bad_sys = drift_to_json(random_drift(5, 2, 2, 1, seed=0))
+    bad_sys["terms"][0]["sys"] = [1, 2, 3]
+    for name, doc in [("nokeys", {"n": 5, "d": 2}), ("badsys", bad_sys),
+                      ("toplist", [1, 2])]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    write_code(tmp_path / "ham43.txt", hamming_code(gf_new(2, 2), 3))
     capsys.readouterr()
     argv = line.format(dual=dual_code_file, oa16=oa16_file, eoa256=eoa256_file,
                        q6=q6, empty=empty, w=tmp_path).split()

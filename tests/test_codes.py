@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from eoa.codes import (LinearCode, code_report, gf_matmul, gf_rank,
-                       hamming_code, nullspace, read_code, rref, write_code)
+from eoa.cli import _code_distances
+from eoa.codes import (LinearCode, gf_matmul, gf_rank, hamming_code, nullspace,
+                       read_code, rref, write_code)
 from eoa.gf import gf_new
 
 F4 = gf_new(2, 2)
@@ -141,11 +142,11 @@ def test_encode_rejects_wrong_length():
         hamming_code(F4, 2).encode([1, 2, 3, 0, 0])
 
 
-def test_code_report_hamming_gf4():
-    rep = code_report(hamming_code(F4, 2))
-    assert (rep.n, rep.k, rep.d_min, rep.d_dual) == (5, 3, 3, 4)
-    rep_dual = code_report(hamming_code(F4, 2).dual())
-    assert (rep_dual.d_min, rep_dual.d_dual) == (4, 3)
+def test_code_distances_hamming_gf4():
+    code = hamming_code(F4, 2)
+    assert (code.n, code.k) == (5, 3)
+    assert _code_distances(code) == (3, 4)
+    assert _code_distances(code.dual()) == (4, 3)
 
 
 def test_code_file_roundtrip(tmp_path):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from eoa import config
 from eoa import decoupling as decoupling_module, oa as oa_module
 from eoa.codes import LinearCode, hamming_code
-from eoa.decoupling import (_apply_pulse_filter, _coords_array, _cycle_action,
-                            _exact_averages, _kron, _kron_sum,
-                            _pulse_eigensystem, _support_table,
+from eoa.decoupling import (_apply_pulse_filter, _coords_array, _exact_averages,
+                            _kron, _kron_sum, _pulse_eigensystem,
+                            _quadrature_walk, _support_table,
                             _symbol_hamiltonians, _symbol_unitaries,
                             report_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
@@ -462,29 +462,33 @@ def test_histogram_kernel_equals_walk_per_term(case):
 
     Each term's averaged block is compared as a matrix: a kernel that took
     the vertex g_j instead of g_j - g_0 conjugates every block by W(g_0),
-    which no norm in the report can see.  One table memo shared by all
-    terms and both backends gives each backend's blocks bit for bit, also
-    when projections use different codes, and the walk equals the walk
-    that recomputed its propagators per term."""
+    which no norm in the report can see.  A one-support kernel call gives
+    the batched call's block bit for bit.  One walk memo shared by all
+    terms gives each walk bit for bit, also when projections use different
+    codes, and the walk equals the walk that recomputed its propagators
+    per term."""
     entries, q, d_env, arity, seed = case
     field = field_from_order(q)
     drift = random_drift(entries.shape[0], field.coord_dim(), arity, d_env, seed)
     unitaries = _symbol_unitaries(field)
     hams = _symbol_hamiltonians(unitaries, 0.1)
     tol = config.TOL_BACKEND_AGREEMENT
+    order = config.DEFAULT_QUAD_ORDER
+    batched = _exact_averages(entries, [term.support for term in drift.terms],
+                              [term.sys_block for term in drift.terms], field,
+                              unitaries, hams, 0.1)
     tables = {}
-    for term in drift.terms:
+    for term, block in zip(drift.terms, batched):
         sub = entries[list(term.support)]
-        exact, walk = (_cycle_action(term.sys_block, sub, field, unitaries, hams,
-                                     0.1, method, config.DEFAULT_QUAD_ORDER)
-                       for method in ("exact", "quadrature"))
+        exact, = _exact_averages(entries, [term.support], [term.sys_block], field,
+                                 unitaries, hams, 0.1)
+        assert np.array_equal(exact, block)
+        walk = _quadrature_walk(term.sys_block, sub, field, hams, 0.1, order)
         assert frob(exact - walk) <= tol
-        for method, fresh in (("exact", exact), ("quadrature", walk)):
-            assert np.array_equal(fresh, _cycle_action(
-                term.sys_block, sub, field, unitaries, hams, 0.1, method,
-                config.DEFAULT_QUAD_ORDER, tables))
+        assert np.array_equal(walk, _quadrature_walk(term.sys_block, sub, field, hams,
+                                                     0.1, order, tables))
         assert np.array_equal(walk, walk_oracle(term.sys_block, sub, field, hams,
-                                                0.1, config.DEFAULT_QUAD_ORDER))
+                                                0.1, order))
     exact = eulerian_average((entries, q), drift, delta=0.1, method="exact")
     walk = eulerian_average((entries, q), drift, delta=0.1, method="quadrature")
     assert abs(exact.residual_norm - walk.residual_norm) <= tol
@@ -529,7 +533,7 @@ def test_single_cycle_kernel_matches_walk_off_identity():
 def test_exact_evolution_free_identity():
     drift = DriftHamiltonian(2, 2, 1, (), np.zeros((1, 1)))
     sched = bangbang_schedule((np.zeros((2, 1), dtype=np.int64), 4), 0.1)
-    u = exact_evolution(drift, sched, substeps=1)
+    u = exact_evolution(drift, sched)
     assert frob(u - np.eye(4)) < 1e-13
 
 
@@ -541,21 +545,11 @@ def test_exact_evolution_convergence_slope():
     cycle_times = [0.4, 0.2, 0.1]
     for tc in cycle_times:
         sched = euler_schedule(eoa, tc / 256)
-        u = exact_evolution(drift, sched, substeps=1)
+        u = exact_evolution(drift, sched)
         target = np.kron(np.eye(4), expm_herm(drift.env_only, tc))
         errors.append(phase_distance(u, target))
     slope = np.polyfit(np.log(cycle_times), np.log(errors), 1)[0]
     assert 1.7 <= slope <= 2.3
-
-
-def test_exact_evolution_substep_consistency():
-    code = LinearCode(F4, np.eye(2, dtype=np.int64))
-    eoa = eulerian_oa_from_code(code, euler_cycle_full(F4, 2), 2)
-    drift = random_drift(2, 2, 2, 2, seed=11)
-    sched = euler_schedule(eoa, 0.1 / 256)
-    u1 = exact_evolution(drift, sched, substeps=1)
-    u2 = exact_evolution(drift, sched, substeps=2)
-    assert frob(u1 - u2) < 1e-8
 
 
 def test_exact_evolution_dimension_cap():
@@ -565,14 +559,13 @@ def test_exact_evolution_dimension_cap():
         exact_evolution(drift, sched)
 
 
-def exact_evolution_oracle(drift, sched, substeps=1):
+def exact_evolution_oracle(drift, sched):
     """The per-column loop exact_evolution replaced: one segment Hamiltonian
     and one eigendecomposition per column, whether or not it repeats."""
     h_total = drift.total_matrix()
     dim = h_total.shape[0]
     d_env = drift.d_env
     u = np.eye(dim, dtype=complex)
-    dt = sched.delta / substeps
     for j in range(sched.N):
         if sched.mode == "bangbang":
             w = np.eye(1, dtype=complex)
@@ -586,15 +579,13 @@ def exact_evolution_oracle(drift, sched, substeps=1):
             for k in range(sched.n):
                 h_ctrl += embed(sched.hams[j, k], (k,), sched.n, sched.d)
             h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
-        step = expm_herm(h_seg, dt)
-        for _ in range(substeps):
-            u = step @ u
+        u = expm_herm(h_seg, sched.delta) @ u
     return u
 
 
 @st.composite
 def evolution_cases(draw):
-    """(drift, schedule, substeps): a bang-bang or eulerian schedule of a
+    """(drift, schedule): a bang-bang or eulerian schedule of a
     random array over GF(4) or GF(9), d^n * d_E <= 256, whose columns come
     from a pool of three so that segments repeat; the schedule has been
     through write_schedule/read_schedule or not."""
@@ -614,7 +605,7 @@ def evolution_cases(draw):
             write_schedule(Path(tmp) / "sched.json", sched)
             sched = read_schedule(Path(tmp) / "sched.json")
     drift = random_drift(n, d, min(n, 2), d_env, int(rng.integers(2**16)))
-    return drift, sched, draw(st.sampled_from([1, 2]))
+    return drift, sched
 
 
 @settings(max_examples=30, deadline=None)
@@ -622,9 +613,9 @@ def evolution_cases(draw):
 def test_exact_evolution_equals_per_column_oracle(case):
     """One propagator per distinct segment, multiplied in column order,
     gives the per-column product bit for bit."""
-    drift, sched, substeps = case
-    assert np.array_equal(exact_evolution(drift, sched, substeps),
-                          exact_evolution_oracle(drift, sched, substeps))
+    drift, sched = case
+    assert np.array_equal(exact_evolution(drift, sched),
+                          exact_evolution_oracle(drift, sched))
 
 
 def test_exact_evolution_keys_on_hamiltonians_not_labels(eoa256):
@@ -1018,9 +1009,11 @@ def test_batched_averages_equal_per_term_oracles(case, bound, threads):
             mp.setattr(decoupling_module, "_BLOCK_ENTRIES", 1 if per == 1 else 2 * widest)
             mp.setattr(oa_module, "_BLOCK_KEYS",
                        per * max(entries.shape[1], q ** (2 * t)))
-        blocks = {"bangbang": _exact_averages(entries, drift, field, unitaries,
+        terms = ([term.support for term in drift.terms],
+                 [term.sys_block for term in drift.terms])
+        blocks = {"bangbang": _exact_averages(entries, *terms, field, unitaries,
                                               None, None),
-                  "exact": _exact_averages(entries, drift, field, unitaries, hams, 0.1)}
+                  "exact": _exact_averages(entries, *terms, field, unitaries, hams, 0.1)}
         reports = {"bangbang": bangbang_average((entries, q), drift),
                    "exact": eulerian_average((entries, q), drift, 0.1)}
     for method, report in reports.items():

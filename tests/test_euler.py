@@ -11,8 +11,8 @@ from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
                        euler_cycle_full, eulerian_oa_from_code, pair_digits,
                        read_eulerian_oa, verify_eulerian, write_eulerian_oa)
 from eoa.gf import gf_new
-from eoa.oa import (OrthogonalArray, oa_from_code, read_oa_file,
-                    subset_histograms, verify_strength)
+from eoa.oa import (CertificateError, OrthogonalArray, oa_from_code,
+                    read_oa_file, subset_histograms, verify_strength)
 
 F2 = gf_new(2, 1)
 F4 = gf_new(2, 2)
@@ -167,8 +167,20 @@ def test_toy_row_at_t1():
 
 
 def test_cycle_code_mismatch_rejected(cycle42):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         eulerian_oa_from_code(hamming_code(F2, 3).dual(), cycle42, 2)
+    assert not isinstance(info.value, CertificateError)
+
+
+def test_eulerian_oa_from_code_certificate_error(cycle42):
+    """Strength 3 of the strength-2 [5, 2]_4 code fails the certificate; a
+    strength out of range is a plain ValueError."""
+    code = hamming_code(F4, 2).dual()
+    with pytest.raises(CertificateError, match="strength-3 verification failed"):
+        eulerian_oa_from_code(code, cycle42, 3)
+    with pytest.raises(ValueError, match="out of range") as info:
+        eulerian_oa_from_code(code, cycle42, 6)
+    assert not isinstance(info.value, CertificateError)
 
 
 def test_full_space_code_gives_full_factorial_eoa():

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from eoa.codes import LinearCode, hamming_code
 from eoa.gf import gf_new
 from eoa import config
-from eoa.oa import (OrthogonalArray, StrengthViolation, format_oa, max_strength,
-                    oa_from_code, read_oa, read_oa_entries, read_oa_file,
+from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, format_oa,
+                    max_strength, oa_from_code, read_oa, read_oa_entries, read_oa_file,
                     subset_histograms, verify_strength, write_oa)
 
 F4 = gf_new(2, 2)
@@ -74,10 +74,13 @@ def test_oa_from_dual_of_binary_hamming():
 
 
 def test_oa_from_code_rejects_wrong_dual_distance(oa16):
-    with pytest.raises(ValueError):
+    """A failed strength count is a CertificateError; a dual distance with
+    no positive strength is a plain ValueError."""
+    with pytest.raises(CertificateError):
         oa_from_code(hamming_code(F4, 2).dual(), 4)  # claims strength 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         oa_from_code(hamming_code(F4, 2).dual(), 1)
+    assert not isinstance(info.value, CertificateError)
 
 
 def test_strength_monotone(oa16):
@@ -246,8 +249,9 @@ def test_read_oa_rejects_tampered_file(tmp_path, oa16):
     row[0] = "1" if row[0] == "0" else "0"
     lines[1] = " ".join(row)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         read_oa(path)
+    assert not isinstance(info.value, CertificateError)   # a lying file is input
 
 
 def test_read_oa_rejects_wrong_lambda_claim(tmp_path, oa16):

@@ -20,7 +20,8 @@ Conventions (hbar = 1 throughout):
   projection as (1/N) sum_v W_v^dag [sum_s c(v, s) F_s(X)] W_v, with the
   square-pulse filter F_s in closed form; bang-bang averaging is the
   vertex-only histogram with F the identity.  The quadrature backend is
-  the independent time-ordered walk, with matrix-exponential prefixes.
+  the independent time-ordered walk: no closed-form filter, prefixes
+  multiplied from eigen-exponential steps exp(-i h Delta).
 
 * First-order averages act on each term's support (dimension d^t),
   mirroring the reduction used by the decoupling theorems, but the exact
@@ -59,7 +60,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import config
 from .euler import (EulerianCycle, EulerianOA, _check_pair_cap, pair_digits,
@@ -249,18 +249,21 @@ def generator_hamiltonian(u: np.ndarray, delta: float) -> np.ndarray:
     """Constant Hamiltonian h with exp(-i h delta) = u and ||h|| <= pi/delta.
 
     h is the principal Hermitian logarithm of the unitary: eigenphases are
-    taken in (-pi, pi] on the Schur (eigen)basis, so h is a spectral
-    function of u and therefore lies in the span of powers of u -- inside
-    the decoupling group algebra whenever u represents a group element.
+    taken in (-pi, pi] on an orthonormal eigenbasis, the eigenvectors of
+    np.linalg.eig orthonormalized by QR.  A unitary is normal, so its
+    distinct eigenspaces are orthogonal and QR keeps every column inside its
+    eigenspace, also on a degenerate spectrum.  h is a spectral function of
+    u and therefore lies in the span of powers of u -- inside the decoupling
+    group algebra whenever u represents a group element.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"subinterval length delta = {delta} must be finite and > 0")
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("input is not unitary")
-    tri, vec = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diag(tri))
-    h = (vec * (-phases / delta)) @ vec.conj().T
+    lam, vec = np.linalg.eig(u)
+    vec = np.linalg.qr(vec)[0]
+    h = (vec * (-np.angle(lam) / delta)) @ vec.conj().T
     return (h + h.conj().T) / 2
 
 
@@ -362,8 +365,7 @@ def _quadrature_propagators(h: np.ndarray, delta: float, order: int) -> tuple:
     """(weights, u(tau_i)) at the Gauss-Legendre nodes tau_i of [0, Delta]:
     the part of the quadrature average that does not depend on the operator."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    return weights, [scipy.linalg.expm(-1j * h * ((node + 1) * delta / 2))
-                     for node in nodes]
+    return weights, [_expm_hermitian(h, (node + 1) * delta / 2) for node in nodes]
 
 
 def _apply_quadrature(x: np.ndarray, props: tuple, v: np.ndarray) -> np.ndarray:
@@ -384,8 +386,8 @@ def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
     v the accumulated control prefix at the subinterval start.
 
     "exact" diagonalizes h and applies the closed-form phase average;
-    "quadrature" evaluates the integrand at Gauss-Legendre nodes through
-    an independent matrix-exponential route, as a cross-check.
+    "quadrature" evaluates the integrand at Gauss-Legendre nodes, each
+    node's propagator an eigen-exponential, as a cross-check.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
@@ -578,7 +580,7 @@ def _quadrature_walk(x: np.ndarray, sub: np.ndarray, field: FieldTable,
                      tables: dict | None = None) -> np.ndarray:
     """(1/N) sum_j V_j^dag F_{s_j}(x) V_j along a t x N projection, V_j the
     control prefix and s_j the transition of column j, by the time-ordered
-    walk: prefixes multiplied from matrix-exponential steps, F_s by
+    walk: prefixes multiplied from eigen-exponential steps, F_s by
     Gauss-Legendre quadrature once per distinct transition.
 
     `tables` memoizes the x-independent node propagators and steps, keyed
@@ -594,7 +596,7 @@ def _quadrature_walk(x: np.ndarray, sub: np.ndarray, field: FieldTable,
     if key not in tables:
         h = _support_table(hams, used_s, q, t, _kron_sum)
         tables[key] = ([_quadrature_propagators(hs, delta, order) for hs in h],
-                       [scipy.linalg.expm(-1j * delta * hs) for hs in h])
+                       [_expm_hermitian(hs, delta) for hs in h])
     props, steps = tables[key]
     eye = np.eye(x.shape[-1], dtype=complex)
     filtered = [_apply_quadrature(x, p, eye) for p in props]
@@ -860,21 +862,27 @@ def _json_array(raw, shape: tuple, what: str, dtype=None) -> np.ndarray:
 
 
 def schedule_from_json(data: dict) -> Schedule:
-    n, d, N, mode = data["n"], data["d"], data["N"], data["mode"]
-    segments = data["segments"]
-    labels = _json_array([seg["labels"] for seg in segments], (N, n, 2), "labels")
-    table = index = None
-    if mode == "eulerian":
-        raw = data["hamiltonians"]
-        for i, entry in enumerate(raw):
-            if len(entry) != d * d:
-                raise ValueError(f"schedule Hamiltonian {i} has {len(entry)} "
-                                 f"[re, im] pairs, expected {d * d}")
-        pairs = _json_array(raw, (len(raw), d * d, 2), "Hamiltonians", np.float64)
-        table = pairs.view(np.complex128).reshape(len(raw), d, d)
-        index = _json_array([seg["hamiltonians"] for seg in segments], (N, n),
-                            "Hamiltonian indices")
-    return Schedule(n, d, N, float(data["delta"]), mode, labels, table, index)
+    """The schedule of a write_schedule document.  A document of another
+    shape (a missing field, a segment that is not an object, a top level
+    that is not an object) raises a one-line ValueError."""
+    try:
+        n, d, N, mode = data["n"], data["d"], data["N"], data["mode"]
+        segments = data["segments"]
+        labels = _json_array([seg["labels"] for seg in segments], (N, n, 2), "labels")
+        table = index = None
+        if mode == "eulerian":
+            raw = data["hamiltonians"]
+            for i, entry in enumerate(raw):
+                if len(entry) != d * d:
+                    raise ValueError(f"schedule Hamiltonian {i} has {len(entry)} "
+                                     f"[re, im] pairs, expected {d * d}")
+            pairs = _json_array(raw, (len(raw), d * d, 2), "Hamiltonians", np.float64)
+            table = pairs.view(np.complex128).reshape(len(raw), d, d)
+            index = _json_array([seg["hamiltonians"] for seg in segments], (N, n),
+                                "Hamiltonian indices")
+        return Schedule(n, d, N, float(data["delta"]), mode, labels, table, index)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed schedule document: {exc!r}") from None
 
 
 SCHEDULE_BLOCK = 4096   # segments per gather: write memory stays bounded in N

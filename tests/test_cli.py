@@ -1,10 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eoa
 from eoa.cli import _resolve_d_dual, main
 from eoa.codes import LinearCode, hamming_code, write_code
 from eoa.gf import gf_new
@@ -483,3 +488,16 @@ def test_bad_input_exits_2_with_one_line(line, tmp_path, dual_code_file, oa16_fi
     assert "OK" not in captured.out
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_runtime_imports_no_scipy():
+    """import eoa and eoa.cli load numpy only.  A fresh interpreter, since
+    this test process imports scipy for the tests' oracles."""
+    src = str(Path(eoa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eoa, eoa.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"

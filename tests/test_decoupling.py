@@ -16,7 +16,8 @@ from eoa import decoupling as decoupling_module, oa as oa_module
 from eoa.codes import LinearCode, hamming_code
 from eoa.decoupling import (_apply_pulse_filter, _coords_array, _exact_averages,
                             _kron, _kron_sum, _pulse_eigensystem,
-                            _quadrature_walk, _support_table,
+                            _quadrature_propagators, _quadrature_walk,
+                            _support_table,
                             _symbol_hamiltonians, _symbol_unitaries,
                             report_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
@@ -94,6 +95,42 @@ def test_generator_hamiltonian_bounded_and_commutes():
 def test_generator_hamiltonian_rejects_non_unitary():
     with pytest.raises(ValueError):
         generator_hamiltonian(np.ones((2, 2)), 0.1)
+
+
+def schur_generator(u, delta):
+    """The principal logarithm on scipy's complex Schur basis: the route
+    generator_hamiltonian took before its eig + QR basis."""
+    tri, vec = scipy.linalg.schur(u, output="complex")
+    h = (vec * (-np.angle(np.diag(tri)) / delta)) @ vec.conj().T
+    return (h + h.conj().T) / 2
+
+
+def _random_unitaries():
+    """Seeded Haar-like unitaries, and one with the degenerate spectrum
+    (1, 1, i, i) in a random basis, where eig's eigenvectors of one
+    eigenvalue need not be orthogonal."""
+    rng = np.random.default_rng(16)
+    us = [np.linalg.qr(random_complex(rng, dim))[0] for dim in (2, 3, 4, 6, 8)]
+    return us + [us[2] @ np.diag([1, 1, 1j, 1j]) @ us[2].conj().T]
+
+
+@pytest.mark.parametrize("u", [
+    *(weyl(d, a, b) for d in (2, 3, 5, 7) for a in range(d) for b in range(d)),
+    *_random_unitaries(),
+    np.eye(4, dtype=complex), -np.eye(4, dtype=complex),
+    np.kron(weyl(2, 1, 0), np.eye(2)),
+])
+@pytest.mark.parametrize("delta", [0.1, 1.0])
+def test_generator_hamiltonian_equals_schur_oracle(u, delta):
+    """The eig + QR logarithm equals the Schur one on every Weyl operator of
+    d = 2, 3, 5, 7, on random unitaries and on degenerate spectra (I, -I,
+    X (x) I, and (1, 1, i, i) in a random basis), on the same branch; its
+    Pade exponential returns u itself (not only up to a phase) and
+    ||h|| <= pi/delta."""
+    h = generator_hamiltonian(u, delta)
+    assert frob(h - schur_generator(u, delta)) <= 1e-12
+    assert frob(scipy.linalg.expm(-1j * h * delta) - u) <= 1e-12
+    assert np.linalg.norm(h, 2) <= np.pi / delta * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +243,12 @@ def test_segment_average_rejects_unknown_method():
 
 def quadrature_oracle(x, h, v, delta, order):
     """The inline Gauss-Legendre loop segment_average's quadrature branch
-    replaced: node propagators recomputed for every operator."""
+    replaced: node propagators recomputed for every operator, by the same
+    eigen-exponential as the library, so the comparison is bit for bit."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     acc = np.zeros_like(x)
     for node, weight in zip(nodes, weights):
-        u = scipy.linalg.expm(-1j * h * ((node + 1) * delta / 2))
+        u = expm_herm(h, (node + 1) * delta / 2)
         uv = u @ v
         acc += weight * (uv.conj().T @ x @ uv)
     return acc / 2
@@ -227,6 +265,31 @@ def test_segment_average_quadrature_equals_inline_loop(dim, order):
         assert np.array_equal(
             segment_average(x, h, v, delta, method="quadrature", order=order),
             quadrature_oracle(x, h, v, delta, order))
+
+
+@pytest.mark.parametrize("q, arity", [(4, 1), (4, 2), (9, 1), (9, 2)])
+def test_quadrature_exponentials_equal_pade(q, arity):
+    """The node propagators of _quadrature_propagators and the walk's steps,
+    all eigen-exponentials, equal scipy's Pade expm on the walk's Kronecker
+    sums of control Hamiltonians, so the cross-check does not rest on the
+    eigendecomposition alone."""
+    field = field_from_order(q)
+    hams = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)
+    cycle = euler_cycle_full(field, 1).vertices.T
+    sub = np.vstack([cycle, np.roll(cycle, -3, axis=1)])[:arity]
+    order = config.DEFAULT_QUAD_ORDER
+    tables = {}
+    _quadrature_walk(np.eye(field.coord_dim() ** arity), sub, field, hams, 0.1,
+                     order, tables)
+    (_, t, used), (_, steps) = next(iter(tables.items()))
+    h = _support_table(hams, np.frombuffer(used, dtype=np.intp), q, t, _kron_sum)
+    assert len(h) == len(steps) > 1
+    nodes, _ = np.polynomial.legendre.leggauss(order)
+    for hs, step in zip(h, steps):
+        assert frob(step - scipy.linalg.expm(-1j * 0.1 * hs)) <= 1e-12
+        for node, u in zip(nodes, _quadrature_propagators(hs, 0.1, order)[1]):
+            tau = (node + 1) * 0.1 / 2
+            assert frob(u - scipy.linalg.expm(-1j * tau * hs)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +501,7 @@ def small_arrays(draw):
 def walk_oracle(x, sub, field, hams, delta, order):
     """The quadrature walk before its x-independent operators were shared
     across terms: each distinct transition's filter from quadrature_oracle
-    and its step from a fresh expm, on every call."""
+    and its step from a fresh eigen-exponential, on every call."""
     x = np.asarray(x, dtype=complex)
     q, (t, N) = field.q, sub.shape
     codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
@@ -446,7 +509,7 @@ def walk_oracle(x, sub, field, hams, delta, order):
     h = _support_table(hams, used_s, q, t, _kron_sum)
     eye = np.eye(h.shape[-1], dtype=complex)
     filtered = [quadrature_oracle(x, hs, eye, delta, order) for hs in h]
-    steps = [scipy.linalg.expm(-1j * delta * hs) for hs in h]
+    steps = [expm_herm(hs, delta) for hs in h]
     prefix, acc = eye, np.zeros_like(eye)
     for s in column_s:
         acc += prefix.conj().T @ filtered[s] @ prefix
@@ -1271,6 +1334,19 @@ def test_read_schedule_rejects_malformed_file(tmp_path, tamper):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as excinfo:
+        read_schedule(path)
+    assert len(str(excinfo.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("document", [
+    {"n": 1, "d": 2}, [1, 2], {"n": 1, "d": 2, "N": 1, "delta": 0.1,
+                               "mode": "bangbang", "segments": [[0, 1]]}])
+def test_read_schedule_rejects_document_of_wrong_shape(tmp_path, document):
+    """A missing field, a top level that is not an object and a segment that
+    is not an object are one-line ValueErrors, as for drift documents."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError, match="malformed schedule document") as excinfo:
         read_schedule(path)
     assert len(str(excinfo.value).splitlines()) == 1
 

@@ -23,27 +23,29 @@ Conventions (hbar = 1 throughout):
   the independent time-ordered walk: no closed-form filter, prefixes
   multiplied from eigen-exponential steps exp(-i h Delta).
 
-* First-order averages act on each term's support (dimension d^t),
-  mirroring the reduction used by the decoupling theorems, but the exact
-  kernel runs in batches: every distinct support's histogram is counted
-  once by the verifiers' counter, `oa.subset_histograms` (bang-bang on
-  the symbols, Eulerian on the verifier's pair digits symbol * q +
-  transition), and the terms that share a table key (arity, used vertex
-  codes, used transition codes) go through Pi_G o F_S as stacks, in blocks
-  of bounded size.  The Eulerian kernel sums over the vertices g_j as
-  counted and then conjugates each block by W(g_0), which moves it to the
-  prefixes W(g_j - g_0).  `_exact_averages` is the one exact entry: the
-  bang-bang and Eulerian averages of a drift and the single-qudit cycle
-  (one support, (0,)) all go through it.  The quadrature walk
-  (`_quadrature_walk`) stays per term, as the independent cross-check.
+* The symbol unitaries represent an abelian group projectively, so
+  conjugation is diagonal on Weyl strings, W_v^dag W_l W_v =
+  omega^k(v, l) W_l, with the pairing k in Z_d read off the unitaries, and
+  Pi_G is a character sum per string.  The exact kernel,
+  `_exact_averages`, therefore works on Weyl-string coefficients: it
+  expands x (bang-bang) or each F_s(x) (Eulerian) once and multiplies
+  coefficient l by chi[s, l] = sum_v c(v, s) omega^k(v, l), over the
+  histogram of each distinct support counted once by the verifiers'
+  counter, `oa.subset_histograms`; the Eulerian coefficients then take the
+  prefix phase omega^-k(g_0, l).  Both averages of a drift and the
+  single-qudit cycle go through it.  The quadrature walk
+  (`_quadrature_walk`) stays per term in matrix space as the independent
+  cross-check, and its result is expanded by the same coefficient product.
 
-* Each averaged term is expanded in the Weyl strings of its support, one
-  matrix product per arity.  The reported residual is still the exact
+* A character sum is decided in integers: its d buckets of equal pairing
+  are exact float64 sums of counts, and when they are all equal the sum is
+  exactly 0 (d is prime).  A string that does not survive has the
+  coefficient 0.0, so a code-built array of strength t leaves a residual
+  of exactly 0.0 for drifts of arity <= t at any n.  The residual is the
   full-space Frobenius norm of the averaged Hamiltonian minus its
-  environment-only component, a Parseval sum of squares over the
-  full-space strings that the terms' coefficients merge into (strings
-  keyed as sorted integer rows), so wide arrays stay tractable; the
-  strings carrying most of it are listed in the report.
+  environment-only component, a Parseval sum over the full-space strings
+  that the terms' coefficients merge into; the strings carrying most of it
+  are listed in the report.
 
 * Unitaries are only ever compared modulo a global phase (the Weyl
   representation is projective).
@@ -426,88 +428,63 @@ def _support_table(per_symbol: np.ndarray, codes: np.ndarray, q: int, t: int,
     return functools.reduce(combine, (per_symbol[k] for k in digits))
 
 
-# A kernel call's stacked temporaries (the filtered operators and the
-# per-vertex sums of a block of terms) hold at most this many complex entries
-# each, 2^14 or 256 KB; a block holds one term when a single term needs more.
+# A kernel block's stacked temporaries (the integer buckets of its supports'
+# histograms and the filtered coefficients of its terms) hold at most this many
+# entries each, 2^14; a block holds one term when a single term needs more.
 _BLOCK_ENTRIES = 2**14
 
 
-def _histogram_average(filtered: np.ndarray, counts: np.ndarray,
-                       weyls: np.ndarray) -> np.ndarray:
-    """(1/N) sum_v W_v^dag [sum_s counts[v, s] filtered[s]] W_v for each term
-    of a stack: Pi_G after F_S, N the term's histogram total.
+def _pairing(unitaries: np.ndarray) -> np.ndarray:
+    """(q, q) table k in Z_d with W_v^dag W_l W_v = omega^k[v, l] W_l for the
+    symbol unitaries W.
 
-    filtered (T, S, D, D) holds each term's F_s(x), counts (T, V, S) its
-    (vertex, transition) histogram and weyls (V, D, D) the vertices' Weyl
-    operators.
+    Raises AssertionError unless every tr(W_l^dag W_v^dag W_l W_v) / d is a
+    d-th root of unity within EPS_MAT: the unitaries must represent an
+    abelian group projectively, so that conjugation is diagonal on strings.
     """
-    T, S, D = filtered.shape[:3]
-    inner = (counts @ filtered.reshape(T, S, D * D)).reshape(T, -1, D, D)
-    total = counts.sum(axis=(1, 2))[:, None, None]
-    return (weyls.conj().swapaxes(1, 2) @ inner @ weyls).sum(axis=1) / total
+    d = unitaries.shape[-1]
+    ratios = np.array([np.einsum("lab,lab->l", unitaries.conj(),
+                                 w.conj().T @ unitaries @ w) for w in unitaries]) / d
+    k = np.rint(np.angle(ratios) * d / (2 * np.pi)).astype(np.intp) % d
+    if np.abs(ratios - np.exp(2j * np.pi * k / d)).max() > config.EPS_MAT:
+        raise AssertionError("symbol unitaries do not commute up to d-th roots of unity")
+    return k
 
 
-def _kernel_tables(tables: dict, t: int, used_v: np.ndarray, used_s: np.ndarray,
-                   q: int, unitaries: np.ndarray, hams: np.ndarray | None,
-                   delta: float | None) -> tuple:
-    """(F_S eigensystem, vertex Weyl table) of one table key, memoized in
-    `tables`; the eigensystem is None for bang-bang (hams None, F = 1)."""
-    key = (t, used_v.tobytes(), used_s.tobytes())
-    if key not in tables:
-        eig = None if hams is None else _pulse_eigensystem(
-            _support_table(hams, used_s, q, t, _kron_sum), delta)
-        tables[key] = eig, _support_table(unitaries, used_v, q, t, _kron)
-    return tables[key]
+def _string_pairing(pairing: np.ndarray, t: int, d: int) -> np.ndarray:
+    """(q^t, q^t) pairing of t-qudit codes, first qudit leading: the sum of
+    the per-qudit pairings, mod d."""
+    q = len(pairing)
+    return functools.reduce(
+        lambda a, b: (a[:, None, :, None] + b[:, None]).reshape(len(a) * q, -1) % d,
+        [pairing] * t)
 
 
-def _grouped_average(xs: np.ndarray, hists: np.ndarray, bins: np.ndarray,
-                     support_of: np.ndarray, q: int, t: int, unitaries: np.ndarray,
-                     hams: np.ndarray | None, delta: float | None,
-                     tables: dict) -> np.ndarray:
-    """Pi_G o F_S of each term of a stack xs (T, D, D) of arity t.
+def _character_sums(counts: np.ndarray, pairing: np.ndarray,
+                    omega: np.ndarray) -> np.ndarray:
+    """chi[p, s, l] = sum_v counts[p, v, s] omega[pairing[v, l]] for a stack
+    of (vertex, transition) histograms (P, V, S), omega the d-th roots.
 
-    Term i is counted by the histogram hists[support_of[i]], whose bin
-    bins[v, s] holds the columns with vertex code v and transition code s.
-    Terms are grouped by table key (arity, used vertex codes, used
-    transition codes) and each group runs through the kernel in blocks of
-    at most `_BLOCK_ENTRIES` stacked entries.
+    The d buckets B_k of the vertices v with pairing k are float64 sums of
+    integer counts, exact below 2^53 (a histogram totals N <= EULER_EDGE_CAP).
+    For prime d, sum_k B_k omega^k vanishes exactly when all B_k are equal,
+    and the sum is set to exactly 0 there: survival is decided in integers.
     """
-    seen = (hists > 0)[:, bins]
-    masks, key_of = _unique_rows(np.concatenate([seen.any(axis=2), seen.any(axis=1)],
-                                                axis=1))
-    key_of = key_of[support_of]
-    out = np.empty(xs.shape, dtype=complex)
-    for k, mask in enumerate(masks):
-        used_v, used_s = np.nonzero(mask[:len(bins)])[0], np.nonzero(mask[len(bins):])[0]
-        eig, weyls = _kernel_tables(tables, t, used_v, used_s, q, unitaries,
-                                    hams, delta)
-        cells = bins[np.ix_(used_v, used_s)]
-        members = np.nonzero(key_of == k)[0]
-        step = max(1, _BLOCK_ENTRIES // ((len(used_v) + len(used_s)) * xs[0].size))
-        for lo in range(0, len(members), step):
-            block = members[lo:lo + step]
-            x = xs[block, None]
-            filtered = x if eig is None else _apply_pulse_filter(x, eig)
-            out[block] = _histogram_average(
-                filtered, hists[support_of[block, None, None], cells], weyls)
-    return out
+    d = len(omega)
+    onehot = (pairing == np.arange(d)[:, None, None]).astype(float)    # (d, V, L)
+    buckets = counts.swapaxes(1, 2)[:, None].astype(float) @ onehot    # (P, d, S, L)
+    chi = sum(omega[k] * buckets[:, k] for k in range(d))
+    chi[(buckets == buckets[:, :1]).all(axis=1)] = 0
+    return chi
 
 
-def _from_first_column(avg: np.ndarray, g0: np.ndarray, q: int,
-                       unitaries: np.ndarray) -> np.ndarray:
-    """avg with each block A replaced by W(g_0) A W(g_0)^dag, in place;
-    g0 (T, t) holds the first column's symbols on each block's support.
-
-    The kernel counts the vertices g_j themselves, but the control prefix
-    before column j is W(g_j - g_0) up to a phase, and W(g_j) is
-    W(g_j - g_0) W(g_0) up to a phase.  Blocks with g_0 = 0 stay as they
-    are.
-    """
-    codes = q ** np.arange(g0.shape[1] - 1, -1, -1) @ g0.T
-    moved = np.nonzero(codes)[0]
-    w = _support_table(unitaries, codes[moved], q, g0.shape[1], _kron)
-    avg[moved] = w @ avg[moved] @ w.conj().swapaxes(1, 2)
-    return avg
+def _weyl_expansion(unitaries: np.ndarray, t: int) -> np.ndarray:
+    """(d^2t, q^t) matrix W-bar / d^t: a flattened t-qudit operator x times it
+    gives x's Weyl-string coefficients tr(W_l^dag x) / d^t, code 0 the
+    identity."""
+    q, d = len(unitaries), unitaries.shape[-1]
+    strings = _support_table(unitaries, np.arange(q**t), q, t, _kron)
+    return strings.conj().reshape(q**t, -1).T / d**t
 
 
 def _pair_bins(q: int, t: int) -> np.ndarray:
@@ -544,34 +521,47 @@ def _terms_by_arity(supports) -> dict[int, list[int]]:
 def _exact_averages(entries: np.ndarray, supports: list, blocks: list,
                     field: FieldTable, unitaries: np.ndarray, hams: np.ndarray | None,
                     delta: float | None) -> list[np.ndarray]:
-    """Each term's averaged system block, blocks[i] on supports[i], in input
-    order.
+    """Each term's averaged system block, blocks[i] on supports[i], as its
+    q^t Weyl-string coefficients (code 0 the identity), in input order.
 
     Every distinct support is counted once by the verifiers' counter
     (`oa.subset_histograms`): the array's symbols for bang-bang (hams None,
-    F = 1), the Eulerian verifier's pair digits for the bounded-strength
-    action, whose blocks `_from_first_column` then moves to the prefixes
-    W(g_j - g_0).  The terms of one arity then share one `_grouped_average`,
-    and all arities one memo of kernel tables.
+    F = 1, one transition), the Eulerian verifier's pair digits for the
+    bounded-strength action.  A term's coefficients f[s, l] of F_s(x) are
+    multiplied by the character sums chi[s, l] of its support's histogram,
+    summed over s and divided by N.  The Eulerian coefficients then take the
+    phase omega^-k(g_0, l), since the prefix before column j is W(g_j - g_0).
+    Terms run in blocks of at most `_BLOCK_ENTRIES` stacked entries.
     """
-    q = field.q
+    q, d, N = field.q, unitaries.shape[-1], entries.shape[1]
     digits, base = (entries, q) if hams is None else (pair_digits(entries, field), q * q)
+    pairing, omega = _pairing(unitaries), np.exp(2j * np.pi * np.arange(d) / d)
     averaged: list = [None] * len(supports)
-    tables: dict = {}
     for t, idx in _terms_by_arity(supports).items():
         rows: dict[tuple[int, ...], int] = {}
-        support_of = np.array([rows.setdefault(supports[i], len(rows))
-                               for i in idx])
-        bins = np.arange(q**t)[:, None] if hams is None else _pair_bins(q, t)
+        support_of = np.array([rows.setdefault(supports[i], len(rows)) for i in idx])
         hists = np.stack(subset_histograms(digits, base, rows, lambda _, counts: counts))
-        xs = np.stack([blocks[i] for i in idx])
-        avgs = _grouped_average(xs, hists, bins, support_of, q, t, unitaries, hams,
-                                delta, tables)
-        if hams is not None:
-            g0 = entries[:, 0][np.array(list(rows))[support_of]]
-            avgs = _from_first_column(avgs, g0, q, unitaries)
-        for i, avg in zip(idx, avgs):
-            averaged[i] = avg
+        codes = np.arange(q**t)
+        k, expand = _string_pairing(pairing, t, d), _weyl_expansion(unitaries, t)
+        if hams is None:
+            bins, eig = codes[:, None], None
+        else:
+            bins = _pair_bins(q, t)
+            eig = _pulse_eigensystem(_support_table(hams, codes, q, t, _kron_sum), delta)
+            g0 = entries[np.array(list(rows)), 0] @ q ** np.arange(t - 1, -1, -1)
+        step = max(1, _BLOCK_ENTRIES // (d * bins.size))
+        for lo in range(0, len(idx), step):
+            block = np.arange(lo, min(lo + step, len(idx)))
+            used, of = np.unique(support_of[block], return_inverse=True)
+            x = np.stack([blocks[idx[i]] for i in block])[:, None]
+            filtered = x if eig is None else _apply_pulse_filter(x, eig)
+            f = filtered.reshape(len(block), bins.shape[1], -1) @ expand
+            chi = _character_sums(hists[used][:, bins], k, omega)[of]
+            coeffs = (f * chi).sum(axis=1) / N
+            if hams is not None:
+                coeffs *= omega[-k[g0[support_of[block]]] % d]
+            for i, c in zip(block, coeffs):
+                averaged[idx[i]] = c
     return averaged
 
 
@@ -610,16 +600,19 @@ def _quadrature_walk(x: np.ndarray, sub: np.ndarray, field: FieldTable,
 def _bounded_averages(entries: np.ndarray, supports: list, blocks: list,
                       field: FieldTable, unitaries: np.ndarray, delta: float,
                       method: str, order: int) -> list[np.ndarray]:
-    """Q_C of each block on its support under the square-pulse schedule of
-    the array: "exact" by the histogram kernel, "quadrature" by one walk
-    per term, the walks sharing their tables."""
+    """Weyl-string coefficients of Q_C of each block on its support under
+    the square-pulse schedule of the array: "exact" by character sums,
+    "quadrature" by one walk per term, the walks sharing their tables, each
+    walk expanded by the same coefficient product."""
     hams = _symbol_hamiltonians(unitaries, delta)
     if method == "exact":
         return _exact_averages(entries, supports, blocks, field, unitaries, hams, delta)
     if method == "quadrature":
         tables: dict = {}
+        expand = {t: _weyl_expansion(unitaries, t) for t in _terms_by_arity(supports)}
         return [_quadrature_walk(x, entries[list(support)], field, hams, delta, order,
-                                 tables) for support, x in zip(supports, blocks)]
+                                 tables).reshape(-1) @ expand[len(support)]
+                for support, x in zip(supports, blocks)]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -640,7 +633,10 @@ class AverageReport:
     how far that component moved from the declared env_only part.
     top_strings lists the Weyl strings that carry most of the residual,
     each as its non-identity (qudit, symbol) factors with its share of the
-    norm (residual_norm^2 is the sum of all strings' squared shares).
+    norm (residual_norm^2 is the sum of all strings' squared shares).  A
+    string whose character-sum buckets are all equal on a term's support
+    contributes exactly 0, so on a code-built array of strength t every
+    norm of a drift of arity <= t is exactly 0.0.
     """
 
     residual_norm: float
@@ -651,11 +647,10 @@ class AverageReport:
 
 
 def _assemble_report(averaged: list[np.ndarray], drift: DriftHamiltonian,
-                     method: str, unitaries: np.ndarray) -> AverageReport:
-    """The report from the Weyl-string expansions of the averaged terms.
+                     method: str, q: int) -> AverageReport:
+    """The report from the Weyl-string coefficients of the averaged terms.
 
-    A term Y on a support of arity t expands as sum_l c_l W_l over the q^t
-    strings, c_l = tr(W_l^dag Y) / d^t (one product per arity), code 0 the
+    A term of arity t is sum_l c_l W_l over the q^t strings, code 0 the
     identity: c_0 E is the term's environment shift.  Strings are
     orthogonal with ||W||_F^2 = d^n on the full space, so the residual is
     sqrt(d^n sum_key ||M_key||_F^2), M_key summing c_l E over the strings
@@ -664,16 +659,14 @@ def _assemble_report(averaged: list[np.ndarray], drift: DriftHamiltonian,
     per non-identity factor, sorted and padded to the widest arity; equal
     rows merge.
     """
-    q, d, n, width = len(unitaries), drift.d, drift.n, drift.max_arity
+    d, n, width = drift.d, drift.n, drift.max_arity
     pad = n * q                        # sorts after every factor
     norms = np.zeros(len(drift.terms))
     env_shift = np.zeros(drift.env_only.size, dtype=complex)
     keys = [np.empty((0, width), dtype=np.intp)]
     values = [np.empty((0, drift.env_only.size), dtype=complex)]
     for t, idx in _terms_by_arity(term.support for term in drift.terms).items():
-        table = _support_table(unitaries, np.arange(q**t), q, t, _kron)
-        avg = np.stack([averaged[i] for i in idx]).reshape(len(idx), -1)
-        coeffs = avg @ table.conj().reshape(q**t, -1).T / d**t
+        coeffs = np.stack([averaged[i] for i in idx])
         envs = np.stack([drift.terms[i].env_block for i in idx]).reshape(len(idx), -1)
         env_shift += coeffs[:, 0] @ envs
         norms[idx] = (d ** (t / 2) * np.linalg.norm(coeffs[:, 1:], axis=1)
@@ -723,12 +716,13 @@ def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
 
     Each term is conjugated by the tensor Weyl unitaries of the array
     columns restricted to the term's support and averaged over columns:
-    the histogram kernel over each support's symbol histogram, F = 1.
+    each Weyl coefficient times the character sum of the support's symbol
+    histogram, F = 1.
     """
     entries, field, unitaries = _averaging_setup(m, drift)
     averaged = _exact_averages(entries, *_drift_blocks(drift), field, unitaries,
                                None, None)
-    return _assemble_report(averaged, drift, "bangbang", unitaries)
+    return _assemble_report(averaged, drift, "bangbang", field.q)
 
 
 def eulerian_average(m, drift: DriftHamiltonian, delta: float,
@@ -738,11 +732,10 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
 
     Each term's action Q_C = Pi_G o F_S is computed on its own support;
     the environment factor of every term passes through untouched.
-    "exact" counts every distinct support once and runs the histogram
-    kernel once per block of terms that share a table key; on a code-built
-    Eulerian array every projection of one arity typically uses the same
-    codes, so each table is built once.  "quadrature" walks each term's
-    projection on its own (see _quadrature_walk), sharing the walk's tables.
+    "exact" counts every distinct support once and multiplies each term's
+    filtered Weyl coefficients by its support's character sums (see
+    _exact_averages).  "quadrature" walks each term's projection on its own
+    (see _quadrature_walk), sharing the walk's tables, and expands the walk.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
@@ -750,7 +743,7 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     averaged = _bounded_averages(entries, *_drift_blocks(drift), field, unitaries,
                                  delta, method, order)
     label = "exact" if method == "exact" else f"quadrature({order})"
-    return _assemble_report(averaged, drift, label, unitaries)
+    return _assemble_report(averaged, drift, label, field.q)
 
 
 def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
@@ -760,7 +753,8 @@ def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
 
     The cycle lives over GF(d^2) (one row, k = 1); square pulses realize
     each transition.  By the Eulerian decoupling theorem the result equals
-    the plain group average of x.
+    the plain group average of x.  "exact" rebuilds sum_l a_l W_l from the
+    averaged coefficients; "quadrature" returns the walk's matrix as it is.
     """
     if cycle.k != 1:
         raise ValueError("single-qudit average needs a k = 1 cycle")
@@ -769,8 +763,13 @@ def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
     x = np.asarray(x, dtype=complex)
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} does not match d = {d}")
-    return _bounded_averages(cycle.vertices.T, [(0,)], [x], field,
-                             _symbol_unitaries(field), delta, method, order)[0]
+    unitaries = _symbol_unitaries(field)
+    if method == "quadrature":
+        return _quadrature_walk(x, cycle.vertices.T, field,
+                                _symbol_hamiltonians(unitaries, delta), delta, order)
+    coeffs, = _bounded_averages(cycle.vertices.T, [(0,)], [x], field, unitaries,
+                                delta, method, order)
+    return np.tensordot(coeffs, unitaries, axes=1)
 
 
 def fs_map(d: int, labels, x: np.ndarray, delta: float, method: str = "exact",

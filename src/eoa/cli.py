@@ -194,7 +194,8 @@ def cmd_schedule_export(args) -> int:
     sched = euler_schedule(read_eulerian_oa(args.oa), args.delta)
     write_schedule(args.out, sched)
     worst = verify_schedule(sched)
-    max_h = np.linalg.norm(sched.table[np.unique(sched.index)], 2, axis=(1, 2)).max()
+    used = np.flatnonzero(np.bincount(sched.index.astype(np.intp).ravel()))  # no numpy.ma
+    max_h = np.linalg.norm(sched.table[used], 2, axis=(1, 2)).max()
     print(f"{sched.N} segments x {sched.n} qudits, T_c = {sched.cycle_time:g}, "
           f"max ||h|| = {max_h:.6f} (pi/delta = {np.pi / args.delta:.6f}), "
           f"unitary check {worst:.3e}")

@@ -38,11 +38,19 @@ STRENGTH_WORK_CAP = 10**8   # largest C(r, t) * N tuples one strength search cou
 def worker_count() -> int:
     """Worker cap for parallel verification, from the EOA_THREADS env var.
 
-    Defaults to 1 (serial).  Results are independent of the worker count:
-    verification work is pure counting over disjoint row subsets and is
-    reduced in fixed iteration order.
+    Defaults to min(2, usable CPUs).  The counter's bincount holds the
+    interpreter lock, so its one overlap is a worker encoding keys while
+    another counts: a third worker would find nothing to overlap, yet cost
+    a buffer pair and a malloc arena.  "1" is serial.  Results are
+    independent of the worker count: verification work is pure counting
+    over disjoint row subsets, each written to its own place.
     """
-    raw = os.environ.get("EOA_THREADS", "1")
+    raw = os.environ.get("EOA_THREADS")
+    if raw is None:
+        # sched_getaffinity is Linux-only; elsewhere count every CPU
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        return min(2, usable)
     try:
         value = int(raw)
     except ValueError:
@@ -50,9 +58,8 @@ def worker_count() -> int:
     return max(1, value)
 
 
-def parallel_map(fn, items: list) -> list:
-    """[fn(x) for x in items] on up to worker_count() threads, in input order."""
-    workers = worker_count()
+def parallel_map(fn, items: list, workers: int) -> list:
+    """[fn(x) for x in items] on up to `workers` threads, in input order."""
     if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))

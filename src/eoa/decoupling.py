@@ -540,7 +540,7 @@ def _exact_averages(entries: np.ndarray, supports: list, blocks: list,
     for t, idx in _terms_by_arity(supports).items():
         rows: dict[tuple[int, ...], int] = {}
         support_of = np.array([rows.setdefault(supports[i], len(rows)) for i in idx])
-        hists = np.stack(subset_histograms(digits, base, rows, lambda _, counts: counts))
+        hists = subset_histograms(digits, base, rows)
         codes = np.arange(q**t)
         k, expand = _string_pairing(pairing, t, d), _weyl_expansion(unitaries, t)
         if hams is None:
@@ -967,7 +967,9 @@ def verify_schedule(sched: Schedule) -> float:
         raise ValueError("only eulerian schedules carry Hamiltonians to verify")
     d, labels = sched.d, sched.labels
     index = sched.index.astype(np.intp)
-    pairs = np.unique((index * d + labels[..., 0]) * d + labels[..., 1])
+    # the distinct codes from a bincount: a plain np.unique imports numpy.ma
+    pairs = np.flatnonzero(np.bincount(((index * d + labels[..., 0]) * d
+                                        + labels[..., 1]).ravel()))
     weyls = np.array([[weyl(d, a, b) for b in range(d)] for a in range(d)])
     dist = aligned_distance(_expm_hermitian(sched.table[pairs // d**2], sched.delta),
                             weyls[pairs // d % d, pairs % d])

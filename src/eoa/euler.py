@@ -208,7 +208,10 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     full group (see _euler_verdict).  Violations are return values.
 
     One blocked counting pass (`oa.subset_histograms`) over the digits
-    symbol*q + transition gives every pair histogram.  The pass also
+    symbol*q + transition gives every pair histogram as one count array,
+    judged in bulk: the used transitions, uniformity and one lambda across
+    all subsets are array operations, and the scalar `_euler_verdict` runs
+    only on the first failing subset, to name its violation.  The pass also
     certifies strength t: every vertex occurs |S| * lam_edge = N/q^t times,
     and that vertex marginal is the certificate's lam.  An array that
     fails here may fail strength too; `certify_eulerian` runs the
@@ -222,34 +225,43 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
     _check_pair_cap(q, t)
-    digits = pair_digits(entries, field)
-    symbols = list(itertools.product(range(q), repeat=t))
-    # histogram digits interleave (vertex, transition) per row; put the t
-    # vertex digits first to get a (q^t, q^t) (vertex, transition) layout
-    order = (*range(0, 2 * t, 2), *range(1, 2 * t, 2))
-
-    def judge(rows, flat):
-        counts = flat.reshape((q,) * (2 * t)).transpose(order)
-        return _euler_verdict(rows, counts.reshape(q**t, q**t), N, symbols)
-
     subsets = list(itertools.combinations(range(n), t))
-    results = subset_histograms(digits, q * q, subsets, judge)
-    gensets: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    lam = None
-    for rows, res in zip(subsets, results, strict=True):
-        if isinstance(res, EulerianViolation):
-            return res
-        gens, sub_lam = res
-        gensets[rows] = gens
-        if lam is None:
-            lam = sub_lam
-        elif sub_lam != lam:
-            return EulerianViolation(rows, "pair-count", None, None, sub_lam, lam)
-    assert lam is not None
+    counts = subset_histograms(pair_digits(entries, field), q * q, subsets)
+    symbols = list(itertools.product(range(q), repeat=t))
+    # histogram digits interleave (vertex, transition) per row: axes v_0,
+    # s_0, v_1, s_1, ... of one view, never a transposed copy
+    S, width = len(subsets), q**t
+    pairs = counts.reshape((S,) + (q,) * (2 * t))
+    used = pairs.sum(axis=tuple(range(1, 2 * t + 1, 2))).reshape(S, width) > 0
+    sizes = used.sum(axis=1)
+    # uniform pair counts force lam = N / (|G^t| |S|); a subset whose
+    # lam is not integral cannot be uniform
+    lam, rest = np.divmod(N, width * sizes)
+    expected = used.reshape((S,) + (1, q) * t) * lam.reshape((S,) + (1,) * (2 * t))
+    uniform = (rest == 0) & (pairs == expected).all(axis=tuple(range(1, 2 * t + 1)))
+    bad = ~uniform | (lam != lam[0])
+    if bad.any():
+        # the scalar judge, on a (vertex, transition) matrix, names the
+        # first failing subset's violation
+        i = int(np.argmax(bad))
+        order = (*range(0, 2 * t, 2), *range(1, 2 * t, 2))
+        verdict = _euler_verdict(subsets[i], counts[i].reshape((q,) * (2 * t))
+                                 .transpose(order).reshape(width, width), N, symbols)
+        if isinstance(verdict, EulerianViolation):
+            return verdict
+        return EulerianViolation(subsets[i], "pair-count", None, None, verdict[1],
+                                 int(lam[0]))
+    # one generating-set tuple per distinct used-transition mask
+    distinct: dict[bytes, tuple[tuple[int, ...], ...]] = {}
+    gensets = {}
+    for rows, mask in zip(subsets, used):
+        key = mask.tobytes()
+        if key not in distinct:
+            distinct[key] = tuple(symbols[s] for s in np.flatnonzero(mask).tolist())
+        gensets[rows] = distinct[key]
     # the vertex marginal: each vertex occurs once per (vertex, s) pair
     # with s in S, lam times each, so |S| * lam times
-    vertex_lam = len(next(iter(gensets.values()))) * lam
-    return EulerianCertificate(lam, gensets, vertex_lam)
+    return EulerianCertificate(int(lam[0]), gensets, int(sizes[0] * lam[0]))
 
 
 def certify_eulerian(entries: np.ndarray, field: FieldTable, t: int

@@ -11,22 +11,27 @@ averaging layer for the supports of a drift's terms.  Each row carries one
 digit per column: its symbol here, the (symbol, transition) pair in base
 q^2 for the Eulerian check.  The requested subsets are grouped by their
 (t-1)-row prefix, whose key is encoded once; the keys of a block of later
-rows are that key plus each row's digits plus a per-row offset, and one
-bincount returns the histograms of the whole block of t-row subsets.
+rows are that key plus each row's digits, which carry the offset of the
+row's histogram slot, and one bincount returns the histograms of the
+whole block of t-row subsets.
 When base^(t+1) <= N a key carries two later rows, whose histograms are
 the marginals of their joint one: half the keys, and no more bins than
 keys.  Blocks hold at most `_BLOCK_KEYS` keys (one row or row pair when N
-alone is more), so memory stays bounded as N grows.  Each subset's
-histogram is then judged on its own, and the verdicts come back in the
-order the subsets were asked for.
+alone is more), so memory stays bounded as N grows.  The histograms come
+back as one count array, a row per subset in the order asked; judging is
+the caller's.  The verifiers judge all rows at once with array operations
+and run their scalar judge only on the first failing subset, to name its
+violation.  A large count runs on two threads by default (see
+`config.worker_count`): one encodes keys while the other's bincount holds
+the interpreter lock.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import queue
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,17 +85,30 @@ class OrthogonalArray:
 # little time and leave more freed memory with the allocator for later stages.
 _BLOCK_KEYS = 2**19
 
+# Keys below which one call counts serially: a thread pool costs more than
+# the overlap of one worker's key encoding with the other's bincount saves.
+# A call whose prefixes average fewer than _PARALLEL_KEYS / 64 = 2^16 keys
+# also stays serial: there the interpreter-bound work of each prefix
+# outweighs the overlap (on a 2-CPU machine, 2 threads took strength 3 of
+# the GF(4) m = 4 OA, 3.6e3 keys a prefix, from 1.0 to 1.3 s; at 8.7e4 keys
+# a prefix and more they won 1.2-1.6x).
+_PARALLEL_KEYS = 2**22
 
-def subset_histograms(digits: np.ndarray, base: int, subsets, judge) -> list:
-    """[judge(rows, counts) for rows in subsets], in the order given.
+
+def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
+    """(len(subsets), base^t) intp histograms, row i that of subsets[i].
 
     digits is an n x N array of per-row digits in [0, base); subsets are
-    strictly increasing row tuples of one size t; counts is the length
-    base^t histogram of a subset's columns, encoded base `base` with the
-    first row most significant.  The subsets are grouped by their (t-1)-row
-    prefix, whose key is encoded once; prefixes run on up to
-    `config.worker_count()` threads, and each counts the requested later
-    rows in blocks of at most `_BLOCK_KEYS` keys, one bincount per block.
+    strictly increasing row tuples of one size t; row i counts the columns
+    of digits[subsets[i]], encoded base `base` with the first row most
+    significant; no subsets give a (0, 0) array.  Judging the histograms
+    is the caller's.  The subsets are
+    grouped by their (t-1)-row prefix, whose key is encoded once; each
+    prefix counts the requested later rows in blocks of at most
+    `_BLOCK_KEYS` keys, one bincount per block, and writes their rows of
+    the result.  A call of at least `_PARALLEL_KEYS` keys, averaging at
+    least a 64th of that per prefix, runs its prefixes on up to
+    `config.worker_count()` threads.
 
     When base^(t+1) <= N, later rows are counted two at a time: one key
     per column encodes the prefix and both rows' digits, and the two
@@ -104,6 +122,10 @@ def subset_histograms(digits: np.ndarray, base: int, subsets, judge) -> list:
     requested row; a pair whose first row ends the prefix still gives the
     second row's histogram as its marginal.  A block is a run of
     consecutive pairs, so its keys are one slice of the joint digits.
+
+    Every worker's key and prefix buffers are allocated here, by the
+    calling thread, and lent out through a queue: buffers a worker
+    allocated would stay resident in its own malloc arena after the call.
     """
     # row slices of a Fortran-ordered or column-gathered array are strided,
     # which makes every key encoding and bincount about 1.7x slower
@@ -111,7 +133,7 @@ def subset_histograms(digits: np.ndarray, base: int, subsets, judge) -> list:
     n, N = digits.shape
     subsets = np.array(list(subsets), dtype=np.intp)
     if not len(subsets):
-        return []
+        return np.zeros((0, 0), dtype=np.intp)
     if subsets.ndim != 2 or not subsets.size or subsets.min() < 0 \
             or subsets.max() >= n or np.any(np.diff(subsets, axis=1) <= 0):
         raise ValueError(f"subsets must be strictly increasing row tuples of "
@@ -120,54 +142,72 @@ def subset_histograms(digits: np.ndarray, base: int, subsets, judge) -> list:
     order = np.lexsort(subsets.T[::-1])
     ordered = subsets[order]                    # lexicographic, by prefix
     starts = np.flatnonzero((ordered[1:, :-1] != ordered[:-1, :-1]).any(axis=1)) + 1
+    spans = list(itertools.pairwise([0, *starts.tolist(), len(ordered)]))
     width = base**t
     group = 2 if base * width <= N else 1       # later rows per key
     first = n % group                           # zero rows before row 0
-    codes = digits                              # one row of joint digits per group
-    if group == 2:
+    if group == 2:                              # one row of joint digits per group
         codes = np.zeros(((n + 1) // 2, N), dtype=np.intp)
         codes[first:] = digits[first::2]
         codes *= base
         codes += digits[1 - first::2]
+    else:
+        codes = digits.astype(np.intp)
     bins = width * base ** (group - 1)          # histogram of a group's key
     per_block = max(1, _BLOCK_KEYS // max(N, bins))
     # no block holds more groups than there are, so small arrays keep
     # small buffers
-    offsets = bins * np.arange(min(per_block, len(codes)))[:, None]
-    weights = base ** np.arange(t - 2, -1, -1)
-    local = threading.local()
+    depth = min(per_block, len(codes))
+    # group g counts into histogram slot g mod depth, whose offset its codes
+    # carry: a block's at most depth consecutive groups never share a slot
+    codes += bins * (np.arange(len(codes)) % depth)[:, None]
+    total = len(ordered) * N // group          # keys the call counts
+    workers = 1
+    if total >= _PARALLEL_KEYS and 64 * total >= _PARALLEL_KEYS * len(spans):
+        workers = min(config.worker_count(), len(spans))
+    buffers: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put((np.empty((depth, N), dtype=np.intp), np.empty(N, dtype=np.intp)))
+    out = np.empty((len(ordered), width), dtype=np.intp)
 
-    def count_prefix(span: tuple[int, int]) -> list:
-        if not hasattr(local, "keys"):         # one key buffer per worker
-            local.keys = np.empty((len(offsets), N), dtype=np.intp)
-        prefix = tuple(ordered[span[0], :-1].tolist())
-        lasts = ordered[span[0]:span[1], -1]    # requested later rows, sorted
-        rank = (lasts + first) // group         # each requested row's group
-        # the prefix's digits as a number (int64 zeros when t = 1), plus
-        # each block group's offset
-        head = offsets[:len(lasts)] + (weights @ digits[list(prefix)]) * base**group
-        verdicts = []
-        # blocks: runs of consecutive groups, at most per_block long
-        jumps = np.flatnonzero(rank[1:] > rank[:-1] + 1) + 1
-        for a, b in itertools.pairwise([0, *jumps.tolist(), len(rank)]):
-            end = int(rank[b - 1]) + 1
-            for g in range(int(rank[a]), end, per_block):
-                size = min(per_block, end - g)
-                keys = np.add(codes[g:g + size], head[:size], out=local.keys[:size])
-                counts = np.bincount(keys.ravel(), minlength=size * bins)
-                # a pair's row histograms: sum out the other row of the pair
-                margins = [counts.reshape(size, width)] if group == 1 else \
-                    [counts.reshape(size, width // base, base, base).sum(axis=3 - r)
-                     .reshape(size, width) for r in range(2)]
-                lo, hi = np.searchsorted(rank, [g, g + size])
-                verdicts += [judge(prefix + (row,), margins[(row + first) % group]
-                                   [(row + first) // group - g])
-                             for row in lasts[lo:hi].tolist()]
-        return verdicts
+    def count_prefix(span: tuple[int, int]) -> None:
+        keys, head = buffers.get()
+        try:
+            lasts = ordered[span[0]:span[1], -1]    # requested later rows, sorted
+            rank = (lasts + first) // group         # each requested row's group
+            # the prefix's digits as a number (zeros when t = 1)
+            head[:] = 0
+            for row in ordered[span[0], :-1].tolist():
+                head *= base
+                head += digits[row]
+            head *= base**group
+            # blocks: runs of consecutive groups, at most per_block long
+            jumps = np.flatnonzero(rank[1:] > rank[:-1] + 1) + 1
+            for a, b in itertools.pairwise([0, *jumps.tolist(), len(rank)]):
+                end = int(rank[b - 1]) + 1
+                for g in range(int(rank[a]), end, per_block):
+                    size = min(per_block, end - g)
+                    np.add(codes[g:g + size], head, out=keys[:size])
+                    counts = np.bincount(keys[:size].ravel(), minlength=depth * bins)
+                    lo, hi = np.searchsorted(rank, [g, g + size])
+                    slots = rank[lo:hi] % depth
+                    if group == 1:
+                        out[order[span[0] + lo:span[0] + hi]] = \
+                            counts.reshape(depth, width)[slots]
+                        continue
+                    # a pair's row histograms: sum out the other row of the pair
+                    joint = counts.reshape(depth, width // base, base, base)
+                    second = (lasts[lo:hi] + first) % 2
+                    for r in (0, 1):
+                        pick = np.flatnonzero(second == r)
+                        if len(pick):
+                            margin = joint.sum(axis=3 - r).reshape(depth, width)
+                            out[order[span[0] + lo + pick]] = margin[slots[pick]]
+        finally:
+            buffers.put((keys, head))
 
-    spans = list(itertools.pairwise([0, *starts.tolist(), len(ordered)]))
-    verdicts = [v for block in config.parallel_map(count_prefix, spans) for v in block]
-    return [verdicts[i] for i in np.argsort(order).tolist()]
+    config.parallel_map(count_prefix, spans, workers)
+    return out
 
 
 def _strength_verdict(rows: tuple[int, ...], counts: np.ndarray, N: int, q: int,
@@ -186,7 +226,9 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
 
     Counts every t-tuple of symbols in every t x N sub-array.  A violation
     names the offending row subset and tuple (needed when debugging
-    hand-entered arrays); it is a return value, not an exception.
+    hand-entered arrays); it is a return value, not an exception.  All
+    subsets are judged at once from the counter's array; the scalar
+    `_strength_verdict` names the first failing one's violation.
     """
     entries = np.asarray(entries)
     n, N = entries.shape
@@ -195,21 +237,18 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
     subsets = list(itertools.combinations(range(n), t))
-    results = subset_histograms(
-        entries, q, subsets,
-        lambda rows, counts: _strength_verdict(rows, counts, N, q, t))
-    lam = None
-    for rows, res in zip(subsets, results, strict=True):
-        if isinstance(res, StrengthViolation):
-            return res
-        if lam is None:
-            lam = res
-        elif res != lam:
-            # cannot happen when all subsets are uniform (both equal N/q^t),
-            # but keep the guard
-            return StrengthViolation(rows, (0,) * t, res, lam)
-    assert lam is not None
-    return lam
+    counts = subset_histograms(entries, q, subsets)
+    # uniform counts sum to N, so they all equal N / q^t: one lambda for
+    # every uniform subset; the guard below cannot fire, but is kept
+    lam = counts[:, 0]
+    bad = ~(counts == lam[:, None]).all(axis=1) | (lam != lam[0])
+    if not bad.any():
+        return int(lam[0])
+    i = int(np.argmax(bad))
+    verdict = _strength_verdict(subsets[i], counts[i], N, q, t)
+    if isinstance(verdict, StrengthViolation):
+        return verdict
+    return StrengthViolation(subsets[i], (0,) * t, verdict, int(lam[0]))
 
 
 def max_strength(entries: np.ndarray, q: int) -> int | None:

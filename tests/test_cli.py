@@ -501,3 +501,21 @@ def test_runtime_imports_no_scipy():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+
+def test_schedule_verdicts_import_no_numpy_ma(tmp_path, eoa256_file):
+    """Exporting a schedule and reading it back with verify_schedule never
+    load numpy.ma, which a plain np.unique imports on its first call."""
+    src = str(Path(eoa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    sched = tmp_path / "sched.json"
+    script = (
+        "import sys, eoa, eoa.cli\n"
+        f"argv = ['schedule', 'export', '--oa', {str(eoa256_file)!r}, "
+        f"'--delta', '0.1', '--out', {str(sched)!r}]\n"
+        "assert eoa.cli.main(argv) == 0\n"
+        f"assert eoa.verify_schedule(eoa.read_schedule({str(sched)!r})) <= 1e-12\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.splitlines()[-1] == "False"

@@ -11,6 +11,7 @@ which re-encodes every requested support from scratch.
 """
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,7 @@ def test_blocked_verifiers_match_per_subset_oracle(case, budget, threads):
     N = entries.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("EOA_THREADS", threads)
+        mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
         if budget:
             mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, q ** (2 * t)))
         strength = verify_strength(entries, q, t)
@@ -183,8 +185,44 @@ def test_verdicts_do_not_depend_on_memory_layout(q, shuffle):
     assert isinstance(verdicts[0][1], EulerianViolation) == shuffle
 
 
+def test_threaded_verdicts_equal_serial_at_m3():
+    """On the GF(4) m = 3 Eulerian array (n = 21, N = 4096), a column
+    shuffle of it and a one-symbol tamper, four workers on every count
+    (floor 0, blocks of one row pair, a short switch interval) return
+    exactly the serial verdicts: lambda, gensets, first violation."""
+    field = FIELDS[4]
+    base = _eulerian_entries(hamming_code(field, 3).dual())
+    rng = np.random.default_rng(18)
+    tampered = base.copy()
+    tampered[7, 1000] = (tampered[7, 1000] + 1) % 4
+    arrays = {"valid": base, "shuffled": base[:, rng.permutation(base.shape[1])],
+              "tampered": tampered}
+    verdicts = {}
+    for threads in ("1", "4"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("EOA_THREADS", threads)
+            if threads != "1":
+                mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
+                mp.setattr(oa_module, "_BLOCK_KEYS", base.shape[1])
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                verdicts[threads] = {kind: (verify_strength(a, 4, 2),
+                                            verify_eulerian(a, field, 2))
+                                     for kind, a in arrays.items()}
+            finally:
+                sys.setswitchinterval(interval)
+    assert verdicts["4"] == verdicts["1"]
+    (lam, cert), (shuffled_lam, shuffled), (bad_lam, bad) = verdicts["1"].values()
+    assert lam == shuffled_lam == 256 and cert.lam == 256
+    assert cert.edge_multiplicity == 16 and len(cert.gensets) == 210
+    assert all(len(gens) == 16 for gens in cert.gensets.values())
+    assert isinstance(shuffled, EulerianViolation)
+    assert isinstance(bad_lam, StrengthViolation) and isinstance(bad, EulerianViolation)
+
+
 # ---------------------------------------------------------------------------
-# Every histogram the judges see, paired rows or single
+# Every histogram the verifiers judge, paired rows or single
 # ---------------------------------------------------------------------------
 
 def transitions_oracle(sub, field):
@@ -193,24 +231,17 @@ def transitions_oracle(sub, field):
 
 
 class Recorder:
-    """Stands in for `subset_histograms`: runs it with a judge that records
-    each subset's (counts, verdict), keeping every call in `calls`."""
+    """Stands in for `subset_histograms`: runs it and keeps each call's
+    (base, subsets, counts) in `calls`."""
 
     def __init__(self):
         self.real = oa_module.subset_histograms
         self.calls = []
 
-    def __call__(self, digits, base, subsets, judge):
-        seen = {}
-
-        def recording_judge(rows, counts):
-            verdict = judge(rows, counts)
-            seen.setdefault(rows, []).append((counts.copy(), verdict))
-            return verdict
-
-        results = self.real(digits, base, subsets, recording_judge)
-        self.calls.append((base, seen, results))
-        return results
+    def __call__(self, digits, base, subsets):
+        counts = self.real(digits, base, subsets)
+        self.calls.append((base, list(subsets), counts.copy()))
+        return counts
 
 
 @st.composite
@@ -239,9 +270,10 @@ def counted_arrays(draw):
 @given(case=counted_arrays(), budget=st.sampled_from([0, 1, 2, 3, "key"]),
        threads=st.sampled_from(["1", "4"]))
 def test_every_subset_histogram_matches_per_subset_oracle(case, budget, threads):
-    """Each judge gets exactly the per-subset histogram, once per subset,
-    and returns the per-subset verdict; the results come back in
-    lexicographic order.  Blocks hold the default budget, one, two or
+    """Each verifier asks once for every subset in lexicographic order, and
+    row i of the count array is exactly subset i's histogram; the verdicts
+    judged in bulk from it are the per-subset judges' (lambda, gensets or
+    the first violation).  Blocks hold the default budget, one, two or
     three rows' keys, or a single key (one group per block)."""
     q, t, entries = case
     field = FIELDS[q]
@@ -249,34 +281,35 @@ def test_every_subset_histogram_matches_per_subset_oracle(case, budget, threads)
     recorder = Recorder()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("EOA_THREADS", threads)
+        mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
         mp.setattr(oa_module, "subset_histograms", recorder)
         mp.setattr(euler_module, "subset_histograms", recorder)
         if budget == "key":
             mp.setattr(oa_module, "_BLOCK_KEYS", 1)
         elif budget:
             mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, q ** (2 * t)))
-        verify_strength(entries, q, t)
-        verify_eulerian(entries, field, t)
-    (base_s, seen_s, results_s), (base_e, seen_e, results_e) = recorder.calls
+        strength = verify_strength(entries, q, t)
+        euler = verify_eulerian(entries, field, t)
+    (base_s, subsets_s, counts_s), (base_e, subsets_e, counts_e) = recorder.calls
     assert (base_s, base_e) == (q, q * q)
     subsets = list(itertools.combinations(range(entries.shape[0]), t))
+    assert subsets_s == subsets_e == subsets
     # the Eulerian digits, symbol * q + transition, from the two-table form
     pairs = q * entries + transitions_oracle(entries, field)
-    for seen, results in ((seen_s, results_s), (seen_e, results_e)):
-        assert sorted(seen) == subsets
-        assert all(len(calls) == 1 for calls in seen.values())
-        assert results == [seen[rows][0][1] for rows in subsets]
-    for rows in subsets:
-        counts, verdict = seen_s[rows][0]
-        expected = column_counts(entries[list(rows)], q)
-        assert counts.dtype == expected.dtype
-        assert np.array_equal(counts, expected)
-        assert verdict == check_rows(entries, q, t, rows)
-        counts, verdict = seen_e[rows][0]
-        expected = column_counts(pairs[list(rows)], q * q)
-        assert counts.dtype == expected.dtype
-        assert np.array_equal(counts, expected)
-        assert verdict == check_euler_rows(entries, field, t, rows)
+    for counts, digits, base in ((counts_s, entries, q), (counts_e, pairs, q * q)):
+        assert counts.shape == (len(subsets), base**t)
+        for row, rows in zip(counts, subsets):
+            expected = column_counts(digits[list(rows)], base)
+            assert row.dtype == expected.dtype
+            assert np.array_equal(row, expected)
+    # oracle_strength and oracle_eulerian judge subset by subset with
+    # check_rows and check_euler_rows
+    assert strength == oracle_strength(entries, q, t)
+    expected = oracle_eulerian(entries, field, t)
+    if isinstance(euler, EulerianCertificate):
+        assert (euler.edge_multiplicity, euler.gensets) == expected
+    else:
+        assert euler == expected
 
 
 @pytest.mark.parametrize("q", [*sorted(FIELDS), 16, 256])
@@ -364,23 +397,23 @@ PAIRED_REQUEST = (np.random.default_rng(7).integers(0, 4, size=(6, 64)), 4,
 @example(case=PAIRED_REQUEST, budget=0, threads="1")
 @example(case=PAIRED_REQUEST, budget=1, threads="4")
 def test_any_subsets_match_support_histograms_oracle(case, budget, threads):
-    """For any list of subsets the counter judges each one once, with its
-    own rows, in the order given, and its histogram equals the oracle's
-    bit for bit: blocks of one to three groups or the default budget (0),
-    serially and on four threads."""
+    """For any list of subsets the counter returns one row per subset, in
+    the order given, equal to the oracle's histogram bit for bit: blocks
+    of one to three groups or the default budget (0), serially and on four
+    threads."""
     digits, base, subsets = case
     N = digits.shape[1]
     t = len(subsets[0]) if subsets else 1
     bins = base ** (t + 1) if base ** (t + 1) <= N else base**t
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("EOA_THREADS", threads)
+        mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
         if budget:
             mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, bins))
-        got = oa_module.subset_histograms(digits, base, subsets,
-                                          lambda rows, counts: (rows, counts))
-    assert [rows for rows, _ in got] == subsets
+        counts = oa_module.subset_histograms(digits, base, subsets)
     if subsets:
         expected = support_histograms_oracle(digits, base, subsets)
-        counts = np.stack([c for _, c in got])
         assert counts.dtype == expected.dtype
         assert np.array_equal(counts, expected)
+    else:
+        assert counts.shape == (0, 0)

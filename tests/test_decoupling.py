@@ -1141,6 +1141,7 @@ def test_batched_averages_equal_per_term_oracles(case, bound, threads):
                   for term in drift.terms]}
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("EOA_THREADS", threads)
+        mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
         if bound != "default":
             per = 1 if bound == "one" else 2
             t = drift.max_arity

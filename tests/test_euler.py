@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eoa import oa as oa_module
 from eoa.codes import LinearCode, gf_matmul, hamming_code
 from eoa.decoupling import _pair_bins, eulerian_average, random_drift
 from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
@@ -121,8 +122,7 @@ def pair_histogram(entries, rows, field):
     off the shared pair digits the way the verifier and the averaging
     kernel count them."""
     q, t = field.q, len(rows)
-    hist, = subset_histograms(pair_digits(entries, field), q * q, [rows],
-                              lambda rows, counts: counts)
+    hist, = subset_histograms(pair_digits(entries, field), q * q, [rows])
     return hist[_pair_bins(q, t)]
 
 
@@ -267,6 +267,7 @@ def test_read_eoa_requires_trailer(tmp_path, eoa256):
 def test_workers_env_var_same_certificate(eoa256, monkeypatch):
     serial = verify_eulerian(eoa256.entries, F4, 2)
     monkeypatch.setenv("EOA_THREADS", "4")
+    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 0)
     parallel = verify_eulerian(eoa256.entries, F4, 2)
     assert isinstance(parallel, EulerianCertificate)
     assert parallel.edge_multiplicity == serial.edge_multiplicity

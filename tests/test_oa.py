@@ -1,3 +1,5 @@
+import itertools
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from eoa.codes import LinearCode, hamming_code
 from eoa.gf import gf_new
-from eoa import config
+from eoa import config, oa as oa_module
 from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, format_oa,
                     max_strength, oa_from_code, read_oa, read_oa_entries, read_oa_file,
                     subset_histograms, verify_strength, write_oa)
@@ -104,19 +106,22 @@ def test_column_permutation_invariance(oa16):
 
 def test_column_counts_encoding():
     """Column tuples encode base q, first subset row leading, whatever the
-    order of the rows in the array; one histogram per subset.  Subsets
-    must be strictly increasing, of one size and inside the array."""
+    order of the rows in the array; one intp count row per subset, in the
+    order asked.  Subsets must be strictly increasing, of one size and
+    inside the array."""
     sub = np.array([[0, 1, 1, 3], [2, 0, 0, 3]])
-    collect = lambda rows, counts: counts
-    counts, = subset_histograms(sub, 4, [(0, 1)], collect)
-    flipped, = subset_histograms(sub[::-1], 4, [(0, 1)], collect)
+    counts, = subset_histograms(sub, 4, [(0, 1)])
+    flipped, = subset_histograms(sub[::-1], 4, [(0, 1)])
     assert counts.shape == (16,) and counts.sum() == 4
     assert (counts[0 * 4 + 2], counts[1 * 4 + 0], counts[3 * 4 + 3]) == (1, 2, 1)
     assert (flipped[2 * 4 + 0], flipped[0 * 4 + 1], flipped[3 * 4 + 3]) == (1, 2, 1)
-    assert subset_histograms(sub, 4, [], collect) == []
+    both = subset_histograms(np.vstack([sub, sub[::-1]]), 4, [(2, 3), (0, 1)])
+    assert both.shape == (2, 16) and both.dtype == np.intp
+    assert np.array_equal(both, [flipped, counts])
+    assert subset_histograms(sub, 4, []).shape == (0, 0)
     for bad in ([(1, 0)], [(0, 0)], [(0, 2)], [(-1, 0)], [(0,), (0, 1)], [()]):
         with pytest.raises(ValueError):
-            subset_histograms(sub, 4, bad, collect)
+            subset_histograms(sub, 4, bad)
 
 
 def test_max_strength_cases(oa16):
@@ -267,6 +272,7 @@ def test_read_oa_rejects_wrong_lambda_claim(tmp_path, oa16):
 
 def test_workers_env_var_same_result(oa16, monkeypatch):
     monkeypatch.setenv("EOA_THREADS", "4")
+    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 0)
     assert verify_strength(oa16.entries, 4, 2) == 1
     result = verify_strength(oa16.entries, 4, 3)
     assert isinstance(result, StrengthViolation)
@@ -341,8 +347,44 @@ def test_read_oa_file_ragged_rows_name_the_shape(tmp_path):
         read_oa_file(path)
 
 
-def test_parallel_map_keeps_order(monkeypatch):
+def test_parallel_map_keeps_order():
     items = list(range(20))
-    assert config.parallel_map(lambda x: x * x, items) == [x * x for x in items]
+    for workers in (1, 4):
+        assert config.parallel_map(lambda x: x * x, items, workers) == [x * x for x in items]
+
+
+def test_worker_count_default_and_override(monkeypatch):
+    """Unset, EOA_THREADS defaults to at most two usable CPUs; "1" is
+    serial, and any other count overrides the default."""
+    monkeypatch.delenv("EOA_THREADS", raising=False)
+    assert config.worker_count() == min(2, len(os.sched_getaffinity(0)))
+    monkeypatch.setenv("EOA_THREADS", "1")
+    assert config.worker_count() == 1
     monkeypatch.setenv("EOA_THREADS", "4")
-    assert config.parallel_map(lambda x: x * x, items) == [x * x for x in items]
+    assert config.worker_count() == 4
+
+
+def test_small_counts_start_no_threads(oa16, monkeypatch):
+    """A count below `_PARALLEL_KEYS` runs serially whatever the worker
+    count: no ThreadPoolExecutor is constructed.  So does a larger count
+    whose prefixes average fewer than a 64th of the floor.  With the floor
+    at 0, or just low enough for the prefixes, the same calls construct one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ThreadPoolExecutor constructed")
+
+    monkeypatch.setenv("EOA_THREADS", "4")
+    monkeypatch.setattr(config, "ThreadPoolExecutor", refuse)
+    assert 10 * 16 < oa_module._PARALLEL_KEYS        # C(5, 2) subsets x N keys
+    assert verify_strength(oa16.entries, 4, 2) == 1
+    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 0)
+    with pytest.raises(AssertionError, match="constructed"):
+        verify_strength(oa16.entries, 4, 2)
+    # 2415 row pairs of 4 columns, one key each: 9660 keys over 69 prefixes
+    digits = np.random.default_rng(0).integers(0, 4, size=(70, 4))
+    subsets = list(itertools.combinations(range(70), 2))
+    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 9660)
+    counts = subset_histograms(digits, 4, subsets)
+    assert counts.sum() == 9660
+    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 9660 * 64 // 69)
+    with pytest.raises(AssertionError, match="constructed"):
+        subset_histograms(digits, 4, subsets)

@@ -87,11 +87,6 @@ _BLOCK_KEYS = 2**19
 
 # Keys below which one call counts serially: a thread pool costs more than
 # the overlap of one worker's key encoding with the other's bincount saves.
-# A call whose prefixes average fewer than _PARALLEL_KEYS / 64 = 2^16 keys
-# also stays serial: there the interpreter-bound work of each prefix
-# outweighs the overlap (on a 2-CPU machine, 2 threads took strength 3 of
-# the GF(4) m = 4 OA, 3.6e3 keys a prefix, from 1.0 to 1.3 s; at 8.7e4 keys
-# a prefix and more they won 1.2-1.6x).
 _PARALLEL_KEYS = 2**22
 
 
@@ -102,12 +97,11 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     strictly increasing row tuples of one size t; row i counts the columns
     of digits[subsets[i]], encoded base `base` with the first row most
     significant; no subsets give a (0, 0) array.  Judging the histograms
-    is the caller's.  The subsets are
-    grouped by their (t-1)-row prefix, whose key is encoded once; each
-    prefix counts the requested later rows in blocks of at most
-    `_BLOCK_KEYS` keys, one bincount per block, and writes their rows of
-    the result.  A call of at least `_PARALLEL_KEYS` keys, averaging at
-    least a 64th of that per prefix, runs its prefixes on up to
+    is the caller's.  The subsets are grouped by their (t-1)-row prefix,
+    whose key is encoded once; each prefix counts the requested later rows
+    in blocks of at most `_BLOCK_KEYS` keys, one bincount of the block's
+    size per block, and writes their rows of the result.  A call of at
+    least `_PARALLEL_KEYS` keys runs its prefixes on up to
     `config.worker_count()` threads.
 
     When base^(t+1) <= N, later rows are counted two at a time: one key
@@ -159,11 +153,12 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     # small buffers
     depth = min(per_block, len(codes))
     # group g counts into histogram slot g mod depth, whose offset its codes
-    # carry: a block's at most depth consecutive groups never share a slot
+    # carry: a block never crosses a multiple of depth, so its slots run
+    # consecutively and, less the first one's offset, fill a histogram of
+    # the block's size
     codes += bins * (np.arange(len(codes)) % depth)[:, None]
-    total = len(ordered) * N // group          # keys the call counts
     workers = 1
-    if total >= _PARALLEL_KEYS and 64 * total >= _PARALLEL_KEYS * len(spans):
+    if len(ordered) * N // group >= _PARALLEL_KEYS:     # keys the call counts
         workers = min(config.worker_count(), len(spans))
     buffers: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(workers):
@@ -181,28 +176,32 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
                 head *= base
                 head += digits[row]
             head *= base**group
-            # blocks: runs of consecutive groups, at most per_block long
+            shift = 0                               # slot offset taken off head
+            # blocks: runs of consecutive groups, cut at multiples of depth
             jumps = np.flatnonzero(rank[1:] > rank[:-1] + 1) + 1
             for a, b in itertools.pairwise([0, *jumps.tolist(), len(rank)]):
-                end = int(rank[b - 1]) + 1
-                for g in range(int(rank[a]), end, per_block):
-                    size = min(per_block, end - g)
+                g, end = int(rank[a]), int(rank[b - 1]) + 1
+                while g < end:
+                    size = min(depth - g % depth, end - g)
+                    if g % depth != shift:
+                        head -= bins * (g % depth - shift)
+                        shift = g % depth
                     np.add(codes[g:g + size], head, out=keys[:size])
-                    counts = np.bincount(keys[:size].ravel(), minlength=depth * bins)
+                    counts = np.bincount(keys[:size].ravel(), minlength=size * bins)
                     lo, hi = np.searchsorted(rank, [g, g + size])
-                    slots = rank[lo:hi] % depth
+                    at, slots = order[span[0] + lo:span[0] + hi], rank[lo:hi] - g
+                    g += size
                     if group == 1:
-                        out[order[span[0] + lo:span[0] + hi]] = \
-                            counts.reshape(depth, width)[slots]
+                        out[at] = counts.reshape(size, width)[slots]
                         continue
                     # a pair's row histograms: sum out the other row of the pair
-                    joint = counts.reshape(depth, width // base, base, base)
+                    joint = counts.reshape(size, width // base, base, base)
                     second = (lasts[lo:hi] + first) % 2
                     for r in (0, 1):
                         pick = np.flatnonzero(second == r)
                         if len(pick):
-                            margin = joint.sum(axis=3 - r).reshape(depth, width)
-                            out[order[span[0] + lo + pick]] = margin[slots[pick]]
+                            margin = joint.sum(axis=3 - r).reshape(size, width)
+                            out[at[pick]] = margin[slots[pick]]
         finally:
             buffers.put((keys, head))
 
@@ -241,7 +240,7 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
     # uniform counts sum to N, so they all equal N / q^t: one lambda for
     # every uniform subset; the guard below cannot fire, but is kept
     lam = counts[:, 0]
-    bad = ~(counts == lam[:, None]).all(axis=1) | (lam != lam[0])
+    bad = (counts.min(axis=1) != counts.max(axis=1)) | (lam != lam[0])
     if not bad.any():
         return int(lam[0])
     i = int(np.argmax(bad))

@@ -1,4 +1,3 @@
-import itertools
 import os
 import re
 import tempfile
@@ -18,6 +17,8 @@ from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, format
 
 F4 = gf_new(2, 2)
 F2 = gf_new(2, 1)
+# the serial floor as the library sets it, read before conftest.py can lower it
+PARALLEL_KEYS = oa_module._PARALLEL_KEYS
 
 
 def format_oa_oracle(oa) -> str:
@@ -366,25 +367,16 @@ def test_worker_count_default_and_override(monkeypatch):
 
 def test_small_counts_start_no_threads(oa16, monkeypatch):
     """A count below `_PARALLEL_KEYS` runs serially whatever the worker
-    count: no ThreadPoolExecutor is constructed.  So does a larger count
-    whose prefixes average fewer than a 64th of the floor.  With the floor
-    at 0, or just low enough for the prefixes, the same calls construct one."""
+    count: no ThreadPoolExecutor is constructed.  With the floor at 0 the
+    same call constructs one."""
     def refuse(*args, **kwargs):
         raise AssertionError("ThreadPoolExecutor constructed")
 
     monkeypatch.setenv("EOA_THREADS", "4")
     monkeypatch.setattr(config, "ThreadPoolExecutor", refuse)
-    assert 10 * 16 < oa_module._PARALLEL_KEYS        # C(5, 2) subsets x N keys
+    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", PARALLEL_KEYS)
+    assert 10 * 16 < PARALLEL_KEYS          # C(5, 2) subsets x N keys
     assert verify_strength(oa16.entries, 4, 2) == 1
     monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 0)
     with pytest.raises(AssertionError, match="constructed"):
         verify_strength(oa16.entries, 4, 2)
-    # 2415 row pairs of 4 columns, one key each: 9660 keys over 69 prefixes
-    digits = np.random.default_rng(0).integers(0, 4, size=(70, 4))
-    subsets = list(itertools.combinations(range(70), 2))
-    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 9660)
-    counts = subset_histograms(digits, 4, subsets)
-    assert counts.sum() == 9660
-    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 9660 * 64 // 69)
-    with pytest.raises(AssertionError, match="constructed"):
-        subset_histograms(digits, 4, subsets)

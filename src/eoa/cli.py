@@ -14,6 +14,7 @@ re-verified -- headers are claims, counts are proofs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -32,7 +33,7 @@ from .euler import (EulerianViolation, certify_eulerian, euler_cycle_full,
 from .gf import field_from_order
 from .oa import (CertificateError, StrengthViolation, max_strength, oa_from_code,
                  read_oa, read_oa_entries, read_oa_file, verify_strength, write_oa)
-from .weyl import phase_distance
+from .weyl import aligned_distance
 
 
 def _fail_input(message: str) -> int:
@@ -208,8 +209,9 @@ def cmd_schedule_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep(oa, drift, base_tc: float, points: int):
-    """Exact-propagator error against the environment-only target, with the
-    cycle time halved between runs; returns the fitted log-log slope."""
+    """Exact-propagator error against the environment-only target (the
+    phase-aligned Frobenius distance), with the cycle time halved between
+    runs; returns the fitted log-log slope."""
     errors = []
     times = []
     tc = base_tc
@@ -219,7 +221,7 @@ def _sweep(oa, drift, base_tc: float, points: int):
         lam, vec = np.linalg.eigh(drift.env_only)
         env_u = (vec * np.exp(-1j * lam * tc)) @ vec.conj().T
         target = np.kron(np.eye(drift.d**drift.n), env_u)
-        errors.append(phase_distance(u, target))
+        errors.append(aligned_distance(u, target))
         times.append(tc)
         tc /= 2
     slope = float(np.polyfit(np.log(times), np.log(errors), 1)[0])
@@ -296,7 +298,11 @@ def cmd_sim(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The eoa parser, built on the first call and shared by later ones:
+    parse_args never changes it, and each call parses into a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="eoa",
         description="Eulerian orthogonal arrays from linear codes, with "

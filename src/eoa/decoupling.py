@@ -34,8 +34,9 @@ Conventions (hbar = 1 throughout):
   counter, `oa.subset_histograms`; the Eulerian coefficients then take the
   prefix phase omega^-k(g_0, l).  Both averages of a drift and the
   single-qudit cycle go through it.  The quadrature walk
-  (`_quadrature_walk`) stays per term in matrix space as the independent
-  cross-check, and its result is expanded by the same coefficient product.
+  (`_quadrature_walk`) stays in matrix space as the independent
+  cross-check, per support, stacked: one walk over the stack of the terms
+  on a support, whose result is expanded by the same coefficient product.
 
 * A character sum is decided in integers: its d buckets of equal pairing
   are exact float64 sums of counts, and when they are all equal the sum is
@@ -365,17 +366,20 @@ def _apply_pulse_filter(x: np.ndarray, eig: tuple) -> np.ndarray:
 
 def _quadrature_propagators(h: np.ndarray, delta: float, order: int) -> tuple:
     """(weights, u(tau_i)) at the Gauss-Legendre nodes tau_i of [0, Delta]:
-    the part of the quadrature average that does not depend on the operator."""
+    the part of the quadrature average that does not depend on the operator.
+    For a stack h (S, d, d) each node's propagators form one (S, d, d) stack."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return weights, [_expm_hermitian(h, (node + 1) * delta / 2) for node in nodes]
 
 
 def _apply_quadrature(x: np.ndarray, props: tuple, v: np.ndarray) -> np.ndarray:
+    """sum_i w_i (u_i v)^dag x (u_i v) / 2, accumulated node by node; x, the
+    propagators and v broadcast as stacks."""
     weights, us = props
-    acc = np.zeros_like(x)
+    acc = 0
     for weight, u in zip(weights, us):
         uv = u @ v
-        acc += weight * (uv.conj().T @ x @ uv)
+        acc = acc + weight * (uv.conj().swapaxes(-1, -2) @ x @ uv)
     return acc / 2
 
 
@@ -409,15 +413,18 @@ def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
 # ---------------------------------------------------------------------------
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of two equally long stacks of square matrices."""
+    """Kronecker products of two equally long stacks of square matrices, each
+    entry the np.kron of its pair bit for bit (the same broadcast multiply).
+    Callers pass complex factors: a real one would make the multiply cast
+    through a temporary buffer."""
     dim = a.shape[-1] * b.shape[-1]
-    return np.einsum("sab,scd->sacbd", a, b).reshape(len(a), dim, dim)
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), dim, dim)
 
 
 def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (x) 1 + 1 (x) b per stack entry: independently driven qudits."""
-    return (_kron(a, np.broadcast_to(np.eye(b.shape[-1]), b.shape))
-            + _kron(np.broadcast_to(np.eye(a.shape[-1]), a.shape), b))
+    return (_kron(a, np.broadcast_to(np.eye(b.shape[-1], dtype=complex), b.shape))
+            + _kron(np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape), b))
 
 
 def _support_table(per_symbol: np.ndarray, codes: np.ndarray, q: int, t: int,
@@ -571,11 +578,20 @@ def _quadrature_walk(x: np.ndarray, sub: np.ndarray, field: FieldTable,
     """(1/N) sum_j V_j^dag F_{s_j}(x) V_j along a t x N projection, V_j the
     control prefix and s_j the transition of column j, by the time-ordered
     walk: prefixes multiplied from eigen-exponential steps, F_s by
-    Gauss-Legendre quadrature once per distinct transition.
+    Gauss-Legendre quadrature.
 
-    `tables` memoizes the x-independent node propagators and steps, keyed
-    by the order and the used transition codes.  Share it only between
-    calls with the same field, hams and delta.
+    x is one operator on the projection's support or a stack (..., D, D) of
+    them, and the result has its shape.  Every used transition is filtered
+    at once, one stacked product per node, and the prefixes are scanned once
+    for the whole stack, column by column; each block of columns then adds
+    its stacked V_j^dag F[s_j] V_j in column order.  Blocks hold at most
+    `_BLOCK_ENTRIES` entries, so memory stays flat as N grows.
+
+    `tables` memoizes the x-independent part, keyed by the order and the
+    used transition codes: the node weights, each node's propagators of all
+    used transitions as one (S, D, D) stack, and the steps exp(-i h Delta)
+    as one (S, D, D) stack.  Share it only between calls with the same
+    field, hams and delta.
     """
     q, (t, N) = field.q, sub.shape
     tables = {} if tables is None else tables
@@ -585,34 +601,55 @@ def _quadrature_walk(x: np.ndarray, sub: np.ndarray, field: FieldTable,
     key = (order, t, used_s.tobytes())
     if key not in tables:
         h = _support_table(hams, used_s, q, t, _kron_sum)
-        tables[key] = ([_quadrature_propagators(hs, delta, order) for hs in h],
-                       [_expm_hermitian(hs, delta) for hs in h])
-    props, steps = tables[key]
-    eye = np.eye(x.shape[-1], dtype=complex)
-    filtered = [_apply_quadrature(x, p, eye) for p in props]
-    prefix, acc = eye, np.zeros_like(eye)
-    for s in column_s:
-        acc += prefix.conj().T @ filtered[s] @ prefix
-        prefix = steps[s] @ prefix
-    return acc / N
+        tables[key] = (*_quadrature_propagators(h, delta, order),
+                       _expm_hermitian(h, delta))
+    weights, nodes, steps = tables[key]
+    dim = x.shape[-1]
+    ops = x.reshape(-1, dim, dim)
+    eye = np.eye(dim, dtype=complex)
+    # (S, B, D, D), transitions first: a block gathers its columns' filters
+    filtered = _apply_quadrature(ops, (weights, [u[:, None] for u in nodes]), eye)
+    width = max(1, _BLOCK_ENTRIES // ops[0].size // len(ops))
+    prefixes = np.empty((width + 1, dim, dim), dtype=complex)
+    prefixes[0] = eye
+    acc = np.zeros_like(ops)
+    for lo in range(0, N, width):
+        cols = column_s[lo:lo + width]
+        for j, s in enumerate(cols.tolist()):
+            np.matmul(steps[s], prefixes[j], out=prefixes[j + 1])
+        v = prefixes[:len(cols), None]
+        terms = v.conj().swapaxes(-1, -2) @ filtered[cols] @ v
+        terms[0] += acc           # the running sum joins the first column, and an
+        acc = terms.sum(axis=0)   # axis-0 sum adds columns one after another
+        prefixes[0] = prefixes[len(cols)]
+    return (acc / N).reshape(x.shape)
 
 
 def _bounded_averages(entries: np.ndarray, supports: list, blocks: list,
                       field: FieldTable, unitaries: np.ndarray, delta: float,
                       method: str, order: int) -> list[np.ndarray]:
     """Weyl-string coefficients of Q_C of each block on its support under
-    the square-pulse schedule of the array: "exact" by character sums,
-    "quadrature" by one walk per term, the walks sharing their tables, each
-    walk expanded by the same coefficient product."""
+    the square-pulse schedule of the array, in input order: "exact" by
+    character sums, "quadrature" by one walk per support over the stack of
+    its terms, the walks sharing their tables, each term's walk expanded by
+    the same coefficient product."""
     hams = _symbol_hamiltonians(unitaries, delta)
     if method == "exact":
         return _exact_averages(entries, supports, blocks, field, unitaries, hams, delta)
     if method == "quadrature":
         tables: dict = {}
         expand = {t: _weyl_expansion(unitaries, t) for t in _terms_by_arity(supports)}
-        return [_quadrature_walk(x, entries[list(support)], field, hams, delta, order,
-                                 tables).reshape(-1) @ expand[len(support)]
-                for support, x in zip(supports, blocks)]
+        terms_of: dict[tuple[int, ...], list[int]] = {}
+        for i, support in enumerate(supports):
+            terms_of.setdefault(support, []).append(i)
+        averaged: list = [None] * len(supports)
+        for support, idx in terms_of.items():
+            walks = _quadrature_walk(np.stack([blocks[i] for i in idx]),
+                                     entries[list(support)], field, hams, delta,
+                                     order, tables)
+            for i, walk in zip(idx, walks):
+                averaged[i] = walk.reshape(-1) @ expand[len(support)]
+        return averaged
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -633,10 +670,11 @@ class AverageReport:
     how far that component moved from the declared env_only part.
     top_strings lists the Weyl strings that carry most of the residual,
     each as its non-identity (qudit, symbol) factors with its share of the
-    norm (residual_norm^2 is the sum of all strings' squared shares).  A
-    string whose character-sum buckets are all equal on a term's support
-    contributes exactly 0, so on a code-built array of strength t every
-    norm of a drift of arity <= t is exactly 0.0.
+    norm (residual_norm^2 is the sum of all strings' squared shares); only
+    strings with a nonzero share are listed.  A string whose character-sum
+    buckets are all equal on a term's support contributes exactly 0, so on
+    a code-built array of strength t every norm of a drift of arity <= t is
+    exactly 0.0 and top_strings is empty.
     """
 
     residual_norm: float
@@ -683,7 +721,8 @@ def _assemble_report(averaged: list[np.ndarray], drift: DriftHamiltonian,
     shares = d ** (n / 2) * np.linalg.norm(merged, axis=1)
     top = tuple((tuple((int(f) // q, int(f) % q) for f in strings[i] if f != pad),
                  float(shares[i]))
-                for i in np.argsort(-shares, kind="stable")[:_TOP_STRINGS])
+                for i in np.argsort(-shares, kind="stable")[:_TOP_STRINGS]
+                if shares[i] > 0)
     return AverageReport(d ** (n / 2) * frob(merged),
                          tuple((term.support, float(norm))
                                for term, norm in zip(drift.terms, norms)),
@@ -734,8 +773,9 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     the environment factor of every term passes through untouched.
     "exact" counts every distinct support once and multiplies each term's
     filtered Weyl coefficients by its support's character sums (see
-    _exact_averages).  "quadrature" walks each term's projection on its own
-    (see _quadrature_walk), sharing the walk's tables, and expands the walk.
+    _exact_averages).  "quadrature" walks each support's projection once
+    for the stack of its terms (see _quadrature_walk), sharing the walk's
+    tables, and expands each term's walk.
     """
     if order < 1:
         raise ValueError(f"quadrature order {order} must be >= 1")
@@ -797,6 +837,13 @@ def fs_map(d: int, labels, x: np.ndarray, delta: float, method: str = "exact",
 # Exact evolution
 # ---------------------------------------------------------------------------
 
+# A block of exact_evolution's segment Hamiltonians holds at most this many
+# entries, 2^12 (64 KB; one segment at d^n * d_E = 64): each temporary stays
+# below the allocator's default mmap threshold, so blocks reuse freed heap
+# instead of mapping fresh pages.
+_EVOLUTION_BLOCK_ENTRIES = 2**12
+
+
 def exact_evolution(drift: DriftHamiltonian, sched: Schedule) -> np.ndarray:
     """Propagator over one control cycle, on the full d^n * d_env space.
 
@@ -810,34 +857,36 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule) -> np.ndarray:
     A segment's step depends only on its labels (bang-bang) or on its row of
     sched.index (eulerian; never on the labels, which a schedule read from a
     file need not match), so each distinct row is exponentiated once and the
-    steps are multiplied in column order.
+    steps are multiplied in column order.  The distinct rows' Hamiltonians
+    are built as stacks -- Kronecker sums of the table's control
+    Hamiltonians, or Kronecker products of Weyl unitaries -- in blocks of at
+    most `_EVOLUTION_BLOCK_ENTRIES` entries (one segment when a single one
+    needs more).
     """
     if sched.n != drift.n or sched.d != drift.d:
         raise ValueError("schedule does not match the drift's qudit layout")
     h_total = drift.total_matrix()
-    dim = h_total.shape[0]
-    d_env = drift.d_env
-    rows = (sched.labels.reshape(sched.N, -1) if sched.mode == "bangbang"
-            else sched.index)
-    _, first, column_step = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
-    steps = []
-    for j in first:
+    env = np.eye(drift.d_env, dtype=complex)[None]
+    if sched.mode == "bangbang":
+        rows, column_step = _unique_rows(sched.labels.reshape(sched.N, -1))
+        d, labels = sched.d, rows.reshape(len(rows), sched.n, 2)
+        weyls = np.array([[weyl(d, a, b) for b in range(d)] for a in range(d)])
+        factors = [weyls[labels[:, k, 0], labels[:, k, 1]] for k in range(sched.n)]
+    else:
+        rows, column_step = _unique_rows(sched.index)
+        factors = [sched.table[k] for k in rows.T]
+    steps: list[np.ndarray] = []
+    width = max(1, _EVOLUTION_BLOCK_ENTRIES // h_total.size)
+    for lo in range(0, len(rows), width):
+        block = [f[lo:lo + width] for f in factors]
         if sched.mode == "bangbang":
-            w = np.eye(1, dtype=complex)
-            for k in range(sched.n):
-                a, b = sched.labels[j, k]
-                w = np.kron(w, weyl(sched.d, int(a), int(b)))
-            w_full = np.kron(w, np.eye(d_env))
-            h_seg = w_full.conj().T @ h_total @ w_full
+            w = _kron(functools.reduce(_kron, block), env)
+            h_seg = w.conj().swapaxes(-1, -2) @ h_total @ w
         else:
-            h_ctrl = np.zeros((drift.d**drift.n,) * 2, dtype=complex)
-            for k in range(sched.n):
-                h_ctrl += embed(sched.table[sched.index[j, k]], (k,), sched.n, sched.d)
-            h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
-        steps.append(_expm_hermitian(h_seg, sched.delta))
-    u = np.eye(dim, dtype=complex)
-    for s in column_step.ravel():
+            h_seg = h_total + _kron(functools.reduce(_kron_sum, block), env)
+        steps.extend(_expm_hermitian(h_seg, sched.delta))
+    u = np.eye(h_total.shape[0], dtype=complex)
+    for s in column_step.tolist():
         u = steps[s] @ u
     return u
 

@@ -124,17 +124,17 @@ def euler_cycle_full(field: FieldTable, k: int) -> EulerianCycle:
     if n_edges > config.EULER_EDGE_CAP:
         raise ValueError(f"q^(2k) = {n_edges} exceeds cap {config.EULER_EDGE_CAP}")
     n_vertices = q**k
-    vadd = _vector_add_table(field, k)
+    vadd = _vector_add_table(field, k).tolist()    # Python ints: no numpy scalars
 
-    next_gen = np.zeros(n_vertices, dtype=np.int64)
+    next_gen = [0] * n_vertices
     stack = [0]
     trail: list[int] = []
     while stack:
         v = stack[-1]
-        if next_gen[v] < n_vertices:
-            s = int(next_gen[v])
-            next_gen[v] += 1
-            stack.append(int(vadd[v, s]))
+        s = next_gen[v]
+        if s < n_vertices:
+            next_gen[v] = s + 1
+            stack.append(vadd[v][s])
         else:
             trail.append(stack.pop())
     trail.reverse()

@@ -5,11 +5,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import eoa
+from eoa import cli
 from eoa.cli import _resolve_d_dual, main
 from eoa.codes import LinearCode, hamming_code, write_code
 from eoa.gf import gf_new
@@ -414,6 +416,79 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["oa", "definitely-not-a-subcommand"])
     assert excinfo.value.code == 2
+
+
+# Different subcommands, an input error and two argparse errors, with each
+# option given in one call and left to its default in a later one.
+SESSION = [
+    "code hamming --q 4 --m 2 --dual --out {w}/dual.txt",
+    "oa build --code {w}/dual.txt --out {w}/oa16.txt",
+    "oa verify --in {w}/oa16.txt --t 1",
+    "oa verify --in {w}/oa16.txt",
+    "oa verify --in {w}/oa16.txt --t 9",
+    "sim bangbang --oa {w}/oa16.txt --n 5 --t 2 --seed 7 --denv 2 --report {w}/a.json",
+    "sim bangbang --oa {w}/oa16.txt --n 5 --report {w}/b.json",
+    "oa verify",
+    "sim eulerian --oa {w}/oa16.txt --n 5 --method magic",
+    "code info --in {w}/dual.txt",
+]
+
+
+def test_successive_main_calls_share_one_parser(tmp_path, capsys):
+    """main builds its parser on the first call and reuses it: a session of
+    successive calls gives the exit codes, outputs and reports of a parser
+    built afresh for every call, and no option of one call leaks into the
+    next (--t, --seed and --denv fall back to their defaults)."""
+    def run():
+        results = []
+        for line in SESSION:
+            try:
+                code = main(line.format(w=tmp_path).split())
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            reports = [json.loads((tmp_path / f"{name}.json").read_text())
+                       for name in "ab" if (tmp_path / f"{name}.json").exists()]
+            results.append((code, captured.out, captured.err, reports))
+        return results
+
+    cached = run()
+    assert cli.build_parser() is cli.build_parser()
+    for name in "ab":
+        (tmp_path / f"{name}.json").unlink()
+    with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+        fresh = run()
+    assert cached == fresh
+    assert [code for code, *_ in cached] == [0, 0, 0, 0, 2, 0, 0, 2, 2, 0]
+    assert "strength 1 with" in cached[2][1] and "strength 2 with" in cached[3][1]
+    assert "usage: eoa" in cached[7][2] and "invalid choice" in cached[8][2]
+    first, second = cached[-1][3]
+    assert (first["seed"], first["d_env"]) == (7, 2)
+    assert (second["seed"], second["d_env"], second["drift_arity"]) == (0, 1, 2)
+
+
+def test_parser_is_not_built_at_import():
+    """Importing eoa.cli builds no parser: the first main call does."""
+    src = str(Path(eoa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import eoa.cli; print(eoa.cli.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "0"
+
+
+def test_sim_bangbang_exact_zero_lists_no_top_strings(tmp_path, oa16_file):
+    """The [5, 2]_4 array averages the seed-7 2-body drift to exactly 0.0,
+    so no Weyl string carries a share and the report lists none."""
+    report = tmp_path / "bb.json"
+    assert main(["sim", "bangbang", "--oa", str(oa16_file), "--n", "5",
+                 "--t", "2", "--seed", "7", "--denv", "2",
+                 "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["residual_norm"] == 0.0
+    assert data["top_strings"] == []
 
 
 BAD_INPUTS = [

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from eoa import config
 from eoa import decoupling as decoupling_module, oa as oa_module
 from eoa.codes import LinearCode, hamming_code
-from eoa.decoupling import (_apply_pulse_filter, _coords_array, _exact_averages,
-                            _kron, _kron_sum, _pairing, _pulse_eigensystem,
+from eoa.decoupling import (_apply_pulse_filter, _bounded_averages,
+                            _coords_array, _exact_averages, _kron, _kron_sum,
+                            _pairing, _pulse_eigensystem,
                             _quadrature_propagators, _quadrature_walk,
                             _string_pairing, _support_table,
                             _symbol_hamiltonians, _symbol_unitaries,
-                            report_to_json)
+                            _weyl_expansion, report_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                             bangbang_average, bangbang_schedule, drift_from_json,
                             drift_to_json, euler_schedule, eulerian_average,
@@ -269,10 +270,11 @@ def test_segment_average_quadrature_equals_inline_loop(dim, order):
 
 @pytest.mark.parametrize("q, arity", [(4, 1), (4, 2), (9, 1), (9, 2)])
 def test_quadrature_exponentials_equal_pade(q, arity):
-    """The node propagators of _quadrature_propagators and the walk's steps,
-    all eigen-exponentials, equal scipy's Pade expm on the walk's Kronecker
-    sums of control Hamiltonians, so the cross-check does not rest on the
-    eigendecomposition alone."""
+    """The walk's memoized node propagators (one (S, D, D) stack per
+    Gauss-Legendre node) and steps, all eigen-exponentials, equal scipy's
+    Pade expm on the walk's Kronecker sums of control Hamiltonians, so the
+    cross-check does not rest on the eigendecomposition alone; so do the
+    node propagators of _quadrature_propagators for one Hamiltonian."""
     field = field_from_order(q)
     hams = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)
     cycle = euler_cycle_full(field, 1).vertices.T
@@ -281,15 +283,19 @@ def test_quadrature_exponentials_equal_pade(q, arity):
     tables = {}
     _quadrature_walk(np.eye(field.coord_dim() ** arity), sub, field, hams, 0.1,
                      order, tables)
-    (_, t, used), (_, steps) = next(iter(tables.items()))
+    (_, t, used), (_, props, steps) = next(iter(tables.items()))
     h = _support_table(hams, np.frombuffer(used, dtype=np.intp), q, t, _kron_sum)
-    assert len(h) == len(steps) > 1
     nodes, _ = np.polynomial.legendre.leggauss(order)
-    for hs, step in zip(h, steps):
+    assert len(h) == len(steps) > 1 and len(props) == len(nodes)
+    assert all(stack.shape == h.shape for stack in props)
+    for s, (hs, step) in enumerate(zip(h, steps)):
         assert frob(step - scipy.linalg.expm(-1j * 0.1 * hs)) <= 1e-12
-        for node, u in zip(nodes, _quadrature_propagators(hs, 0.1, order)[1]):
+        single = _quadrature_propagators(hs, 0.1, order)[1]
+        for node, stack, u in zip(nodes, props, single):
             tau = (node + 1) * 0.1 / 2
-            assert frob(u - scipy.linalg.expm(-1j * tau * hs)) <= 1e-12
+            pade = scipy.linalg.expm(-1j * tau * hs)
+            assert frob(stack[s] - pade) <= 1e-12
+            assert frob(u - pade) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +469,7 @@ def test_code_built_arrays_average_to_exact_zero(q, m):
     for report in (bangbang_average(oa, drift), eulerian_average(eoa, drift, 0.1)):
         assert report.residual_norm == 0.0
         assert all(norm == 0.0 for _, norm in report.per_term_norms)
-        assert all(norm == 0.0 for _, norm in report.top_strings)
+        assert report.top_strings == ()
     if n == 21:
         with pytest.warns(UserWarning):
             three_body = bangbang_average(oa, random_drift(n, d, 3, 2, seed=1))
@@ -650,6 +656,64 @@ def test_single_cycle_quadrature_unchanged_on_gf9(order):
         assert np.array_equal(
             single_cycle_average(cyc, x, 0.1, method="quadrature", order=order),
             walk_oracle(x, cyc.vertices.T, field, hams, 0.1, order))
+
+
+@pytest.mark.parametrize("block_entries", [1, 200, None])
+def test_stacked_walk_equals_single_operator_walks(eoa256, block_entries):
+    """One walk over the stack of a support's operators gives each
+    operator's own walk, and walk_oracle's, bit for bit: all 20 terms of the
+    [5, 2]_4 drift stacked per support, and a (2, 3, D, D) stack of random
+    operators.  Column blocks of one column, of a few columns (six for a
+    pair of terms, two for the stack of six, with a shorter last block), and
+    the default (one block for N = 256) give the same bits."""
+    field = field_from_order(4)
+    hams = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)
+    order = config.DEFAULT_QUAD_ORDER
+    drift = random_drift(5, 2, 2, 2, seed=1)
+    by_support = {}
+    for term in drift.terms:
+        by_support.setdefault(term.support, []).append(term.sys_block)
+    rng = np.random.default_rng(29)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_entries is not None:
+            mp.setattr(decoupling_module, "_BLOCK_ENTRIES", block_entries)
+        tables = {}
+        for support, xs in by_support.items():
+            sub = eoa256.entries[list(support)]
+            stacked = _quadrature_walk(np.stack(xs), sub, field, hams, 0.1, order, tables)
+            assert stacked.shape == (len(xs), 4, 4)
+            for x, walk in zip(xs, stacked):
+                assert np.array_equal(walk, _quadrature_walk(x, sub, field, hams, 0.1,
+                                                             order, tables))
+                assert np.array_equal(walk, walk_oracle(x, sub, field, hams, 0.1, order))
+        sub = eoa256.entries[[1, 3]]
+        ops = np.array([[random_complex(rng, 4) for _ in range(3)] for _ in range(2)])
+        stacked = _quadrature_walk(ops, sub, field, hams, 0.1, order)
+        assert stacked.shape == ops.shape
+        for x, walk in zip(ops.reshape(-1, 4, 4), stacked.reshape(-1, 4, 4)):
+            assert np.array_equal(walk, walk_oracle(x, sub, field, hams, 0.1, order))
+
+
+def test_quadrature_averages_keep_input_order():
+    """Terms of one support that are not adjacent in the input are walked
+    together, and each comes back at its own place: every term's
+    coefficients are the Weyl expansion of its own oracle walk, bit for
+    bit."""
+    field = field_from_order(9)
+    unitaries = _symbol_unitaries(field)
+    hams = _symbol_hamiltonians(unitaries, 0.1)
+    order = 5
+    rng = np.random.default_rng(31)
+    entries = rng.integers(0, 9, size=(3, 11))
+    supports = [(0, 1), (2,), (1, 2), (0, 1), (0,), (2,), (1, 2), (0, 1)]
+    blocks = [random_hermitian(rng, 3 ** len(support)) for support in supports]
+    averaged = _bounded_averages(entries, supports, blocks, field, unitaries, 0.1,
+                                 "quadrature", order)
+    assert len(averaged) == len(supports)
+    for support, x, coeffs in zip(supports, blocks, averaged):
+        walk = walk_oracle(x, entries[list(support)], field, hams, 0.1, order)
+        expand = _weyl_expansion(unitaries, len(support))
+        assert np.array_equal(coeffs, walk.reshape(-1) @ expand)
 
 
 def test_single_cycle_kernel_matches_walk_off_identity():
@@ -1174,16 +1238,26 @@ def test_batched_averages_equal_per_term_oracles(case, bound, threads):
 def test_top_strings_rank_the_oracle_surviving_map(case):
     """The report's top strings are the largest entries of the per-string
     loop's surviving map, norm d^(n/2) ||M_string||_F, in descending order;
-    where two norms are within tolerance the order between them is free."""
+    where two norms are within tolerance the order between them is free.
+    The report lists only strings with a nonzero share, so the oracle's map
+    is restricted to the strings the report keeps (all of them, read with
+    no cap on their number): every string it drops has an oracle share of
+    roundoff size."""
     entries, q, drift = case
     unitaries = _symbol_unitaries(field_from_order(q))
     report = bangbang_average((entries, q), drift)
+    with mock.patch.object(decoupling_module, "_TOP_STRINGS", 10**9):
+        kept = dict(bangbang_average((entries, q), drift).top_strings)
     blocks = [bangbang_oracle(term.sys_block, entries[list(term.support)], q,
                               unitaries) for term in drift.terms]
     surviving = report_oracle(blocks, drift, unitaries)[3]
     shares = {key: drift.d ** (drift.n / 2) * frob(m) for key, m in surviving.items()}
-    ranked = sorted(shares.values(), reverse=True)
     tol = config.TOL_BACKEND_AGREEMENT
+    assert set(kept) <= set(shares)
+    assert all(norm > 0 for norm in kept.values())
+    assert all(share <= tol for key, share in shares.items() if key not in kept)
+    shares = {key: shares[key] for key in kept}
+    ranked = sorted(shares.values(), reverse=True)
     assert len(report.top_strings) == min(5, len(shares))
     for i, (string, norm) in enumerate(report.top_strings):
         assert abs(norm - ranked[i]) <= tol

@@ -9,9 +9,10 @@ from eoa import oa as oa_module
 from eoa.codes import LinearCode, gf_matmul, hamming_code
 from eoa.decoupling import _pair_bins, eulerian_average, random_drift
 from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
-                       euler_cycle_full, eulerian_oa_from_code, pair_digits,
-                       read_eulerian_oa, verify_eulerian, write_eulerian_oa)
-from eoa.gf import gf_new
+                       _vector_add_table, euler_cycle_full, eulerian_oa_from_code,
+                       pair_digits, read_eulerian_oa, verify_eulerian,
+                       write_eulerian_oa)
+from eoa.gf import field_from_order, gf_new
 from eoa.oa import (CertificateError, OrthogonalArray, oa_from_code,
                     read_oa_file, subset_histograms, verify_strength)
 
@@ -63,6 +64,34 @@ def test_cycle_deterministic():
     a = euler_cycle_full(F4, 2)
     b = euler_cycle_full(F4, 2)
     assert np.array_equal(a.vertices, b.vertices)
+
+
+def hierholzer_oracle(field, k):
+    """The vertex codes of euler_cycle_full's Hierholzer loop as it indexed
+    numpy arrays scalar by scalar, before the loop ran on Python lists."""
+    n_vertices = field.q**k
+    vadd = _vector_add_table(field, k)
+    next_gen = np.zeros(n_vertices, dtype=np.int64)
+    stack = [0]
+    trail = []
+    while stack:
+        v = stack[-1]
+        if next_gen[v] < n_vertices:
+            s = int(next_gen[v])
+            next_gen[v] += 1
+            stack.append(int(vadd[v, s]))
+        else:
+            trail.append(stack.pop())
+    trail.reverse()
+    return np.array(trail[:-1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q, k", [(4, 1), (4, 2), (4, 3), (4, 4), (9, 1), (9, 2)])
+def test_cycle_equals_numpy_indexed_hierholzer(q, k):
+    """The list-based walk gives the numpy-indexed walk's trail exactly."""
+    field = field_from_order(q)
+    assert np.array_equal(encode_vertices(euler_cycle_full(field, k)),
+                          hierholzer_oracle(field, k))
 
 
 def test_cycle_cap():

@@ -413,18 +413,15 @@ def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
 # ---------------------------------------------------------------------------
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products of two equally long stacks of square matrices, each
-    entry the np.kron of its pair bit for bit (the same broadcast multiply).
-    Callers pass complex factors: a real one would make the multiply cast
-    through a temporary buffer."""
+    """Kronecker products of two equally long stacks of square matrices."""
     dim = a.shape[-1] * b.shape[-1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), dim, dim)
+    return np.einsum("sab,scd->sacbd", a, b).reshape(len(a), dim, dim)
 
 
 def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (x) 1 + 1 (x) b per stack entry: independently driven qudits."""
-    return (_kron(a, np.broadcast_to(np.eye(b.shape[-1], dtype=complex), b.shape))
-            + _kron(np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape), b))
+    return (_kron(a, np.broadcast_to(np.eye(b.shape[-1]), b.shape))
+            + _kron(np.broadcast_to(np.eye(a.shape[-1]), a.shape), b))
 
 
 def _support_table(per_symbol: np.ndarray, codes: np.ndarray, q: int, t: int,
@@ -837,13 +834,6 @@ def fs_map(d: int, labels, x: np.ndarray, delta: float, method: str = "exact",
 # Exact evolution
 # ---------------------------------------------------------------------------
 
-# A block of exact_evolution's segment Hamiltonians holds at most this many
-# entries, 2^12 (64 KB; one segment at d^n * d_E = 64): each temporary stays
-# below the allocator's default mmap threshold, so blocks reuse freed heap
-# instead of mapping fresh pages.
-_EVOLUTION_BLOCK_ENTRIES = 2**12
-
-
 def exact_evolution(drift: DriftHamiltonian, sched: Schedule) -> np.ndarray:
     """Propagator over one control cycle, on the full d^n * d_env space.
 
@@ -857,36 +847,33 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule) -> np.ndarray:
     A segment's step depends only on its labels (bang-bang) or on its row of
     sched.index (eulerian; never on the labels, which a schedule read from a
     file need not match), so each distinct row is exponentiated once and the
-    steps are multiplied in column order.  The distinct rows' Hamiltonians
-    are built as stacks -- Kronecker sums of the table's control
-    Hamiltonians, or Kronecker products of Weyl unitaries -- in blocks of at
-    most `_EVOLUTION_BLOCK_ENTRIES` entries (one segment when a single one
-    needs more).
+    steps are multiplied in column order.  An eulerian row's control
+    Hamiltonian is the Kronecker sum of its table entries.
     """
     if sched.n != drift.n or sched.d != drift.d:
         raise ValueError("schedule does not match the drift's qudit layout")
     h_total = drift.total_matrix()
-    env = np.eye(drift.d_env, dtype=complex)[None]
-    if sched.mode == "bangbang":
-        rows, column_step = _unique_rows(sched.labels.reshape(sched.N, -1))
-        d, labels = sched.d, rows.reshape(len(rows), sched.n, 2)
-        weyls = np.array([[weyl(d, a, b) for b in range(d)] for a in range(d)])
-        factors = [weyls[labels[:, k, 0], labels[:, k, 1]] for k in range(sched.n)]
-    else:
-        rows, column_step = _unique_rows(sched.index)
-        factors = [sched.table[k] for k in rows.T]
-    steps: list[np.ndarray] = []
-    width = max(1, _EVOLUTION_BLOCK_ENTRIES // h_total.size)
-    for lo in range(0, len(rows), width):
-        block = [f[lo:lo + width] for f in factors]
+    dim = h_total.shape[0]
+    d_env = drift.d_env
+    rows = (sched.labels.reshape(sched.N, -1) if sched.mode == "bangbang"
+            else sched.index)
+    _, first, column_step = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+    steps = []
+    for j in first:
         if sched.mode == "bangbang":
-            w = _kron(functools.reduce(_kron, block), env)
-            h_seg = w.conj().swapaxes(-1, -2) @ h_total @ w
+            w = np.eye(1, dtype=complex)
+            for k in range(sched.n):
+                a, b = sched.labels[j, k]
+                w = np.kron(w, weyl(sched.d, int(a), int(b)))
+            w_full = np.kron(w, np.eye(d_env))
+            h_seg = w_full.conj().T @ h_total @ w_full
         else:
-            h_seg = h_total + _kron(functools.reduce(_kron_sum, block), env)
-        steps.extend(_expm_hermitian(h_seg, sched.delta))
-    u = np.eye(h_total.shape[0], dtype=complex)
-    for s in column_step.tolist():
+            h_ctrl = functools.reduce(_kron_sum, sched.table[sched.index[j], None])[0]
+            h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
+        steps.append(_expm_hermitian(h_seg, sched.delta))
+    u = np.eye(dim, dtype=complex)
+    for s in column_step.ravel():
         u = steps[s] @ u
     return u
 

@@ -129,7 +129,12 @@ class DriftHamiltonian:
         return max(len(term.support) for term in self.terms) if self.terms else 0
 
     def total_matrix(self) -> np.ndarray:
-        """The full d^n * d_env Hamiltonian (capped; used by exact evolution)."""
+        """The full d^n * d_env Hamiltonian (capped; used by exact evolution),
+        built on the first call and returned read-only from then on."""
+        return self._total_matrix
+
+    @functools.cached_property
+    def _total_matrix(self) -> np.ndarray:
         dim = self.d**self.n * self.d_env
         if dim > config.EVOLUTION_DIM_CAP:
             raise ValueError(f"total dimension {dim} exceeds cap "
@@ -139,6 +144,7 @@ class DriftHamiltonian:
             sys_full = embed(term.sys_block, term.support, self.n, self.d)
             h += np.kron(sys_full, term.env_block)
         h += np.kron(np.eye(self.d**self.n), self.env_only)
+        h.flags.writeable = False
         return h
 
 
@@ -182,16 +188,16 @@ def random_drift(n: int, d: int, arity: int, d_env: int, seed: int) -> DriftHami
 
 @dataclass(frozen=True)
 class Schedule:
-    """N equal subintervals of per-qudit control.
+    """N equal subintervals of per-qudit control: a labelled row table and
+    an (N, n) index into it.
 
-    In bang-bang mode labels[j, k] is the Z_d x Z_d label of the unitary
-    held on qudit k during subinterval j (table and index are None; the
-    jumps between subintervals are idealized kicks).  In eulerian mode
-    labels[j, k] is the generator ramped during subinterval j and
-    table[index[j, k]] the constant control Hamiltonian realizing it: the
-    table holds the control Hamiltonians (for a built schedule, the q
-    symbol Hamiltonians in symbol order) and index (N, n) each segment's
-    rows of it, so the library never holds a per-segment (N, n, d, d) array.
+    Qudit k runs row index[j, k] during subinterval j.  Row r carries the
+    Z_d x Z_d label row_labels[r] of its Weyl unitary and, in eulerian mode,
+    table[r], the constant control Hamiltonian that ramps to that unitary.
+    In bang-bang mode the row's unitary is held for the subinterval (table
+    is None; the jumps between subintervals are idealized kicks).  A built
+    schedule has one row per field symbol, in symbol order, so the library
+    never holds per-segment labels or a per-segment (N, n, d, d) array.
     """
 
     n: int
@@ -199,9 +205,9 @@ class Schedule:
     N: int
     delta: float
     mode: str
-    labels: np.ndarray                 # (N, n, 2)
+    row_labels: np.ndarray             # (D, 2) integers in [0, d)
+    index: np.ndarray                  # (N, n) integers in [0, D)
     table: np.ndarray | None = None    # (D, d, d) for eulerian
-    index: np.ndarray | None = None    # (N, n) integers in [0, D) for eulerian
 
     def __post_init__(self):
         if self.mode not in ("bangbang", "eulerian"):
@@ -209,43 +215,50 @@ class Schedule:
         if self.N < 1 or self.n < 1:
             raise ValueError(f"a schedule needs a segment and a qudit, got "
                              f"N = {self.N}, n = {self.n}")
-        labels = self.labels
-        if labels.shape != (self.N, self.n, 2):
-            raise ValueError("labels shape mismatch")
-        if labels.dtype.kind not in "iu":
-            raise ValueError(f"schedule labels are {labels.dtype}, not integers")
-        if labels.size and not 0 <= labels.min() <= labels.max() < self.d:
-            j, k = np.argwhere(((labels < 0) | (labels >= self.d)).any(axis=-1))[0]
-            raise ValueError(f"segment {j}, qudit {k}: label "
-                             f"{tuple(labels[j, k].tolist())} out of range for "
-                             f"d = {self.d}")
-        if self.mode == "bangbang":
-            if self.table is not None or self.index is not None:
-                raise ValueError("bang-bang schedule holds no Hamiltonians")
-            return
-        table, index = self.table, self.index
-        if table is None or index is None:
-            raise ValueError("eulerian schedule needs a Hamiltonian table and index")
-        if table.ndim != 3 or table.shape[1:] != (self.d, self.d):
-            raise ValueError(f"Hamiltonian table shape {table.shape} is not "
-                             f"(D, {self.d}, {self.d})")
+        rows, index, table = self.row_labels, self.index, self.table
+        if rows.dtype.kind not in "iu" or rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError(f"schedule row labels {rows.dtype} {rows.shape}: "
+                             f"not integers of shape (D, 2)")
+        if rows.size and not 0 <= rows.min() <= rows.max() < self.d:
+            r = np.flatnonzero(((rows < 0) | (rows >= self.d)).any(axis=1))[0]
+            raise ValueError(f"table row {r}: label {tuple(rows[r].tolist())} "
+                             f"out of range for d = {self.d}")
         if index.dtype.kind not in "iu" or index.shape != (self.N, self.n):
-            raise ValueError(f"Hamiltonian index {index.dtype} {index.shape} is not "
-                             f"integer ({self.N}, {self.n})")
-        if index.size and not 0 <= index.min() <= index.max() < len(table):
-            raise ValueError(f"schedule Hamiltonian indices span [{index.min()}, "
-                             f"{index.max()}], outside the table of {len(table)}")
+            raise ValueError(f"schedule index {index.dtype} {index.shape}: not "
+                             f"integers of shape ({self.N}, {self.n})")
+        if not 0 <= index.min() <= index.max() < len(rows):
+            raise ValueError(f"schedule indices span [{index.min()}, {index.max()}], "
+                             f"outside the table of {len(rows)}")
+        if self.mode == "bangbang":
+            if table is not None:
+                raise ValueError("bang-bang schedule holds no Hamiltonians")
+        elif table is None or table.shape != (len(rows), self.d, self.d):
+            raise ValueError(f"Hamiltonian table shape "
+                             f"{None if table is None else table.shape} is not "
+                             f"({len(rows)}, {self.d}, {self.d})")
 
     @property
     def cycle_time(self) -> float:
         return self.N * self.delta
 
     @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """(N, n, 2) per-segment labels row_labels[index], read-only, built
+        once on first access.  Kept for the benchmark's segment check."""
+        labels = self.row_labels[self.index]
+        labels.flags.writeable = False
+        return labels
+
+    @functools.cached_property
     def hams(self) -> np.ndarray | None:
-        """(N, n, d, d) per-segment Hamiltonians table[index], built once on
-        first access (None for bang-bang).  Kept for the benchmark's segment
-        check; nothing in eoa reads it."""
-        return None if self.table is None else self.table[self.index]
+        """(N, n, d, d) per-segment Hamiltonians table[index], read-only,
+        built once on first access (None for bang-bang).  Kept for the
+        benchmark's segment check; nothing in eoa reads it."""
+        if self.table is None:
+            return None
+        hams = self.table[self.index]
+        hams.flags.writeable = False
+        return hams
 
 
 def generator_hamiltonian(u: np.ndarray, delta: float) -> np.ndarray:
@@ -280,9 +293,10 @@ def _symbol_hamiltonians(unitaries: np.ndarray, delta: float) -> np.ndarray:
     return np.stack([generator_hamiltonian(u, delta) for u in unitaries])
 
 
-def _coords_array(field: FieldTable, symbols: np.ndarray) -> np.ndarray:
-    """(..., 2) array of Z_d x Z_d coordinates for an array of symbols."""
-    d = field.coord_dim()
+def _symbol_labels(field: FieldTable) -> np.ndarray:
+    """(q, 2) uint8 Z_d x Z_d label of each field symbol, in symbol order
+    (q <= FIELD_ORDER_CAP)."""
+    symbols, d = np.arange(field.q, dtype=np.uint8), field.coord_dim()
     return np.stack([symbols % d, symbols // d], axis=-1)
 
 
@@ -307,8 +321,8 @@ def bangbang_schedule(m, delta: float) -> Schedule:
     entries, q, _ = _array_entries(m)
     field = field_from_order(q)
     n, N = entries.shape
-    labels = _coords_array(field, entries.T)      # (N, n, 2)
-    return Schedule(n, field.coord_dim(), N, delta, "bangbang", labels)
+    return Schedule(n, field.coord_dim(), N, delta, "bangbang",
+                    _symbol_labels(field), np.ascontiguousarray(entries.T))
 
 
 def euler_schedule(m, delta: float) -> Schedule:
@@ -329,8 +343,7 @@ def euler_schedule(m, delta: float) -> Schedule:
     for u, h in zip(unitaries, table):
         if aligned_distance(_expm_hermitian(h, delta), u) > config.EPS_MAT * d:
             raise AssertionError("control Hamiltonian does not realize its unitary")
-    return Schedule(n, d, N, delta, "eulerian", _coords_array(field, index),
-                    table, index)
+    return Schedule(n, d, N, delta, "eulerian", _symbol_labels(field), index, table)
 
 
 # ---------------------------------------------------------------------------
@@ -844,32 +857,30 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule) -> np.ndarray:
     the first column's unitary is the identity (true for every code-built
     array: column 0 is the zero codeword).
 
-    A segment's step depends only on its labels (bang-bang) or on its row of
-    sched.index (eulerian; never on the labels, which a schedule read from a
-    file need not match), so each distinct row is exponentiated once and the
-    steps are multiplied in column order.  An eulerian row's control
-    Hamiltonian is the Kronecker sum of its table entries.
+    A segment's step depends only on its row of sched.index (never on the
+    labels of an eulerian schedule, which a schedule read from a file need
+    not match to its Hamiltonians), so each distinct index row is
+    exponentiated once and the steps are multiplied in column order.  The
+    held unitary of a bang-bang index row is the Kronecker product of the
+    Weyl unitaries of its table rows' labels; the control Hamiltonian of an
+    eulerian one is the Kronecker sum of its table rows' Hamiltonians.
     """
     if sched.n != drift.n or sched.d != drift.d:
         raise ValueError("schedule does not match the drift's qudit layout")
     h_total = drift.total_matrix()
     dim = h_total.shape[0]
     d_env = drift.d_env
-    rows = (sched.labels.reshape(sched.N, -1) if sched.mode == "bangbang"
-            else sched.index)
-    _, first, column_step = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
+    rows, column_step = _unique_rows(sched.index)
     steps = []
-    for j in first:
+    for row in rows:
         if sched.mode == "bangbang":
             w = np.eye(1, dtype=complex)
-            for k in range(sched.n):
-                a, b = sched.labels[j, k]
-                w = np.kron(w, weyl(sched.d, int(a), int(b)))
+            for a, b in sched.row_labels[row].tolist():
+                w = np.kron(w, weyl(sched.d, a, b))
             w_full = np.kron(w, np.eye(d_env))
             h_seg = w_full.conj().T @ h_total @ w_full
         else:
-            h_ctrl = functools.reduce(_kron_sum, sched.table[sched.index[j], None])[0]
+            h_ctrl = functools.reduce(_kron_sum, sched.table[row, None])[0]
             h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
         steps.append(_expm_hermitian(h_seg, sched.delta))
     u = np.eye(dim, dtype=complex)
@@ -898,13 +909,16 @@ def _json_array(raw, shape: tuple, what: str, dtype=None) -> np.ndarray:
 
 def schedule_from_json(data: dict) -> Schedule:
     """The schedule of a write_schedule document.  A document of another
-    shape (a missing field, a segment that is not an object, a top level
-    that is not an object) raises a one-line ValueError."""
+    shape (a missing field, a top level that is not an object) or of the
+    old per-segment layout raises a one-line ValueError."""
     try:
+        if "segments" in data:
+            raise ValueError('schedule document has the old per-segment layout '
+                             '("segments"); export the schedule again')
         n, d, N, mode = data["n"], data["d"], data["N"], data["mode"]
-        segments = data["segments"]
-        labels = _json_array([seg["labels"] for seg in segments], (N, n, 2), "labels")
-        table = index = None
+        raw = data["labels"]
+        labels = _json_array(raw, (len(raw), 2), "labels")
+        table = None
         if mode == "eulerian":
             raw = data["hamiltonians"]
             for i, entry in enumerate(raw):
@@ -913,9 +927,8 @@ def schedule_from_json(data: dict) -> Schedule:
                                      f"[re, im] pairs, expected {d * d}")
             pairs = _json_array(raw, (len(raw), d * d, 2), "Hamiltonians", np.float64)
             table = pairs.view(np.complex128).reshape(len(raw), d, d)
-            index = _json_array([seg["hamiltonians"] for seg in segments], (N, n),
-                                "Hamiltonian indices")
-        return Schedule(n, d, N, float(data["delta"]), mode, labels, table, index)
+        index = _json_array(data["index"], (N, n), "index")
+        return Schedule(n, d, N, float(data["delta"]), mode, labels, index, table)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed schedule document: {exc!r}") from None
 
@@ -928,45 +941,33 @@ def _ascii(text: str) -> np.ndarray:
 
 
 def write_schedule(path, sched: Schedule) -> None:
-    """One JSON object: n, d, N, delta, mode, in eulerian mode the
-    Hamiltonian table (each entry row-major [re, im] pairs), then the
-    segments, each its n labels and, in eulerian mode, its n table indices.
+    """One JSON object: n, d, N, delta, mode, the row labels, in eulerian
+    mode the Hamiltonian table (each entry row-major [re, im] pairs), then
+    the index, one list of n table rows per segment.
 
     The bytes are those of json.dumps(...) + "\n" with default separators.
-    The header is json.dumps; the segments are one byte gather of label
-    and index tokens per block of SCHEDULE_BLOCK segments, with the zero
-    padding of mixed-width tokens dropped, so no per-segment Python runs.
+    The header is json.dumps; the index is one byte gather of row tokens
+    per block of SCHEDULE_BLOCK segments, with the zero padding of
+    mixed-width tokens dropped, so no per-segment Python runs.
     """
     d = sched.d
     header = {"n": sched.n, "d": d, "N": sched.N, "delta": sched.delta,
-              "mode": sched.mode}
-    keys = ['{"labels": [']
-    tokens = [_token_table([f"[{a}, {b}], " for a in range(d) for b in range(d)])]
+              "mode": sched.mode, "labels": sched.row_labels.tolist()}
     if sched.mode == "eulerian":
         table = np.ascontiguousarray(sched.table, dtype=np.complex128)
         header["hamiltonians"] = table.view(np.float64).reshape(
             len(table), d**2, 2).tolist()
-        keys.append(' "hamiltonians": [')
-        tokens.append(_token_table([f"{i}, " for i in range(len(table))]))
-    # a field's last token ends in ", ", which becomes its list's closing
-    # bracket (and, in the segment's last field, the object's closing brace)
-    closes = ["],"] * (len(keys) - 1) + ["]}"]
-    ragged = not all(t.all() for t in tokens)
+    tokens = _token_table([f"{i}, " for i in range(len(sched.row_labels))])
+    ragged = not tokens.all()
     with Path(path).open("wb") as f:
-        f.write((json.dumps(header)[:-1] + ', "segments": [').encode())
+        f.write((json.dumps(header)[:-1] + ', "index": [').encode())
         for lo in range(0, sched.N, SCHEDULE_BLOCK):
             hi = min(lo + SCHEDULE_BLOCK, sched.N)
-            labels = sched.labels[lo:hi].astype(np.intp)
-            codes = [labels[..., 0] * d + labels[..., 1]]
-            if sched.mode == "eulerian":
-                codes.append(sched.index[lo:hi])
-            parts = []
-            for key, close, toks, code in zip(keys, closes, tokens, codes):
-                text = np.take(toks, code, axis=0).reshape(hi - lo, -1)
-                text[:, -2:] = _ascii(close)
-                parts += [np.broadcast_to(_ascii(key), (hi - lo, len(key))), text]
-            parts.append(np.broadcast_to(_ascii(", "), (hi - lo, 2)))
-            text = np.concatenate(parts, axis=1).ravel()
+            text = np.take(tokens, sched.index[lo:hi], axis=0).reshape(hi - lo, -1)
+            text[:, -2:] = _ascii("],")      # a row's last ", " closes its list
+            text = np.concatenate([np.broadcast_to(_ascii("["), (hi - lo, 1)), text,
+                                   np.broadcast_to(_ascii(" "), (hi - lo, 1))],
+                                  axis=1).ravel()
             if ragged:
                 text = text[text != 0]
             f.write(text[:-2] if hi == sched.N else text)   # no ", " after the last
@@ -977,9 +978,9 @@ def read_schedule(path) -> Schedule:
     """The schedule a write_schedule file holds, parsed by json.loads.
 
     Cyclic garbage collection is paused while the file is parsed and
-    converted: the parse allocates about N * (n + 2) lists, none in a
-    cycle, and the collector would rescan them over and over.  The
-    caller's collector state is restored, also on error.
+    converted: the parse allocates about N lists, none in a cycle, and the
+    collector would rescan them over and over.  The caller's collector
+    state is restored, also on error.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -991,24 +992,20 @@ def read_schedule(path) -> Schedule:
 
 
 def verify_schedule(sched: Schedule) -> float:
-    """Largest phase-aligned distance of exp(-i h Delta) from the labeled Weyl.
+    """Largest phase-aligned distance of exp(-i h Delta) from the labeled
+    Weyl unitary of its table row, over the rows the index uses.
 
-    Re-verifies an (imported) eulerian schedule: each segment Hamiltonian
-    must reproduce its segment unitary up to a global phase.  The distance
-    depends on the (table row, label) pair alone, so it is computed once
-    per distinct pair, in one batch; the maximum still covers every segment.
-    Pairs are encoded in np.intp, so narrow index or label dtypes never wrap.
+    Re-verifies an (imported) eulerian schedule: each used row's Hamiltonian
+    must reproduce the unitary of the row's own label up to a global phase.
+    Every segment runs a row, so the maximum covers every segment.
     """
     if sched.mode != "eulerian":
         raise ValueError("only eulerian schedules carry Hamiltonians to verify")
-    d, labels = sched.d, sched.labels
-    index = sched.index.astype(np.intp)
-    # the distinct codes from a bincount: a plain np.unique imports numpy.ma
-    pairs = np.flatnonzero(np.bincount(((index * d + labels[..., 0]) * d
-                                        + labels[..., 1]).ravel()))
-    weyls = np.array([[weyl(d, a, b) for b in range(d)] for a in range(d)])
-    dist = aligned_distance(_expm_hermitian(sched.table[pairs // d**2], sched.delta),
-                            weyls[pairs // d % d, pairs % d])
+    # the used rows from a bincount: a plain np.unique imports numpy.ma
+    used = np.flatnonzero(np.bincount(sched.index.ravel()))
+    weyls = [weyl(sched.d, a, b) for a, b in sched.row_labels[used].tolist()]
+    dist = aligned_distance(_expm_hermitian(sched.table[used], sched.delta),
+                            np.array(weyls))
     return float(np.max(dist, initial=0.0))
 
 

@@ -305,14 +305,12 @@ def test_schedule_export(tmp_path, eoa256_file, capsys):
     assert "256 segments x 5 qudits" in captured
     data = json.loads(out.read_text())
     assert data["N"] == 256 and data["mode"] == "eulerian"
-    assert len(data["segments"]) == 256
-    assert len(data["segments"][0]["labels"]) == 5
-    assert len(data["segments"][0]["hamiltonians"]) == 5
-    # one table row per GF(4) transition symbol, each used by some segment
+    assert np.array(data["index"]).shape == (256, 5)
+    # one labelled table row per GF(4) transition symbol, each used by some
+    # segment
     table = np.array(data["hamiltonians"])
-    assert table.shape == (4, 4, 2)
-    used = {i for seg in data["segments"] for i in seg["hamiltonians"]}
-    assert used == set(range(4))
+    assert table.shape == (4, 4, 2) and np.array(data["labels"]).shape == (4, 2)
+    assert set(np.ravel(data["index"]).tolist()) == set(range(4))
     # every exported h satisfies ||h|| <= pi/delta
     h = (table[..., 0] + 1j * table[..., 1]).reshape(-1, 2, 2)
     assert np.linalg.norm(h, 2, axis=(1, 2)).max() <= np.pi / 0.1 + 1e-9
@@ -387,12 +385,17 @@ def test_sim_eulerian_sweep_reports_slope(tmp_path, capsys):
     eoa2 = tmp_path / "eoa2.txt"
     assert main(["euler", "build", "--q", "4", "--k", "2", "--out", str(eoa2)]) == 0
     report = tmp_path / "rep.json"
-    assert main(["sim", "eulerian", "--oa", str(eoa2), "--t", "2",
-                 "--seed", "11", "--denv", "2", "--sweep-tc", "3",
-                 "--report", str(report)]) == 0
+    with mock.patch.object(eoa.decoupling, "embed",
+                           wraps=eoa.decoupling.embed) as embed:
+        assert main(["sim", "eulerian", "--oa", str(eoa2), "--t", "2",
+                     "--seed", "11", "--denv", "2", "--sweep-tc", "3",
+                     "--report", str(report)]) == 0
     data = json.loads(report.read_text())
     assert 1.7 <= data["sweep"]["slope"] <= 2.3
     assert len(data["sweep"]["errors"]) == 3
+    # the full drift Hamiltonian is built once for the three sweep points:
+    # one embed per term (a system and a coupling term on the one support)
+    assert embed.call_count == 2
 
 
 def test_sim_missing_file_exits_2():

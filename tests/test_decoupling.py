@@ -15,10 +15,9 @@ from eoa import config
 from eoa import decoupling as decoupling_module, oa as oa_module
 from eoa.codes import LinearCode, hamming_code
 from eoa.decoupling import (_apply_pulse_filter, _bounded_averages,
-                            _coords_array, _exact_averages, _kron, _kron_sum,
-                            _pairing, _pulse_eigensystem,
-                            _quadrature_propagators, _quadrature_walk,
-                            _string_pairing, _support_table,
+                            _exact_averages, _kron, _kron_sum, _pairing,
+                            _pulse_eigensystem, _quadrature_propagators,
+                            _quadrature_walk, _string_pairing, _support_table,
                             _symbol_hamiltonians, _symbol_unitaries,
                             _weyl_expansion, report_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
@@ -156,7 +155,8 @@ def test_bangbang_schedule_oa16(oa16):
 def test_euler_schedule_parameters(eoa256):
     sched = euler_schedule(eoa256, 0.1)
     assert (sched.N, sched.n, sched.mode) == (256, 5, "eulerian")
-    norms = np.linalg.norm(sched.hams.reshape(-1, 2, 2), ord=2, axis=(1, 2))
+    hams = sched.table[sched.index]
+    norms = np.linalg.norm(hams.reshape(-1, 2, 2), ord=2, axis=(1, 2))
     assert norms.max() <= np.pi / 0.1 + 1e-9
     assert verify_schedule(sched) < 1e-12
 
@@ -169,30 +169,34 @@ def test_euler_schedule_segment_hamiltonians_follow_transitions(eoa256):
         for j in range(256):
             s = F4.add_table[eoa256.entries[k, (j + 1) % 256],
                              F4.neg_table[eoa256.entries[k, j]]]
-            assert np.array_equal(sched.hams[j, k], by_symbol[s])
+            assert np.array_equal(sched.table[sched.index[j, k]], by_symbol[s])
 
 
 @pytest.mark.parametrize("q", [4, 9])
 def test_euler_schedule_table_index_equals_symbol_gather(q):
-    """The schedule holds the q symbol Hamiltonians and a uint8 transition
-    index; its hams view equals the dense symbol gather bit for bit and its
-    labels are the transitions' coordinates."""
+    """The schedule holds the q symbol Hamiltonians labelled by the symbols'
+    coordinates and a uint8 transition index; its table gather equals the
+    dense symbol gather bit for bit and its labels are the transitions'
+    coordinates."""
     field = field_from_order(q)
     entries = np.random.default_rng(q).integers(0, q, size=(6, 40))
     sched = euler_schedule((entries, q), 0.1)
     diff = transitions(entries, field)
     dense = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)[diff.T]
+    coords = np.array([field.coords(e) for e in range(q)])
     assert sched.index.dtype == np.uint8 and sched.table.shape[0] == q
     assert np.array_equal(sched.index, diff.T)
-    assert np.array_equal(sched.hams.view(np.uint64), dense.view(np.uint64))
-    assert np.array_equal(sched.labels, _coords_array(field, diff.T))
+    assert np.array_equal(sched.row_labels, coords)
+    assert np.array_equal(sched.table[sched.index].view(np.uint64),
+                          dense.view(np.uint64))
+    assert np.array_equal(sched.labels, coords[diff.T])
 
 
 def test_euler_schedule_constant_row_gives_zero_controls():
     entries = np.array([[2, 2, 2, 2], [0, 1, 2, 3]], dtype=np.int64)
     sched = euler_schedule((entries, 4), 0.1)
     assert not sched.labels[:, 0].any()
-    assert frob(sched.hams[:, 0].reshape(-1)) < 1e-14
+    assert frob(sched.table[sched.index[:, 0]].reshape(-1)) < 1e-14
 
 
 def test_euler_schedule_telescopes_to_bangbang(eoa256):
@@ -203,7 +207,7 @@ def test_euler_schedule_telescopes_to_bangbang(eoa256):
         for j in range(256):
             a, b = F4.coords(int(eoa256.entries[k, j]))
             assert aligned_distance(v, weyl(2, a, b)) < 1e-10
-            v = expm_herm(sched.hams[j, k], 0.1) @ v
+            v = expm_herm(sched.table[sched.index[j, k]], 0.1) @ v
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +410,19 @@ def test_backend_agreement_per_segment(eoa256):
     rng = np.random.default_rng(9)
     x = random_complex(rng, 4)
     sched = euler_schedule(eoa256, 0.1)
+    hams = sched.table[sched.index]
     support = (1, 3)
     v1 = np.eye(2, dtype=complex)
     v2 = np.eye(2, dtype=complex)
     for j in range(256):
-        h = (embed(sched.hams[j, support[0]], (0,), 2, 2)
-             + embed(sched.hams[j, support[1]], (1,), 2, 2))
+        h = (embed(hams[j, support[0]], (0,), 2, 2)
+             + embed(hams[j, support[1]], (1,), 2, 2))
         v = np.kron(v1, v2)
         exact = segment_average(x, h, v, 0.1, method="exact")
         quad = segment_average(x, h, v, 0.1, method="quadrature", order=24)
         assert frob(exact - quad) <= 1e-10
-        v1 = expm_herm(sched.hams[j, support[0]], 0.1) @ v1
-        v2 = expm_herm(sched.hams[j, support[1]], 0.1) @ v2
+        v1 = expm_herm(hams[j, support[0]], 0.1) @ v1
+        v2 = expm_herm(hams[j, support[1]], 0.1) @ v2
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +784,8 @@ def exact_evolution_oracle(drift, sched):
         else:
             h_ctrl = np.zeros((drift.d**drift.n,) * 2, dtype=complex)
             for k in range(sched.n):
-                h_ctrl += embed(sched.hams[j, k], (k,), sched.n, sched.d)
+                h_ctrl += embed(sched.table[sched.index[j, k]], (k,), sched.n,
+                                sched.d)
             h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
         u = expm_herm(h_seg, sched.delta) @ u
     return u
@@ -821,17 +827,22 @@ def test_exact_evolution_equals_per_column_oracle(case):
 
 
 def test_exact_evolution_keys_on_hamiltonians_not_labels(eoa256):
-    """Two segments with equal labels but different control Hamiltonians (a
-    tampered or foreign schedule file) each get their own propagator."""
+    """Two table rows may share a label (a tampered or foreign schedule
+    file): two segments with equal labels but different control
+    Hamiltonians each get their own propagator."""
     sched = euler_schedule((eoa256.entries[:2], 4), 0.01)
     drift = random_drift(2, 2, 2, 2, seed=3)
     rows = sched.labels.reshape(sched.N, -1)
     j, k = next((j, k) for j in range(sched.N) for k in range(j + 1, sched.N)
                 if np.array_equal(rows[j], rows[k]))
-    hams = sched.hams.copy()
-    hams[k, 0] = random_hermitian(np.random.default_rng(4), 2)
+    r = sched.index[k, 0]
+    index = sched.index.astype(np.int64)
+    index[k, 0] = len(sched.table)          # a new row with row r's label
     tampered = Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
-                        sched.labels, *_distinct_hamiltonians(hams))
+                        np.concatenate([sched.row_labels, sched.row_labels[[r]]]),
+                        index,
+                        np.concatenate([sched.table, random_hermitian(
+                            np.random.default_rng(4), 2)[None]]))
     assert np.array_equal(tampered.labels[j], tampered.labels[k])
     u = exact_evolution(drift, tampered)
     assert np.array_equal(u, exact_evolution_oracle(drift, tampered))
@@ -903,6 +914,20 @@ def test_total_matrix_matches_embedding():
                             term.env_block)
     expected += np.kron(np.eye(4), drift.env_only)
     assert frob(h - expected) < 1e-14
+
+
+def test_total_matrix_is_built_once_and_read_only():
+    """Later calls return the first call's array, read-only, with no
+    further embed call; an oversized drift raises on every call."""
+    drift = random_drift(3, 2, 2, 2, seed=13)
+    with mock.patch.object(decoupling_module, "embed", wraps=embed) as spy:
+        h = drift.total_matrix()
+        assert drift.total_matrix() is h
+    assert spy.call_count == len(drift.terms) and not h.flags.writeable
+    big = random_drift(5, 2, 2, 16, seed=0)     # 32 * 16 = 512 > 256
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            big.total_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -1060,12 +1085,13 @@ def test_eulerian_residual_matches_full_space_oracle():
     acc = np.zeros_like(h_total)
     v = np.eye(8, dtype=complex)
     for j in range(256):
-        h_ctrl = sum(embed(sched.hams[j, k], (k,), 3, 2) for k in range(3))
+        hams = sched.table[sched.index[j]]
+        h_ctrl = sum(embed(hams[k], (k,), 3, 2) for k in range(3))
         acc += segment_average(h_total, np.kron(h_ctrl, np.eye(2)),
                                np.kron(v, np.eye(2)), 0.1)
         step = np.eye(1, dtype=complex)
         for k in range(3):
-            step = np.kron(step, expm_herm(sched.hams[j, k], 0.1))
+            step = np.kron(step, expm_herm(hams[k], 0.1))
         v = step @ v
     explicit = explicit_residual(acc / 256, 3, 2, 2)
     assert abs(report.residual_norm - explicit) < 1e-9
@@ -1292,56 +1318,70 @@ def _schedule_file_data(tmp_path, sched):
 
 
 def test_schedule_json_shape(tmp_path):
-    """Eulerian files hold one table row per distinct Hamiltonian and one
-    index per (segment, qudit); bang-bang files hold labels only."""
+    """Eulerian files hold one labelled table row per symbol Hamiltonian and
+    one index per (segment, qudit); bang-bang files hold the symbol labels
+    and the index, and no Hamiltonians."""
     sched = euler_schedule(
         eulerian_oa_from_code(LinearCode(F4, np.eye(1, dtype=np.int64)),
                               euler_cycle_full(F4, 1), 1), 0.1)
     data = _schedule_file_data(tmp_path, sched)
-    assert list(data) == ["n", "d", "N", "delta", "mode", "hamiltonians", "segments"]
-    assert data["N"] == 16 and len(data["segments"]) == 16
+    assert list(data) == ["n", "d", "N", "delta", "mode", "labels",
+                          "hamiltonians", "index"]
+    assert data["N"] == 16 and len(data["index"]) == 16
+    assert data["labels"] == [list(F4.coords(e)) for e in range(4)]
     assert len(data["hamiltonians"]) == 4     # one per GF(4) transition symbol
     assert all(len(h) == 4 and all(len(z) == 2 for z in h)
                for h in data["hamiltonians"])  # d^2 [re, im] pairs, row-major
-    seg = data["segments"][0]
-    assert len(seg["labels"]) == 1 and len(seg["labels"][0]) == 2
-    assert len(seg["hamiltonians"]) == 1 and isinstance(seg["hamiltonians"][0], int)
+    assert all(len(row) == 1 and isinstance(row[0], int) for row in data["index"])
     bang = _schedule_file_data(
         tmp_path, bangbang_schedule((np.zeros((3, 2), dtype=np.int64), 4), 0.1))
-    assert "hamiltonians" not in bang
-    assert bang["segments"] == [{"labels": [[0, 0]] * 3}] * 2
+    assert list(bang) == ["n", "d", "N", "delta", "mode", "labels", "index"]
+    assert bang["labels"] == data["labels"]
+    assert bang["index"] == [[0] * 3] * 2
 
 
-def _distinct_hamiltonians(hams):
-    """(table, index) with table[index] equal to the (N, n, d, d) array hams
-    bitwise: the schedule form of a dense per-segment array.
+def _distinct_rows(labels, hams=None):
+    """(row_labels, index, table) with row_labels[index] equal to the
+    (N, n, 2) labels and table[index] equal to the (N, n, d, d) array hams
+    bitwise: the schedule form of dense per-segment arrays.
 
-    table (D, d, d) holds the distinct segment Hamiltonians in order of
-    first appearance and index (N, n) each segment's row of it.  Blocks are
-    keyed by their bytes, so -0.0 and 0.0 stay apart and a round trip
+    The rows are the distinct (label, Hamiltonian) pairs in order of first
+    appearance (without hams: the distinct labels, and table None).  Pairs
+    are keyed by their bytes, so -0.0 and 0.0 stay apart and a round trip
     through the table is exact.
     """
-    N, n, d, _ = hams.shape
-    blocks = np.ascontiguousarray(hams, dtype=complex).reshape(-1, d * d)
-    keys = blocks.view(np.dtype((np.void, blocks.itemsize * d * d))).ravel()
+    N, n, _ = labels.shape
+    cells = [np.ascontiguousarray(labels, dtype=np.int64).reshape(N * n, -1)]
+    if hams is not None:
+        cells.append(np.ascontiguousarray(hams, dtype=complex).reshape(N * n, -1))
+    raw = np.concatenate([c.view(np.uint8) for c in cells], axis=1)
+    keys = raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return blocks[first[order]].reshape(-1, d, d), rank[inverse].reshape(N, n)
+    rows = first[order]
+    table = None if hams is None else hams.reshape(N * n, *hams.shape[2:])[rows]
+    return labels.reshape(N * n, 2)[rows], rank[inverse].reshape(N, n), table
 
 
-def test_distinct_hamiltonians_bitwise_first_appearance():
-    """-0.0 and 0.0 are different keys; rows come in order of first use."""
+def test_distinct_rows_bitwise_first_appearance():
+    """-0.0 and 0.0 are different keys, so are equal Hamiltonians under
+    different labels; rows come in order of first use."""
     a = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
     a_neg = a.copy()
     a_neg[0, 1] = complex(-0.0, 0.0)
     b = np.diag([1.0, -1.0]).astype(complex)
-    hams = np.stack([b, a, b, a_neg, a, b]).reshape(3, 2, 2, 2)
-    table, index = _distinct_hamiltonians(hams)
-    assert table.shape == (3, 2, 2) and index.tolist() == [[0, 1], [0, 2], [1, 0]]
+    hams = np.stack([b, a, b, a_neg, a, b, a]).reshape(7, 1, 2, 2)
+    labels = np.array([0, 0, 0, 0, 0, 0, 1]).reshape(7, 1, 1) * [1, 1]
+    row_labels, index, table = _distinct_rows(labels, hams)
+    assert table.shape == (4, 2, 2) and index.ravel().tolist() == [0, 1, 0, 2, 1, 0, 3]
+    assert row_labels.tolist() == [[0, 0], [0, 0], [0, 0], [1, 1]]
     assert np.array_equal(table[index].view(np.uint64), hams.view(np.uint64))
     assert np.signbit(table[2, 0, 1].real) and not np.signbit(table[1, 0, 1].real)
+    row_labels, index, table = _distinct_rows(labels)
+    assert row_labels.tolist() == [[0, 0], [1, 1]] and table is None
+    assert np.array_equal(row_labels[index], labels)
 
 
 def schedule_to_json(sched: Schedule) -> dict:
@@ -1349,26 +1389,23 @@ def schedule_to_json(sched: Schedule) -> dict:
     reference for write_schedule's byte gather, which writes
     json.dumps(schedule_to_json(sched)) + "\n"."""
     data = {"n": sched.n, "d": sched.d, "N": sched.N, "delta": sched.delta,
-            "mode": sched.mode}
-    labels = sched.labels.tolist()
-    if sched.mode == "bangbang":
-        data["segments"] = [{"labels": row} for row in labels]
-        return data
-    table = np.ascontiguousarray(sched.table, dtype=np.complex128)
-    data["hamiltonians"] = table.view(np.float64).reshape(
-        len(table), sched.d**2, 2).tolist()
-    data["segments"] = [{"labels": row, "hamiltonians": idx}
-                        for row, idx in zip(labels, sched.index.tolist())]
+            "mode": sched.mode, "labels": sched.row_labels.tolist()}
+    if sched.mode == "eulerian":
+        table = np.ascontiguousarray(sched.table, dtype=np.complex128)
+        data["hamiltonians"] = table.view(np.float64).reshape(
+            len(table), sched.d**2, 2).tolist()
+    data["index"] = sched.index.tolist()
     return data
 
 
 @st.composite
 def random_schedules(draw):
     """Schedules of either mode over d = 2, 3, 16 (two-digit labels) with
-    random labels and, in eulerian mode, per-segment Hamiltonians drawn
-    from a pool of up to 17 (two-digit table indices) that is not tied to
-    the labels and holds bitwise-distinct copies of equal values (0.0
-    against -0.0)."""
+    random per-segment labels and, in eulerian mode, per-segment
+    Hamiltonians drawn from a pool of up to 17 that is not tied to the
+    labels and holds bitwise-distinct copies of equal values (0.0 against
+    -0.0); the table rows are the distinct (label, Hamiltonian) pairs, up
+    to 28 of them (two-digit indices)."""
     mode = draw(st.sampled_from(["bangbang", "eulerian"]))
     d = draw(st.sampled_from([2, 3, 16]))
     N, n = draw(st.integers(1, 7)), draw(st.integers(1, 4))
@@ -1376,21 +1413,22 @@ def random_schedules(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     labels = rng.integers(0, d, size=(N, n, 2))
     if mode == "bangbang":
-        return Schedule(n, d, N, delta, mode, labels)
+        return Schedule(n, d, N, delta, mode, *_distinct_rows(labels)[:2])
     pool = [random_hermitian(rng, d) for _ in range(draw(st.integers(3, 14)))]
     signed = pool[0].copy()
     signed[0, 0] = complex(signed[0, 0].real, -0.0)
     pool += [signed, np.zeros((d, d), dtype=complex),
              np.full((d, d), complex(-0.0, -0.0))]
     hams = np.stack(pool)[rng.integers(0, len(pool), size=(N, n))]
-    return Schedule(n, d, N, delta, mode, labels, *_distinct_hamiltonians(hams))
+    return Schedule(n, d, N, delta, mode, *_distinct_rows(labels, hams))
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_schedules())
 def test_schedule_file_roundtrip_is_exact(sched):
-    """write_schedule then read_schedule gives back the labels and every
-    segment Hamiltonian bit for bit, and rewriting is byte-exact."""
+    """write_schedule then read_schedule gives back the row labels, the
+    index and every table Hamiltonian bit for bit, and rewriting is
+    byte-exact."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sched.json"
         write_schedule(path, sched)
@@ -1399,14 +1437,30 @@ def test_schedule_file_roundtrip_is_exact(sched):
         assert (Path(tmp) / "again.json").read_bytes() == path.read_bytes()
     assert (back.n, back.d, back.N, back.delta, back.mode) == \
         (sched.n, sched.d, sched.N, sched.delta, sched.mode)
-    assert back.labels.dtype == np.int64 and np.array_equal(back.labels, sched.labels)
+    assert back.row_labels.dtype == np.int64 and back.index.dtype == np.int64
+    assert np.array_equal(back.row_labels, sched.row_labels)
+    assert np.array_equal(back.index, sched.index)
+    assert np.array_equal(back.labels, sched.labels)
     if sched.mode == "bangbang":
-        assert back.hams is None and back.table is None and back.index is None
+        assert back.hams is None and back.table is None
     else:
-        assert back.hams.dtype == np.complex128
-        assert np.array_equal(back.hams.view(np.uint64), sched.hams.view(np.uint64))
+        assert back.table.dtype == np.complex128
         assert np.array_equal(back.table.view(np.uint64), sched.table.view(np.uint64))
-        assert np.array_equal(back.index, sched.index)
+        assert np.array_equal(back.hams.view(np.uint64), sched.hams.view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_schedules())
+def test_labels_and_hams_are_the_row_gathers(sched):
+    """The per-segment views are row_labels[index] and table[index] bit for
+    bit, built once and read-only."""
+    assert np.array_equal(sched.labels, sched.row_labels[sched.index])
+    assert sched.labels.dtype == sched.row_labels.dtype
+    assert sched.labels is sched.labels and not sched.labels.flags.writeable
+    if sched.mode == "eulerian":
+        assert np.array_equal(sched.hams.view(np.uint64),
+                              sched.table[sched.index].view(np.uint64))
+        assert sched.hams is sched.hams and not sched.hams.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -1436,15 +1490,23 @@ def test_write_schedule_equals_json_dumps_on_built_schedules(tmp_path, q, shape,
 
 
 def _break_negative_index(data):
-    data["segments"][1]["hamiltonians"][0] = -1
+    data["index"][1][0] = -1
 
 
 def _break_index_past_table(data):
-    data["segments"][2]["hamiltonians"][1] = len(data["hamiltonians"])
+    data["index"][2][1] = len(data["labels"])
 
 
 def _break_fractional_index(data):
-    data["segments"][0]["hamiltonians"][0] = 0.5
+    data["index"][0][0] = 0.5
+
+
+def _break_index_shape(data):
+    data["index"][3] = [0]
+
+
+def _break_missing_index(data):
+    del data["index"]
 
 
 def _break_short_entry(data):
@@ -1452,33 +1514,35 @@ def _break_short_entry(data):
 
 
 def _break_labels_shape(data):
-    data["segments"][1]["labels"] = data["segments"][1]["labels"][:-1]
+    data["labels"] = data["labels"][:-1]
+
+
+def _break_more_labels(data):
+    data["labels"].append([0, 0])
 
 
 def _break_label_width(data):
-    data["segments"][0]["labels"][0] = [0, 1, 1]
-
-
-def _break_index_shape(data):
-    data["segments"][3]["hamiltonians"] = [0]
+    data["labels"][0] = [0, 1, 1]
 
 
 def _break_negative_label(data):
-    data["segments"][2]["labels"][1] = [0, -1]
+    data["labels"][2] = [0, -1]
 
 
 def _break_label_past_d(data):
-    data["segments"][1]["labels"][0] = [data["d"], 0]
+    data["labels"][1] = [data["d"], 0]
 
 
 @pytest.mark.parametrize("tamper", [
     _break_negative_index, _break_index_past_table, _break_fractional_index,
-    _break_short_entry, _break_labels_shape, _break_label_width,
-    _break_index_shape, _break_negative_label, _break_label_past_d])
+    _break_index_shape, _break_missing_index, _break_short_entry,
+    _break_labels_shape, _break_more_labels, _break_label_width,
+    _break_negative_label, _break_label_past_d])
 def test_read_schedule_rejects_malformed_file(tmp_path, tamper):
-    """An index outside the table or a label outside [0, d) (numpy would
-    wrap a negative one), a table entry without d^2 pairs, and labels or
-    indices of the wrong shape are one-line ValueErrors."""
+    """An index outside the table (numpy would wrap a negative one), a
+    fractional index, a ragged or missing index, a table entry without d^2
+    pairs, labels and Hamiltonians of unequal length, and a row label of
+    the wrong width or outside [0, d) are one-line ValueErrors."""
     entries = np.array([[0, 1, 2, 3], [0, 2, 3, 1]], dtype=np.int64)
     data = _schedule_file_data(tmp_path, euler_schedule((entries, 4), 0.1))
     tamper(data)
@@ -1491,13 +1555,29 @@ def test_read_schedule_rejects_malformed_file(tmp_path, tamper):
 
 @pytest.mark.parametrize("document", [
     {"n": 1, "d": 2}, [1, 2], {"n": 1, "d": 2, "N": 1, "delta": 0.1,
-                               "mode": "bangbang", "segments": [[0, 1]]}])
+                               "mode": "bangbang", "labels": 5, "index": [[0]]}])
 def test_read_schedule_rejects_document_of_wrong_shape(tmp_path, document):
-    """A missing field, a top level that is not an object and a segment that
-    is not an object are one-line ValueErrors, as for drift documents."""
+    """A missing field, a top level that is not an object and row labels
+    that are not a list are one-line ValueErrors, as for drift documents."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document))
     with pytest.raises(ValueError, match="malformed schedule document") as excinfo:
+        read_schedule(path)
+    assert len(str(excinfo.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("document", [
+    {"n": 1, "d": 2, "N": 1, "delta": 0.1, "mode": "bangbang",
+     "segments": [{"labels": [[0, 1]]}]},
+    {"n": 1, "d": 2, "N": 1, "delta": 0.1, "mode": "eulerian",
+     "hamiltonians": [[[0.0, 0.0]] * 4],
+     "segments": [{"labels": [[0, 0]], "hamiltonians": [0]}]}])
+def test_read_schedule_rejects_per_segment_layout(tmp_path, document):
+    """A file of the old per-segment layout, with its "segments" list, is a
+    one-line ValueError that names the layout; it is not read."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError, match="old per-segment layout") as excinfo:
         read_schedule(path)
     assert len(str(excinfo.value).splitlines()) == 1
 
@@ -1509,25 +1589,28 @@ def test_schedule_rejects_index_outside_table(bad):
     sched = euler_schedule((np.array([[0, 1, 2, 3], [0, 2, 3, 1]]), 4), 0.1)
     index = sched.index.astype(np.int64)
     index[2, 1] = bad
-    with pytest.raises(ValueError, match="outside the table of 4") as excinfo:
-        Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
-                 sched.labels, sched.table, index)
-    assert len(str(excinfo.value).splitlines()) == 1
+    for extra in ((), (sched.table,)):
+        with pytest.raises(ValueError, match="outside the table of 4") as excinfo:
+            Schedule(sched.n, sched.d, sched.N, sched.delta,
+                     "eulerian" if extra else "bangbang", sched.row_labels, index,
+                     *extra)
+        assert len(str(excinfo.value).splitlines()) == 1
 
 
 @pytest.mark.parametrize("label", [(0, -1), (2, 0)])
 def test_schedule_rejects_label_outside_range(label):
-    """A label outside [0, d) would gather the wrong file token (np.take
+    """A row label outside [0, d) would gather the wrong file token (np.take
     wraps a negative one): a one-line ValueError at construction, in both
     modes."""
     sched = euler_schedule((np.array([[0, 1, 2, 3], [0, 2, 3, 1]]), 4), 0.1)
-    labels = sched.labels.astype(np.int64)
-    labels[3, 1] = label
-    for extra in ((), (sched.table, sched.index)):
-        with pytest.raises(ValueError, match=r"segment 3, qudit 1: .* out of range "
+    row_labels = sched.row_labels.astype(np.int64)
+    row_labels[3] = label
+    for extra in ((), (sched.table,)):
+        with pytest.raises(ValueError, match=r"table row 3: .* out of range "
                                              r"for d = 2") as excinfo:
             Schedule(sched.n, sched.d, sched.N, sched.delta,
-                     "eulerian" if extra else "bangbang", labels, *extra)
+                     "eulerian" if extra else "bangbang", row_labels, sched.index,
+                     *extra)
         assert len(str(excinfo.value).splitlines()) == 1
 
 
@@ -1538,8 +1621,11 @@ def test_schedule_rejects_label_outside_range(label):
     (2, 0, np.int64, "needs a segment and a qudit"),
 ])
 def test_schedule_rejects_empty_or_non_integer_labels(N, n, dtype, match):
-    with pytest.raises(ValueError, match=match):
-        Schedule(n, 2, N, 0.1, "bangbang", np.zeros((N, n, 2), dtype=dtype))
+    """Row labels and an index of the dtype, each beside a valid other."""
+    for labels, index in ((dtype, np.int64), (np.int64, dtype)):
+        with pytest.raises(ValueError, match=match):
+            Schedule(n, 2, N, 0.1, "bangbang", np.zeros((1, 2), dtype=labels),
+                     np.zeros((N, n), dtype=index))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -1549,7 +1635,7 @@ def test_read_schedule_restores_gc_state(tmp_path, enabled):
     rejects."""
     sched = euler_schedule((np.array([[0, 1, 2, 3]]), 4), 0.1)
     data = _schedule_file_data(tmp_path, sched)
-    data["segments"][0]["labels"] = [[0]]
+    data["labels"][0] = [0]
     (tmp_path / "bad.json").write_text(json.dumps(data))
     (tmp_path / "cut.json").write_text((tmp_path / "sched.json").read_text()[:-3])
     was = gc.isenabled()
@@ -1571,7 +1657,7 @@ def verify_schedule_oracle(sched):
     worst = 0.0
     for j in range(sched.N):
         for k in range(sched.n):
-            u = expm_herm(sched.hams[j, k], sched.delta)
+            u = expm_herm(sched.table[sched.index[j, k]], sched.delta)
             v = weyl(sched.d, *(int(x) for x in sched.labels[j, k]))
             overlap = np.trace(v.conj().T @ u)
             phase = overlap / abs(overlap) if abs(overlap) >= 1e-300 else 1.0
@@ -1582,7 +1668,7 @@ def verify_schedule_oracle(sched):
 @st.composite
 def realized_schedules(draw):
     """(schedule, other): an eulerian schedule over d = 2, 3 whose segment
-    Hamiltonians realize their random labels, few enough labels that pairs
+    Hamiltonians realize their random labels, few enough labels that rows
     repeat, and a second schedule with a random subset of segments given a
     random Hermitian or another label's Hamiltonian."""
     d = draw(st.sampled_from([2, 3]))
@@ -1592,29 +1678,28 @@ def realized_schedules(draw):
     labels = rng.integers(0, d, size=(N, n, 2))
     by_label = np.array([[generator_hamiltonian(weyl(d, a, b), delta)
                           for b in range(d)] for a in range(d)])
-    sched = Schedule(n, d, N, delta, "eulerian", labels, *_distinct_hamiltonians(
-        by_label[labels[..., 0], labels[..., 1]]))
-    hams = sched.hams.copy()
+    hams = by_label[labels[..., 0], labels[..., 1]]
+    sched = Schedule(n, d, N, delta, "eulerian", *_distinct_rows(labels, hams))
+    hams = hams.copy()
     for j, k in zip(*np.nonzero(rng.random((N, n)) < 0.3)):
         hams[j, k] = (random_hermitian(rng, d) if rng.random() < 0.5
                       else by_label[tuple(rng.integers(0, d, size=2))])
-    return sched, Schedule(n, d, N, delta, "eulerian", labels,
-                           *_distinct_hamiltonians(hams))
+    return sched, Schedule(n, d, N, delta, "eulerian", *_distinct_rows(labels, hams))
 
 
 def _with(sched, labels=None, hams=None):
     return Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
-                    sched.labels if labels is None else labels,
-                    *_distinct_hamiltonians(sched.hams if hams is None else hams))
+                    *_distinct_rows(sched.labels if labels is None else labels,
+                                    sched.hams if hams is None else hams))
 
 
 @settings(max_examples=40, deadline=None)
 @given(realized_schedules(), st.data())
 def test_batched_verify_schedule_equals_per_segment_oracle(case, data):
-    """The batched check over distinct (Hamiltonian, label) pairs equals the
-    per-segment loop (the trace is summed in another order: roundoff-level
-    tolerance), and one tampered segment Hamiltonian or label among repeated
-    pairs fails it; an out-of-range label raises instead of wrapping."""
+    """The batched check over the used table rows equals the per-segment
+    loop (the trace is summed in another order: roundoff-level tolerance),
+    and one tampered segment Hamiltonian or label among repeated rows fails
+    it; an out-of-range label raises instead of wrapping."""
     sched, other = case
     for s in (sched, other):
         assert verify_schedule(s) == pytest.approx(verify_schedule_oracle(s),
@@ -1643,19 +1728,23 @@ def test_batched_verify_schedule_equals_per_segment_oracle(case, data):
 
 @pytest.mark.parametrize("q", [9, 25, 49, 169])
 def test_verify_schedule_on_wide_fields(q):
-    """With d^2 * q > 256 the (index, label) pair code overflows uint8, so it
-    is formed in np.intp: a realized schedule over GF(q) passes and equals the
-    per-segment oracle, and one tampered label fails it."""
+    """A realized schedule over GF(q), up to 169 table rows, passes and
+    equals the per-segment oracle; one tampered row label fails it, and a
+    wrong label on a table row that no segment uses does not."""
     entries = np.random.default_rng(q).integers(0, q, size=(3, 16))
     sched = euler_schedule((entries, q), 0.1)
     worst = verify_schedule(sched)
     assert worst <= config.EPS_MAT
     assert worst == pytest.approx(verify_schedule_oracle(sched), rel=1e-12, abs=1e-14)
-    labels = sched.labels.copy()
-    labels[5, 1] = (labels[5, 1] + 1) % sched.d
+    row_labels = sched.row_labels.copy()
+    row_labels[sched.index[5, 1]] = (row_labels[sched.index[5, 1]] + 1) % sched.d
     assert verify_schedule(Schedule(sched.n, sched.d, sched.N, sched.delta,
-                                    sched.mode, labels, sched.table,
-                                    sched.index)) > config.EPS_MAT
+                                    sched.mode, row_labels, sched.index,
+                                    sched.table)) > config.EPS_MAT
+    unused = Schedule(sched.n, sched.d, sched.N, sched.delta, sched.mode,
+                      np.concatenate([sched.row_labels, [[1, 0]]]), sched.index,
+                      np.concatenate([sched.table, sched.table[:1]]))
+    assert verify_schedule(unused) == worst
 
 
 def test_drift_json_roundtrip(tmp_path):

@@ -13,8 +13,8 @@ from .decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                          bangbang_average, bangbang_schedule, euler_schedule,
                          eulerian_average, exact_evolution, fs_map,
                          generator_hamiltonian, random_drift, read_drift,
-                         read_schedule, segment_average, single_cycle_average,
-                         verify_schedule, write_drift, write_schedule)
+                         read_schedule, single_cycle_average, verify_schedule,
+                         write_drift, write_schedule)
 from .euler import (EulerianCertificate, EulerianCycle, EulerianOA,
                     EulerianViolation, certify_eulerian, euler_cycle_full,
                     eulerian_oa_from_code, read_eulerian_oa, verify_eulerian,
@@ -36,8 +36,8 @@ __all__ = [
     "group_average", "hamming_code", "is_hermitian", "is_traceless",
     "is_unitary", "max_strength", "oa_from_code", "random_drift", "read_code",
     "read_drift", "read_eulerian_oa", "read_oa", "read_schedule",
-    "segment_average", "shift_clock", "single_cycle_average",
-    "verify_eulerian", "verify_schedule", "verify_strength", "weyl",
-    "weyl_from_field", "write_code", "write_drift", "write_eulerian_oa",
-    "write_oa", "write_schedule",
+    "shift_clock", "single_cycle_average", "verify_eulerian",
+    "verify_schedule", "verify_strength", "weyl", "weyl_from_field",
+    "write_code", "write_drift", "write_eulerian_oa", "write_oa",
+    "write_schedule",
 ]

@@ -37,6 +37,10 @@ Conventions (hbar = 1 throughout):
   (`_quadrature_walk`) stays in matrix space as the independent
   cross-check, per support, stacked: one walk over the stack of the terms
   on a support, whose result is expanded by the same coefficient product.
+  Its tables are built once per support size, over every transition of
+  that size, not only the used ones, and each Gauss-Legendre node filters
+  them all in one stacked product.  The single-qudit cycle reads the
+  coefficients of either method and rebuilds sum_l a_l W_l.
 
 * A character sum is decided in integers: its d buckets of equal pairing
   are exact float64 sums of counts, and when they are all equal the sum is
@@ -396,30 +400,6 @@ def _apply_quadrature(x: np.ndarray, props: tuple, v: np.ndarray) -> np.ndarray:
     return acc / 2
 
 
-def segment_average(x: np.ndarray, h: np.ndarray, v: np.ndarray, delta: float,
-                    method: str = "exact",
-                    order: int = config.DEFAULT_QUAD_ORDER) -> np.ndarray:
-    """(1/Delta) int_0^Delta (u(delta) v)^dag x (u(delta) v) ddelta.
-
-    u(delta) = exp(-i h delta) with h the constant control Hamiltonian and
-    v the accumulated control prefix at the subinterval start.
-
-    "exact" diagonalizes h and applies the closed-form phase average;
-    "quadrature" evaluates the integrand at Gauss-Legendre nodes, each
-    node's propagator an eigen-exponential, as a cross-check.
-    """
-    if order < 1:
-        raise ValueError(f"quadrature order {order} must be >= 1")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != h.shape or x.shape != v.shape:
-        raise ValueError("dimension mismatch between operator, control, and prefix")
-    if method == "exact":
-        return v.conj().T @ _apply_pulse_filter(x, _pulse_eigensystem(h, delta)) @ v
-    if method == "quadrature":
-        return _apply_quadrature(x, _quadrature_propagators(h, delta, order), v)
-    raise ValueError(f"unknown method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # The averaging kernel: Q_C = Pi_G o F_S over the (vertex, transition)
 # histogram of a term's projection
@@ -506,9 +486,7 @@ def _weyl_expansion(unitaries: np.ndarray, t: int) -> np.ndarray:
 
 def _pair_bins(q: int, t: int) -> np.ndarray:
     """(q^t, q^t) bin of each (vertex code, transition code) in a histogram
-    of pair digits, vertex * q + transition per row, first row leading;
-    raises when q^(2t) bins exceed the pair cap."""
-    _check_pair_cap(q, t)
+    of pair digits, vertex * q + transition per row, first row leading."""
     code = (q * q) ** np.arange(t - 1, -1, -1) @ np.array(
         np.unravel_index(np.arange(q**t), (q,) * t))
     return q * code[:, None] + code
@@ -582,42 +560,36 @@ def _exact_averages(entries: np.ndarray, supports: list, blocks: list,
     return averaged
 
 
-def _quadrature_walk(x: np.ndarray, sub: np.ndarray, field: FieldTable,
-                     hams: np.ndarray, delta: float, order: int,
-                     tables: dict | None = None) -> np.ndarray:
-    """(1/N) sum_j V_j^dag F_{s_j}(x) V_j along a t x N projection, V_j the
-    control prefix and s_j the transition of column j, by the time-ordered
-    walk: prefixes multiplied from eigen-exponential steps, F_s by
-    Gauss-Legendre quadrature.
+def _walk_tables(hams: np.ndarray, q: int, t: int, delta: float, order: int) -> tuple:
+    """(node weights, node propagators, steps) of the quadrature walk on a
+    t-qudit support, over all q^t transition codes: each Gauss-Legendre
+    node's propagators and the steps exp(-i h Delta) are one (q^t, D, D)
+    stack indexed by code.  They depend on neither the operators nor the
+    projection, so every support of one size shares them."""
+    h = _support_table(hams, np.arange(q**t), q, t, _kron_sum)
+    return (*_quadrature_propagators(h, delta, order), _expm_hermitian(h, delta))
 
-    x is one operator on the projection's support or a stack (..., D, D) of
-    them, and the result has its shape.  Every used transition is filtered
-    at once, one stacked product per node, and the prefixes are scanned once
-    for the whole stack, column by column; each block of columns then adds
-    its stacked V_j^dag F[s_j] V_j in column order.  Blocks hold at most
-    `_BLOCK_ENTRIES` entries, so memory stays flat as N grows.
 
-    `tables` memoizes the x-independent part, keyed by the order and the
-    used transition codes: the node weights, each node's propagators of all
-    used transitions as one (S, D, D) stack, and the steps exp(-i h Delta)
-    as one (S, D, D) stack.  Share it only between calls with the same
-    field, hams and delta.
+def _quadrature_walk(ops: np.ndarray, sub: np.ndarray, field: FieldTable,
+                     tables: tuple) -> np.ndarray:
+    """(1/N) sum_j V_j^dag F_{s_j}(x) V_j for each x of the (T, D, D) stack
+    ops along a t x N projection, V_j the control prefix and s_j the
+    transition of column j, by the time-ordered walk: prefixes multiplied
+    from eigen-exponential steps, F_s by Gauss-Legendre quadrature, both
+    from the support size's `_walk_tables`.
+
+    Every transition code is filtered at once, one stacked product per node,
+    and the prefixes are scanned once for the whole stack, column by column;
+    each block of columns then adds its stacked V_j^dag F[s_j] V_j in column
+    order.  Blocks hold at most `_BLOCK_ENTRIES` entries, so memory stays
+    flat as N grows.
     """
     q, (t, N) = field.q, sub.shape
-    tables = {} if tables is None else tables
-    codes = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
-    used_s, column_s = np.unique(codes, return_inverse=True)
-    x = np.asarray(x, dtype=complex)
-    key = (order, t, used_s.tobytes())
-    if key not in tables:
-        h = _support_table(hams, used_s, q, t, _kron_sum)
-        tables[key] = (*_quadrature_propagators(h, delta, order),
-                       _expm_hermitian(h, delta))
-    weights, nodes, steps = tables[key]
-    dim = x.shape[-1]
-    ops = x.reshape(-1, dim, dim)
+    weights, nodes, steps = tables
+    column_s = q ** np.arange(t - 1, -1, -1) @ transitions(sub, field)
+    dim = ops.shape[-1]
     eye = np.eye(dim, dtype=complex)
-    # (S, B, D, D), transitions first: a block gathers its columns' filters
+    # (S, T, D, D), transitions first: a block gathers its columns' filters
     filtered = _apply_quadrature(ops, (weights, [u[:, None] for u in nodes]), eye)
     width = max(1, _BLOCK_ENTRIES // ops[0].size // len(ops))
     prefixes = np.empty((width + 1, dim, dim), dtype=complex)
@@ -632,7 +604,7 @@ def _quadrature_walk(x: np.ndarray, sub: np.ndarray, field: FieldTable,
         terms[0] += acc           # the running sum joins the first column, and an
         acc = terms.sum(axis=0)   # axis-0 sum adds columns one after another
         prefixes[0] = prefixes[len(cols)]
-    return (acc / N).reshape(x.shape)
+    return acc / N
 
 
 def _bounded_averages(entries: np.ndarray, supports: list, blocks: list,
@@ -641,26 +613,33 @@ def _bounded_averages(entries: np.ndarray, supports: list, blocks: list,
     """Weyl-string coefficients of Q_C of each block on its support under
     the square-pulse schedule of the array, in input order: "exact" by
     character sums, "quadrature" by one walk per support over the stack of
-    its terms, the walks sharing their tables, each term's walk expanded by
-    the same coefficient product."""
+    its terms, every support of one size sharing one set of walk tables,
+    each term's walk expanded by the same coefficient product.
+
+    Both methods check the quadrature order and, before anything is
+    counted, the pair cap of every arity."""
+    if order < 1:
+        raise ValueError(f"quadrature order {order} must be >= 1")
+    arities = _terms_by_arity(supports)
+    for t in arities:
+        _check_pair_cap(field.q, t)
     hams = _symbol_hamiltonians(unitaries, delta)
     if method == "exact":
         return _exact_averages(entries, supports, blocks, field, unitaries, hams, delta)
-    if method == "quadrature":
-        tables: dict = {}
-        expand = {t: _weyl_expansion(unitaries, t) for t in _terms_by_arity(supports)}
-        terms_of: dict[tuple[int, ...], list[int]] = {}
-        for i, support in enumerate(supports):
-            terms_of.setdefault(support, []).append(i)
-        averaged: list = [None] * len(supports)
-        for support, idx in terms_of.items():
-            walks = _quadrature_walk(np.stack([blocks[i] for i in idx]),
-                                     entries[list(support)], field, hams, delta,
-                                     order, tables)
-            for i, walk in zip(idx, walks):
-                averaged[i] = walk.reshape(-1) @ expand[len(support)]
-        return averaged
-    raise ValueError(f"unknown method {method!r}")
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    tables = {t: _walk_tables(hams, field.q, t, delta, order) for t in arities}
+    expand = {t: _weyl_expansion(unitaries, t) for t in arities}
+    terms_of: dict[tuple[int, ...], list[int]] = {}
+    for i, support in enumerate(supports):
+        terms_of.setdefault(support, []).append(i)
+    averaged: list = [None] * len(supports)
+    for support, idx in terms_of.items():
+        walks = _quadrature_walk(np.stack([blocks[i] for i in idx]),
+                                 entries[list(support)], field, tables[len(support)])
+        for i, walk in zip(idx, walks):
+            averaged[i] = walk.reshape(-1) @ expand[len(support)]
+    return averaged
 
 
 # ---------------------------------------------------------------------------
@@ -784,11 +763,9 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     "exact" counts every distinct support once and multiplies each term's
     filtered Weyl coefficients by its support's character sums (see
     _exact_averages).  "quadrature" walks each support's projection once
-    for the stack of its terms (see _quadrature_walk), sharing the walk's
-    tables, and expands each term's walk.
+    for the stack of its terms (see _quadrature_walk), on tables shared by
+    every support of one size, and expands each term's walk.
     """
-    if order < 1:
-        raise ValueError(f"quadrature order {order} must be >= 1")
     entries, field, unitaries = _averaging_setup(m, drift)
     averaged = _bounded_averages(entries, *_drift_blocks(drift), field, unitaries,
                                  delta, method, order)
@@ -803,8 +780,8 @@ def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
 
     The cycle lives over GF(d^2) (one row, k = 1); square pulses realize
     each transition.  By the Eulerian decoupling theorem the result equals
-    the plain group average of x.  "exact" rebuilds sum_l a_l W_l from the
-    averaged coefficients; "quadrature" returns the walk's matrix as it is.
+    the plain group average of x.  Both methods rebuild sum_l a_l W_l from
+    the averaged coefficients.
     """
     if cycle.k != 1:
         raise ValueError("single-qudit average needs a k = 1 cycle")
@@ -814,33 +791,26 @@ def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} does not match d = {d}")
     unitaries = _symbol_unitaries(field)
-    if method == "quadrature":
-        return _quadrature_walk(x, cycle.vertices.T, field,
-                                _symbol_hamiltonians(unitaries, delta), delta, order)
     coeffs, = _bounded_averages(cycle.vertices.T, [(0,)], [x], field, unitaries,
                                 delta, method, order)
     return np.tensordot(coeffs, unitaries, axes=1)
 
 
-def fs_map(d: int, labels, x: np.ndarray, delta: float, method: str = "exact",
-           order: int = config.DEFAULT_QUAD_ORDER) -> np.ndarray:
+def fs_map(d: int, labels, x: np.ndarray, delta: float) -> np.ndarray:
     """Average over generators and the control subinterval (no group walk).
 
     labels is an iterable of Z_d x Z_d labels; each contributes the
-    subinterval average of its square pulse from the identity prefix.
+    closed-form square-pulse filter F_h(x) of its control Hamiltonian h.
     Composing the group average after this map reproduces a cycle's
     control action.
     """
-    x = np.asarray(x, dtype=complex)
     labels = list(labels)
     if not labels:
         raise ValueError("need at least one generator label")
-    eye = np.eye(d, dtype=complex)
-    acc = np.zeros_like(x)
-    for a, b in labels:
-        h = generator_hamiltonian(weyl(d, a, b), delta)
-        acc += segment_average(x, h, eye, delta, method, order)
-    return acc / len(labels)
+    hams = np.stack([generator_hamiltonian(weyl(d, a, b), delta) for a, b in labels])
+    filtered = _apply_pulse_filter(np.asarray(x, dtype=complex),
+                                   _pulse_eigensystem(hams, delta))
+    return filtered.sum(axis=0) / len(labels)
 
 
 # ---------------------------------------------------------------------------

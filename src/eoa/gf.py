@@ -15,6 +15,7 @@ Symbols are serialized everywhere as decimal indices 0..q-1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,13 +198,16 @@ def _canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # impossible
 
 
+@functools.cache
 def gf_new(p: int, m: int) -> FieldTable:
-    """Build GF(p^m) with the canonical fixed modulus.  Deterministic."""
+    """GF(p^m) with the canonical fixed modulus, built once per (p, m): every
+    later call returns the same table, whose arrays are read-only."""
     return FieldTable(FieldSpec(p, m, _canonical_modulus(p, m)))
 
 
 def field_from_order(q: int) -> FieldTable:
-    """Factor q = p^m (p prime) and return the canonical field of that order."""
+    """Factor q = p^m (p prime) and return the canonical field of that order,
+    the one shared table gf_new holds for it."""
     if q < 2:
         raise ValueError(f"no field of order {q}")
     p = 2

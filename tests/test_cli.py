@@ -58,6 +58,28 @@ def test_code_hamming_binary(tmp_path, capsys):
     assert "[7, 4, 3, 4]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("q, m, plain, dual", [
+    (2, 2, "[3, 1, 3, 2]", "[3, 2, 2, 3]"),
+    (2, 3, "[7, 4, 3, 4]", "[7, 3, 4, 3]"),
+    (2, 5, "[31, 26, 3, 16]", "[31, 5, 16, 3]"),
+    (3, 2, "[4, 2, 3, 3]", "[4, 2, 3, 3]"),
+    (4, 2, "[5, 3, 3, 4]", "[5, 2, 4, 3]"),
+    (4, 3, "[21, 18, 3, 16]", "[21, 3, 16, 3]"),
+    (4, 4, "[85, 81, 3, 64]", "[85, 4, 64, 3]"),
+    (4, 5, "[341, 336, 3, 256]", "[341, 5, 256, 3]"),
+    (9, 2, "[10, 8, 3, 9]", "[10, 2, 9, 3]"),
+])
+def test_code_hamming_prints_both_distances(tmp_path, capsys, q, m, plain, dual):
+    """The Hamming side prints its distance 3 and the dual side its counted
+    distance, with and without --dual."""
+    for flags, report in (([], plain), (["--dual"], dual)):
+        out = tmp_path / "c.txt"
+        assert main(["code", "hamming", "--q", str(q), "--m", str(m),
+                     "--out", str(out), *flags]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"[n, k, d_min, d_dual] = {report}", f"wrote {out}"]
+
+
 def test_code_info_identity_generator(tmp_path, capsys):
     path = tmp_path / "ident.txt"
     path.write_text("CODE 4 3 3\n1 0 0\n0 1 0\n0 0 1\n")

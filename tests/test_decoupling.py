@@ -14,19 +14,19 @@ from hypothesis import strategies as st
 from eoa import config
 from eoa import decoupling as decoupling_module, oa as oa_module
 from eoa.codes import LinearCode, hamming_code
-from eoa.decoupling import (_apply_pulse_filter, _bounded_averages,
-                            _exact_averages, _kron, _kron_sum, _pairing,
-                            _pulse_eigensystem, _quadrature_propagators,
+from eoa.decoupling import (_apply_pulse_filter, _apply_quadrature,
+                            _bounded_averages, _exact_averages, _kron, _kron_sum,
+                            _pairing, _pulse_eigensystem, _quadrature_propagators,
                             _quadrature_walk, _string_pairing, _support_table,
-                            _symbol_hamiltonians, _symbol_unitaries,
+                            _symbol_hamiltonians, _symbol_unitaries, _walk_tables,
                             _weyl_expansion, report_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                             bangbang_average, bangbang_schedule, drift_from_json,
                             drift_to_json, euler_schedule, eulerian_average,
                             exact_evolution, fs_map, generator_hamiltonian,
                             random_drift, read_drift, read_schedule,
-                            segment_average, single_cycle_average,
-                            verify_schedule, write_drift, write_schedule)
+                            single_cycle_average, verify_schedule, write_drift,
+                            write_schedule)
 from eoa.euler import (EulerianCycle, _check_pair_cap, euler_cycle_full,
                        eulerian_oa_from_code, transitions)
 from eoa.gf import field_from_order, gf_new
@@ -211,22 +211,28 @@ def test_euler_schedule_telescopes_to_bangbang(eoa256):
 
 
 # ---------------------------------------------------------------------------
-# segment_average
+# The segment average (1/Delta) int_0^Delta (u v)^dag x (u v), u = exp(-i h .):
+# v^dag F_h(x) v by the closed-form filter, or by quadrature
 # ---------------------------------------------------------------------------
+
+def exact_segment(x, h, v, delta):
+    return v.conj().T @ _apply_pulse_filter(x, _pulse_eigensystem(h, delta)) @ v
+
 
 def test_segment_average_zero_control():
     rng = np.random.default_rng(0)
     x = random_complex(rng, 3)
     v = np.linalg.qr(random_complex(rng, 3))[0]
-    out = segment_average(x, np.zeros((3, 3)), v, 0.3)
-    assert frob(out - v.conj().T @ x @ v) < 1e-13
+    zero = np.zeros((3, 3))
+    quad = _apply_quadrature(x, _quadrature_propagators(zero, 0.3, 24), v)
+    for out in (exact_segment(x, zero, v, 0.3), quad):
+        assert frob(out - v.conj().T @ x @ v) < 1e-13
 
 
 def test_segment_average_commuting_fixed_point():
     x = np.diag([1.0, 2.0, 3.0]).astype(complex)
     h = np.diag([0.5, -1.0, 2.0]).astype(complex)
-    out = segment_average(x, h, np.eye(3, dtype=complex), 0.7)
-    assert frob(out - x) < 1e-13
+    assert frob(_apply_pulse_filter(x, _pulse_eigensystem(h, 0.7)) - x) < 1e-13
 
 
 def test_segment_average_exact_matches_quadrature():
@@ -236,20 +242,21 @@ def test_segment_average_exact_matches_quadrature():
         h = random_complex(rng, 4)
         h = (h + h.conj().T) / 2
         v = np.linalg.qr(random_complex(rng, 4))[0]
-        exact = segment_average(x, h, v, 0.2, method="exact")
-        quad = segment_average(x, h, v, 0.2, method="quadrature", order=24)
-        assert frob(exact - quad) < 1e-12
+        quad = _apply_quadrature(x, _quadrature_propagators(h, 0.2, 24), v)
+        assert frob(exact_segment(x, h, v, 0.2) - quad) < 1e-12
 
 
-def test_segment_average_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        segment_average(np.eye(2), np.zeros((2, 2)), np.eye(2), 0.1, method="magic")
+def test_averages_reject_unknown_method(eoa256, drift5):
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
+        single_cycle_average(euler_cycle_full(F4, 1), SZ, 0.1, method="magic")
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
+        eulerian_average(eoa256, drift5, 0.1, method="magic")
 
 
 def quadrature_oracle(x, h, v, delta, order):
-    """The inline Gauss-Legendre loop segment_average's quadrature branch
-    replaced: node propagators recomputed for every operator, by the same
-    eigen-exponential as the library, so the comparison is bit for bit."""
+    """The inline Gauss-Legendre loop _apply_quadrature replaced: node
+    propagators recomputed for every operator, by the same eigen-exponential
+    as the library, so the comparison is bit for bit."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     acc = np.zeros_like(x)
     for node, weight in zip(nodes, weights):
@@ -268,29 +275,26 @@ def test_segment_average_quadrature_equals_inline_loop(dim, order):
         h = random_hermitian(rng, dim)
         v = np.linalg.qr(random_complex(rng, dim))[0]
         assert np.array_equal(
-            segment_average(x, h, v, delta, method="quadrature", order=order),
+            _apply_quadrature(x, _quadrature_propagators(h, delta, order), v),
             quadrature_oracle(x, h, v, delta, order))
 
 
 @pytest.mark.parametrize("q, arity", [(4, 1), (4, 2), (9, 1), (9, 2)])
 def test_quadrature_exponentials_equal_pade(q, arity):
-    """The walk's memoized node propagators (one (S, D, D) stack per
-    Gauss-Legendre node) and steps, all eigen-exponentials, equal scipy's
-    Pade expm on the walk's Kronecker sums of control Hamiltonians, so the
-    cross-check does not rest on the eigendecomposition alone; so do the
-    node propagators of _quadrature_propagators for one Hamiltonian."""
+    """The walk tables' node propagators (one (q^t, D, D) stack per
+    Gauss-Legendre node, over every transition code) and steps, all
+    eigen-exponentials, equal scipy's Pade expm on the Kronecker sums of
+    control Hamiltonians, so the cross-check does not rest on the
+    eigendecomposition alone; so do the node propagators of
+    _quadrature_propagators for one Hamiltonian."""
     field = field_from_order(q)
     hams = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)
-    cycle = euler_cycle_full(field, 1).vertices.T
-    sub = np.vstack([cycle, np.roll(cycle, -3, axis=1)])[:arity]
     order = config.DEFAULT_QUAD_ORDER
-    tables = {}
-    _quadrature_walk(np.eye(field.coord_dim() ** arity), sub, field, hams, 0.1,
-                     order, tables)
-    (_, t, used), (_, props, steps) = next(iter(tables.items()))
-    h = _support_table(hams, np.frombuffer(used, dtype=np.intp), q, t, _kron_sum)
-    nodes, _ = np.polynomial.legendre.leggauss(order)
-    assert len(h) == len(steps) > 1 and len(props) == len(nodes)
+    weights, props, steps = _walk_tables(hams, q, arity, 0.1, order)
+    h = _support_table(hams, np.arange(q**arity), q, arity, _kron_sum)
+    nodes, leg_weights = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(weights, leg_weights)
+    assert len(h) == len(steps) == q**arity and len(props) == len(nodes)
     assert all(stack.shape == h.shape for stack in props)
     for s, (hs, step) in enumerate(zip(h, steps)):
         assert frob(step - scipy.linalg.expm(-1j * 0.1 * hs)) <= 1e-12
@@ -418,9 +422,8 @@ def test_backend_agreement_per_segment(eoa256):
         h = (embed(hams[j, support[0]], (0,), 2, 2)
              + embed(hams[j, support[1]], (1,), 2, 2))
         v = np.kron(v1, v2)
-        exact = segment_average(x, h, v, 0.1, method="exact")
-        quad = segment_average(x, h, v, 0.1, method="quadrature", order=24)
-        assert frob(exact - quad) <= 1e-10
+        quad = _apply_quadrature(x, _quadrature_propagators(h, 0.1, 24), v)
+        assert frob(exact_segment(x, h, v, 0.1) - quad) <= 1e-10
         v1 = expm_herm(hams[j, support[0]], 0.1) @ v1
         v2 = expm_herm(hams[j, support[1]], 0.1) @ v2
 
@@ -521,6 +524,21 @@ def test_fs_map_identity_and_trivial_set():
     assert frob(out - np.eye(2)) < 1e-12
 
 
+def test_fs_map_equals_per_label_filters():
+    """The one stacked filter over the labels equals the per-label loop it
+    replaced, the closed-form filter of each label summed in label order,
+    bit for bit: on all GF(9) labels and on three of them."""
+    field = field_from_order(9)
+    labels = [field.coords(e) for e in range(9)]
+    x = random_complex(np.random.default_rng(28), 3)
+    for subset in (labels, labels[1:4]):
+        acc = np.zeros_like(x)
+        for a, b in subset:
+            h = generator_hamiltonian(weyl(3, a, b), 0.1)
+            acc += _apply_pulse_filter(x, _pulse_eigensystem(h, 0.1))
+        assert np.array_equal(fs_map(3, subset, x, 0.1), acc / len(subset))
+
+
 def test_cycle_action_decomposes_through_fs():
     """Pi_G o F_S against the histogram kernel and the time-ordered walk."""
     cyc = euler_cycle_full(F4, 1)
@@ -613,9 +631,8 @@ def test_histogram_kernel_equals_walk_per_term(case):
     string by string: a kernel that took the vertex g_j instead of
     g_j - g_0 puts the phase omega^k(g_0, l) on every string, which no norm
     in the report can see.  A one-support kernel call gives the batched
-    call's coefficients bit for bit.  One walk memo shared by all terms
-    gives each walk bit for bit, also when projections use different codes,
-    and the walk equals the walk that recomputed its propagators per term."""
+    call's coefficients bit for bit.  The walk on the arity's shared tables
+    equals the walk that recomputed its propagators per term bit for bit."""
     entries, q, d_env, arity, seed = case
     field = field_from_order(q)
     drift = random_drift(entries.shape[0], field.coord_dim(), arity, d_env, seed)
@@ -626,16 +643,14 @@ def test_histogram_kernel_equals_walk_per_term(case):
     batched = _exact_averages(entries, [term.support for term in drift.terms],
                               [term.sys_block for term in drift.terms], field,
                               unitaries, hams, 0.1)
-    tables = {}
+    tables = _walk_tables(hams, q, arity, 0.1, order)
     for term, block in zip(drift.terms, batched):
         sub = entries[list(term.support)]
         exact, = _exact_averages(entries, [term.support], [term.sys_block], field,
                                  unitaries, hams, 0.1)
         assert np.array_equal(exact, block)
-        walk = _quadrature_walk(term.sys_block, sub, field, hams, 0.1, order)
+        walk, = _quadrature_walk(term.sys_block[None], sub, field, tables)
         assert coefficient_distance(exact, walk, unitaries) <= tol
-        assert np.array_equal(walk, _quadrature_walk(term.sys_block, sub, field, hams,
-                                                     0.1, order, tables))
         assert np.array_equal(walk, walk_oracle(term.sys_block, sub, field, hams,
                                                 0.1, order))
     exact = eulerian_average((entries, q), drift, delta=0.1, method="exact")
@@ -651,26 +666,31 @@ def test_histogram_kernel_equals_walk_per_term(case):
 @pytest.mark.parametrize("order", [5, config.DEFAULT_QUAD_ORDER])
 def test_single_cycle_quadrature_unchanged_on_gf9(order):
     """The GF(9) cycle's walk, on each qutrit Weyl operator and a random
-    operator, equals the walk that recomputed every node propagator."""
+    operator, equals the walk that recomputed every node propagator: the
+    single-cycle average rebuilds sum_l a_l W_l from the oracle walk's
+    expanded coefficients bit for bit."""
     field = field_from_order(9)
     cyc = euler_cycle_full(field, 1)
-    hams = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)
+    unitaries = _symbol_unitaries(field)
+    hams = _symbol_hamiltonians(unitaries, 0.1)
+    expand = _weyl_expansion(unitaries, 1)
     ops = [weyl(3, a, b) for a in range(3) for b in range(3)]
     ops.append(random_complex(np.random.default_rng(27), 3))
     for x in ops:
+        walk = walk_oracle(x, cyc.vertices.T, field, hams, 0.1, order)
         assert np.array_equal(
             single_cycle_average(cyc, x, 0.1, method="quadrature", order=order),
-            walk_oracle(x, cyc.vertices.T, field, hams, 0.1, order))
+            np.tensordot(walk.reshape(-1) @ expand, unitaries, axes=1))
 
 
 @pytest.mark.parametrize("block_entries", [1, 200, None])
 def test_stacked_walk_equals_single_operator_walks(eoa256, block_entries):
     """One walk over the stack of a support's operators gives each
     operator's own walk, and walk_oracle's, bit for bit: all 20 terms of the
-    [5, 2]_4 drift stacked per support, and a (2, 3, D, D) stack of random
-    operators.  Column blocks of one column, of a few columns (six for a
-    pair of terms, two for the stack of six, with a shorter last block), and
-    the default (one block for N = 256) give the same bits."""
+    [5, 2]_4 drift stacked per support, and a stack of six random operators.
+    Column blocks of one column, of a few columns (six for a pair of terms,
+    two for the stack of six, with a shorter last block), and the default
+    (one block for N = 256) give the same bits."""
     field = field_from_order(4)
     hams = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)
     order = config.DEFAULT_QUAD_ORDER
@@ -682,20 +702,20 @@ def test_stacked_walk_equals_single_operator_walks(eoa256, block_entries):
     with pytest.MonkeyPatch.context() as mp:
         if block_entries is not None:
             mp.setattr(decoupling_module, "_BLOCK_ENTRIES", block_entries)
-        tables = {}
+        tables = _walk_tables(hams, 4, 2, 0.1, order)
         for support, xs in by_support.items():
             sub = eoa256.entries[list(support)]
-            stacked = _quadrature_walk(np.stack(xs), sub, field, hams, 0.1, order, tables)
+            stacked = _quadrature_walk(np.stack(xs), sub, field, tables)
             assert stacked.shape == (len(xs), 4, 4)
             for x, walk in zip(xs, stacked):
-                assert np.array_equal(walk, _quadrature_walk(x, sub, field, hams, 0.1,
-                                                             order, tables))
+                assert np.array_equal(walk, _quadrature_walk(x[None], sub, field,
+                                                             tables)[0])
                 assert np.array_equal(walk, walk_oracle(x, sub, field, hams, 0.1, order))
         sub = eoa256.entries[[1, 3]]
-        ops = np.array([[random_complex(rng, 4) for _ in range(3)] for _ in range(2)])
-        stacked = _quadrature_walk(ops, sub, field, hams, 0.1, order)
+        ops = np.array([random_complex(rng, 4) for _ in range(6)])
+        stacked = _quadrature_walk(ops, sub, field, tables)
         assert stacked.shape == ops.shape
-        for x, walk in zip(ops.reshape(-1, 4, 4), stacked.reshape(-1, 4, 4)):
+        for x, walk in zip(ops, stacked):
             assert np.array_equal(walk, walk_oracle(x, sub, field, hams, 0.1, order))
 
 
@@ -887,7 +907,8 @@ def test_drift_validation():
 
 def test_parameter_validation(eoa256, drift5):
     """Drift arity and environment size, pulse length and quadrature order
-    are checked at the library boundary."""
+    are checked at the library boundary; both bounded-strength entries
+    reject order 0 for both methods with the library's own message."""
     for n, arity, d_env in [(5, 0, 1), (5, 6, 1), (5, 2, 0)]:
         with pytest.raises(ValueError):
             random_drift(n, 2, arity, d_env, seed=0)
@@ -896,12 +917,30 @@ def test_parameter_validation(eoa256, drift5):
             generator_hamiltonian(SX, delta)
         with pytest.raises(ValueError):
             eulerian_average(eoa256, drift5, delta)
-    eye = np.eye(2, dtype=complex)
+    cycle = euler_cycle_full(F4, 1)
     for method in ("exact", "quadrature"):
-        with pytest.raises(ValueError):
-            segment_average(SZ, SX, eye, 0.1, method=method, order=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="quadrature order 0 must be >= 1"):
+            single_cycle_average(cycle, SZ, 0.1, method=method, order=0)
+        with pytest.raises(ValueError, match="quadrature order 0 must be >= 1"):
             eulerian_average(eoa256, drift5, 0.1, method=method, order=0)
+
+
+@pytest.mark.parametrize("method", ["exact", "quadrature"])
+def test_pair_cap_is_checked_before_counting(eoa256, drift5, method):
+    """Past the pair cap (a 2-qudit support of GF(4) has 4^4 = 256 pair
+    bins; cap 255) both methods raise before any histogram is counted."""
+    counted = []
+
+    def spy(*args, **kwargs):
+        counted.append(args)
+        return oa_module.subset_histograms(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "EULER_EDGE_CAP", 255)
+        mp.setattr(decoupling_module, "subset_histograms", spy)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            eulerian_average(eoa256, drift5, 0.1, method=method)
+    assert counted == []
 
 
 def test_total_matrix_matches_embedding():
@@ -1087,8 +1126,8 @@ def test_eulerian_residual_matches_full_space_oracle():
     for j in range(256):
         hams = sched.table[sched.index[j]]
         h_ctrl = sum(embed(hams[k], (k,), 3, 2) for k in range(3))
-        acc += segment_average(h_total, np.kron(h_ctrl, np.eye(2)),
-                               np.kron(v, np.eye(2)), 0.1)
+        acc += exact_segment(h_total, np.kron(h_ctrl, np.eye(2)),
+                             np.kron(v, np.eye(2)), 0.1)
         step = np.eye(1, dtype=complex)
         for k in range(3):
             step = np.kron(step, expm_herm(hams[k], 0.1))

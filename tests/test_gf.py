@@ -114,7 +114,7 @@ def test_spec_rejects_reducible_modulus():
 
 
 def test_gf_new_deterministic():
-    a, b = gf_new(2, 3), gf_new(2, 3)
+    a, b = gf_new(2, 3), FieldTable(FieldSpec(2, 3, gf_new(2, 3).spec.modulus))
     assert a.spec == b.spec
     assert np.array_equal(a.add_table, b.add_table)
     assert np.array_equal(a.mul_table, b.mul_table)
@@ -125,6 +125,18 @@ def test_field_from_order():
     assert (f.p, f.m) == (3, 2)
     with pytest.raises(ValueError):
         field_from_order(12)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (5, 2)])
+def test_one_read_only_field_per_order(p, m):
+    """Every call for one order returns the one table gf_new built, and
+    callers that share it cannot write its arithmetic tables."""
+    field = gf_new(p, m)
+    assert field is field_from_order(p**m) is gf_new(p, m)
+    for table in (field.add_table, field.mul_table, field.neg_table, field.inv_table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_is_prime_small():

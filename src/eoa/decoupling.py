@@ -526,7 +526,8 @@ def _exact_averages(entries: np.ndarray, supports: list, blocks: list,
     multiplied by the character sums chi[s, l] of its support's histogram,
     summed over s and divided by N.  The Eulerian coefficients then take the
     phase omega^-k(g_0, l), since the prefix before column j is W(g_j - g_0).
-    Terms run in blocks of at most `_BLOCK_ENTRIES` stacked entries.
+    Each block of supports has its character sums computed once and its
+    terms run in sub-blocks, all under `_BLOCK_ENTRIES` stacked entries.
     """
     q, d, N = field.q, unitaries.shape[-1], entries.shape[1]
     digits, base = (entries, q) if hams is None else (pair_digits(entries, field), q * q)
@@ -545,18 +546,22 @@ def _exact_averages(entries: np.ndarray, supports: list, blocks: list,
             eig = _pulse_eigensystem(_support_table(hams, codes, q, t, _kron_sum), delta)
             g0 = entries[np.array(list(rows)), 0] @ q ** np.arange(t - 1, -1, -1)
         step = max(1, _BLOCK_ENTRIES // (d * bins.size))
-        for lo in range(0, len(idx), step):
-            block = np.arange(lo, min(lo + step, len(idx)))
-            used, of = np.unique(support_of[block], return_inverse=True)
-            x = np.stack([blocks[idx[i]] for i in block])[:, None]
-            filtered = x if eig is None else _apply_pulse_filter(x, eig)
-            f = filtered.reshape(len(block), bins.shape[1], -1) @ expand
-            chi = _character_sums(hists[used][:, bins], k, omega)[of]
-            coeffs = (f * chi).sum(axis=1) / N
-            if hams is not None:
-                coeffs *= omega[-k[g0[support_of[block]]] % d]
-            for i, c in zip(block, coeffs):
-                averaged[idx[i]] = c
+        # terms ordered by support, so a block of whole supports owns one run
+        by_support = np.argsort(support_of, kind="stable")
+        ordered = support_of[by_support]
+        for first in range(0, len(rows), step):
+            chi = _character_sums(hists[first:first + step][:, bins], k, omega)
+            lo, hi = np.searchsorted(ordered, [first, first + step])
+            for a in range(lo, hi, step):
+                block = by_support[a:min(a + step, hi)]
+                x = np.stack([blocks[idx[i]] for i in block])[:, None]
+                filtered = x if eig is None else _apply_pulse_filter(x, eig)
+                f = filtered.reshape(len(block), bins.shape[1], -1) @ expand
+                coeffs = (f * chi[support_of[block] - first]).sum(axis=1) / N
+                if hams is not None:
+                    coeffs *= omega[-k[g0[support_of[block]]] % d]
+                for i, c in zip(block, coeffs):
+                    averaged[idx[i]] = c
     return averaged
 
 
@@ -831,9 +836,9 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule) -> np.ndarray:
     labels of an eulerian schedule, which a schedule read from a file need
     not match to its Hamiltonians), so each distinct index row is
     exponentiated once and the steps are multiplied in column order.  The
-    held unitary of a bang-bang index row is the Kronecker product of the
-    Weyl unitaries of its table rows' labels; the control Hamiltonian of an
-    eulerian one is the Kronecker sum of its table rows' Hamiltonians.
+    held unitary of a bang-bang index row is the Kronecker product of its
+    table rows' Weyl unitaries; the control Hamiltonian of an eulerian one
+    is the Kronecker sum of its table rows' Hamiltonians.
     """
     if sched.n != drift.n or sched.d != drift.d:
         raise ValueError("schedule does not match the drift's qudit layout")
@@ -841,17 +846,16 @@ def exact_evolution(drift: DriftHamiltonian, sched: Schedule) -> np.ndarray:
     dim = h_total.shape[0]
     d_env = drift.d_env
     rows, column_step = _unique_rows(sched.index)
+    bangbang = sched.mode == "bangbang"
+    # per table row, its Weyl unitary or Hamiltonian; np.kron, not _kron's
+    # einsum, whose complex products round differently at d = 3
+    per_row = (np.stack([weyl(sched.d, a, b) for a, b in sched.row_labels.tolist()])
+               if bangbang else sched.table)
     steps = []
     for row in rows:
-        if sched.mode == "bangbang":
-            w = np.eye(1, dtype=complex)
-            for a, b in sched.row_labels[row].tolist():
-                w = np.kron(w, weyl(sched.d, a, b))
-            w_full = np.kron(w, np.eye(d_env))
-            h_seg = w_full.conj().T @ h_total @ w_full
-        else:
-            h_ctrl = functools.reduce(_kron_sum, sched.table[row, None])[0]
-            h_seg = h_total + np.kron(h_ctrl, np.eye(d_env))
+        op = functools.reduce(np.kron if bangbang else _kron_sum, per_row[row, None])[0]
+        op = np.kron(op, np.eye(d_env))
+        h_seg = op.conj().T @ h_total @ op if bangbang else h_total + op
         steps.append(_expm_hermitian(h_seg, sched.delta))
     u = np.eye(dim, dtype=complex)
     for s in column_step.ravel():

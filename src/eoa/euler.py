@@ -26,8 +26,9 @@ import numpy as np
 from . import config
 from .codes import LinearCode
 from .gf import FieldTable, field_from_order
-from .oa import (CertificateError, OrthogonalArray, StrengthViolation, format_oa,
-                 read_oa_file, subset_histograms, verify_strength)
+from .oa import (CertificateError, OrthogonalArray, StrengthViolation, _first_violation,
+                 _judge_counts, format_oa, read_oa_file, subset_histograms,
+                 verify_strength)
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,10 @@ class EulerianViolation:
     expected: float | None
 
     def __str__(self) -> str:
+        if self.vertex is None:     # uniform, at another lambda than the first subset's
+            return (f"rows {self.rows}: every used (vertex, transition) pair "
+                    f"occurs {self.count} times, against {self.expected:g} in "
+                    f"the first subset")
         return (f"rows {self.rows}: (vertex {self.vertex}, transition "
                 f"{self.transition}) occurs {self.count} times, expected "
                 f"{self.expected:g}")
@@ -174,29 +179,6 @@ def pair_digits(entries: np.ndarray, field: FieldTable) -> np.ndarray:
     return digits
 
 
-def _euler_verdict(rows: tuple[int, ...], counts: np.ndarray, N: int,
-                   symbols: list[tuple[int, ...]]):
-    """Eulerian-cycle judgement of one projection's (q^t, q^t) pair histogram.
-
-    Returns (sorted transition tuples, lambda) or an EulerianViolation;
-    symbols[i] is the digit tuple that i encodes.
-    """
-    used = np.nonzero(counts.sum(axis=0))[0]
-    block = counts[:, used]
-    expected = N / (len(symbols) * len(used))
-    # uniform pair counts force lam = N / (|G^t| |S|); compare against that
-    # when it is integral, else against the first pair (uniformity is then
-    # impossible and any mismatch witnesses it)
-    target = int(expected) if expected == int(expected) else int(block[0, 0])
-    if not np.all(block == target):
-        v, si = np.argwhere(block != target)[0]
-        return EulerianViolation(rows, "pair-count", symbols[v],
-                                 symbols[used[si]], int(block[v, si]), expected)
-    # uniform counts put every vertex on the walk, and the walk moves only
-    # by transitions in S, so g_0 + <S> is the whole group: S generates it
-    return tuple(symbols[s] for s in used.tolist()), target
-
-
 def verify_eulerian(entries: np.ndarray, field: FieldTable,
                     t: int) -> EulerianCertificate | EulerianViolation:
     """Eulerian-OA check at strength t over the additive group of GF(q).
@@ -205,17 +187,17 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     cyclic transitions, and require each (vertex, transition) pair to
     occur the same number of times for every vertex and every transition
     that occurs at all.  That also makes the transition set generate the
-    full group (see _euler_verdict).  Violations are return values.
+    full group (see below).  Violations are return values.
 
     One blocked counting pass (`oa.subset_histograms`) over the digits
-    symbol*q + transition gives every pair histogram as one count array,
-    judged in bulk: the used transitions, uniformity and one lambda across
-    all subsets are array operations, and the scalar `_euler_verdict` runs
-    only on the first failing subset, to name its violation.  The pass also
-    certifies strength t: every vertex occurs |S| * lam_edge = N/q^t times,
-    and that vertex marginal is the certificate's lam.  An array that
-    fails here may fail strength too; `certify_eulerian` runs the
-    strength pass for that case.
+    symbol*q + transition gives every pair histogram as one count array.
+    The used transitions are read off it, and the judge that
+    `verify_strength` shares (`oa._judge_counts`) checks uniformity and one
+    lambda across all subsets at once; `oa._first_violation` names the
+    first failing subset's pair.  The pass also certifies strength t: every
+    vertex occurs |S| * lam_edge = N/q^t times, and that vertex marginal is
+    the certificate's lam.  An array that fails here may fail strength
+    too; `certify_eulerian` runs the strength pass for that case.
     """
     entries = np.asarray(entries)
     n, N = entries.shape
@@ -227,32 +209,22 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     _check_pair_cap(q, t)
     subsets = list(itertools.combinations(range(n), t))
     counts = subset_histograms(pair_digits(entries, field), q * q, subsets)
-    symbols = list(itertools.product(range(q), repeat=t))
     # histogram digits interleave (vertex, transition) per row: axes v_0,
     # s_0, v_1, s_1, ... of one view, never a transposed copy
     S, width = len(subsets), q**t
     pairs = counts.reshape((S,) + (q,) * (2 * t))
     used = pairs.sum(axis=tuple(range(1, 2 * t + 1, 2))).reshape(S, width) > 0
-    sizes = used.sum(axis=1)
-    # uniform pair counts force lam = N / (|G^t| |S|); a subset whose
-    # lam is not integral cannot be uniform.  Unused transitions count 0,
-    # and the width * |S| used pairs sum to N = lam * width * |S|, so no
-    # pair above lam leaves every used pair at exactly lam
-    lam, rest = np.divmod(N, width * sizes)
-    uniform = (rest == 0) & (counts.max(axis=1) <= lam)
-    bad = ~uniform | (lam != lam[0])
-    if bad.any():
-        # the scalar judge, on a (vertex, transition) matrix, names the
-        # first failing subset's violation
-        i = int(np.argmax(bad))
+    lam, i = _judge_counts(counts, used, N)
+    if i is not None:
+        # only the failing subset's counts become a (vertex, transition) matrix
         order = (*range(0, 2 * t, 2), *range(1, 2 * t, 2))
-        verdict = _euler_verdict(subsets[i], counts[i].reshape((q,) * (2 * t))
-                                 .transpose(order).reshape(width, width), N, symbols)
-        if isinstance(verdict, EulerianViolation):
-            return verdict
-        return EulerianViolation(subsets[i], "pair-count", None, None, verdict[1],
-                                 int(lam[0]))
-    # one generating-set tuple per distinct used-transition mask
+        matrix = pairs[i].transpose(order).reshape(width, width)
+        return EulerianViolation(subsets[i], "pair-count",
+                                 *_first_violation(matrix, used[i], N, lam, q, t))
+    # uniform counts put every vertex on the walk, and the walk moves only
+    # by transitions in S, so g_0 + <S> is the whole group: S generates it.
+    # One generating-set tuple per distinct used-transition mask
+    symbols = list(itertools.product(range(q), repeat=t))
     distinct: dict[bytes, tuple[tuple[int, ...], ...]] = {}
     gensets = {}
     for rows, mask in zip(subsets, used):
@@ -262,7 +234,7 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
         gensets[rows] = distinct[key]
     # the vertex marginal: each vertex occurs once per (vertex, s) pair
     # with s in S, lam times each, so |S| * lam times
-    return EulerianCertificate(int(lam[0]), gensets, int(sizes[0] * lam[0]))
+    return EulerianCertificate(lam, gensets, int(used[0].sum()) * lam)
 
 
 def certify_eulerian(entries: np.ndarray, field: FieldTable, t: int

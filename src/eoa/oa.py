@@ -19,11 +19,11 @@ the marginals of their joint one: half the keys, and no more bins than
 keys.  Blocks hold at most `_BLOCK_KEYS` keys (one row or row pair when N
 alone is more), so memory stays bounded as N grows.  The histograms come
 back as one count array, a row per subset in the order asked; judging is
-the caller's.  The verifiers judge all rows at once with array operations
-and run their scalar judge only on the first failing subset, to name its
-violation.  A large count runs on two threads by default (see
-`config.worker_count`): one encodes keys while the other's bincount holds
-the interpreter lock.
+the caller's.  Both verifiers judge all rows at once by one judge of
+(vertex, transition) counts, a strength histogram being that of one
+transition, and name only the first failing subset's violation.  A large
+count runs on two threads by default (see `config.worker_count`): one
+encodes keys while the other's bincount holds the interpreter lock.
 """
 
 from __future__ import annotations
@@ -209,15 +209,41 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     return out
 
 
-def _strength_verdict(rows: tuple[int, ...], counts: np.ndarray, N: int, q: int,
-                      t: int) -> int | StrengthViolation:
-    if np.all(counts == counts[0]):
-        return int(counts[0])
-    expected = N / q**t
-    target = int(expected) if expected == int(expected) else counts[0]
-    bad = int(np.nonzero(counts != target)[0][0])
-    symbols = tuple(int(s) for s in np.unravel_index(bad, (q,) * t))
-    return StrengthViolation(rows, symbols, int(counts[bad]), expected)
+def _judge_counts(counts: np.ndarray, used: np.ndarray, N: int) -> tuple[int, int | None]:
+    """(first subset's lambda, first failing subset or None) of (subset,
+    vertex, transition) counts, a row of any layout per subset, used[i] the
+    transitions subset i takes; strength is the case of one transition.
+
+    Uniform pair counts force lambda = N / (|G^t| |S|), so a subset whose
+    lambda is not integral fails.  Unused transitions count 0, and the
+    |G^t| |S| used pairs sum to N = lambda |G^t| |S|, so no pair above
+    lambda leaves every used pair at exactly lambda.
+    """
+    S, R = used.shape
+    counts = counts.reshape(S, -1)
+    lam, rest = np.divmod(N, counts.shape[1] // R * used.sum(axis=1))
+    bad = (rest != 0) | (counts.max(axis=1) > lam) | (lam != lam[0])
+    return int(lam[0]), (int(np.argmax(bad)) if bad.any() else None)
+
+
+def _first_violation(matrix: np.ndarray, used: np.ndarray, N: int, lam: int,
+                     q: int, t: int) -> tuple:
+    """(vertex, transition, count, expected) of a failing subset's (vertex,
+    transition) matrix, tuples as t base-q digits: the first used pair off
+    N / (|G^t| |S|), or off the first used pair when that is not integral
+    (any mismatch then witnesses non-uniformity).  A uniform subset at
+    another lambda gives (None, None, its lambda, the first subset's lam).
+    """
+    block = matrix[:, used]
+    expected = N / block.size
+    target = int(expected) if expected == int(expected) else int(block[0, 0])
+    wrong = np.argwhere(block != target)
+    if not len(wrong):
+        return None, None, target, lam
+    v, s = wrong[0]
+    vertex, transition = (tuple(int(x) for x in np.unravel_index(code, (q,) * t))
+                          for code in (v, np.flatnonzero(used)[s]))
+    return vertex, transition, int(block[v, s]), expected
 
 
 def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolation:
@@ -226,8 +252,8 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
     Counts every t-tuple of symbols in every t x N sub-array.  A violation
     names the offending row subset and tuple (needed when debugging
     hand-entered arrays); it is a return value, not an exception.  All
-    subsets are judged at once from the counter's array; the scalar
-    `_strength_verdict` names the first failing one's violation.
+    subsets are judged at once by `_judge_counts`, as pair counts of one
+    transition, and `_first_violation` names the first failing one's tuple.
     """
     entries = np.asarray(entries)
     n, N = entries.shape
@@ -236,18 +262,14 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
     subsets = list(itertools.combinations(range(n), t))
-    counts = subset_histograms(entries, q, subsets)
-    # uniform counts sum to N, so they all equal N / q^t: one lambda for
-    # every uniform subset; the guard below cannot fire, but is kept
-    lam = counts[:, 0]
-    bad = (counts.min(axis=1) != counts.max(axis=1)) | (lam != lam[0])
-    if not bad.any():
-        return int(lam[0])
-    i = int(np.argmax(bad))
-    verdict = _strength_verdict(subsets[i], counts[i], N, q, t)
-    if isinstance(verdict, StrengthViolation):
-        return verdict
-    return StrengthViolation(subsets[i], (0,) * t, verdict, int(lam[0]))
+    counts = subset_histograms(entries, q, subsets)[:, :, None]
+    used = np.ones((len(subsets), 1), dtype=bool)
+    lam, i = _judge_counts(counts, used, N)
+    if i is None:
+        return lam
+    # every subset's lambda is N / q^t, so a failing subset has a bad tuple
+    symbols, _, count, expected = _first_violation(counts[i], used[i], N, lam, q, t)
+    return StrengthViolation(subsets[i], symbols, count, expected)
 
 
 def max_strength(entries: np.ndarray, q: int) -> int | None:

@@ -1333,6 +1333,26 @@ def test_top_strings_rank_the_oracle_surviving_map(case):
         [list(string) for string, _ in report.top_strings]
 
 
+def test_character_sums_count_each_support_once():
+    """GF(9) m = 2 with d_E = 2 (n = 10, 90 terms on 45 supports): both
+    exact actions pass each support's histogram to `_character_sums` once,
+    though an Eulerian block holds one support (d q^4 > _BLOCK_ENTRIES)
+    and bang-bang blocks of 67 terms would split a support's two terms.
+    The exact zeros stay: both residuals are 0.0."""
+    code = hamming_code(gf_new(3, 2), 2).dual()
+    array = eulerian_oa_from_code(code, euler_cycle_full(code.field, code.k), 2)
+    drift = random_drift(10, 3, 2, 2, seed=1)
+
+    def rows_counted(average):
+        with mock.patch.object(decoupling_module, "_character_sums",
+                               wraps=decoupling_module._character_sums) as spy:
+            report = average()
+        return sum(len(call.args[0]) for call in spy.call_args_list), report.residual_norm
+
+    assert rows_counted(lambda: bangbang_average(oa_from_code(code, 3), drift)) == (45, 0.0)
+    assert rows_counted(lambda: eulerian_average(array, drift, 0.1)) == (45, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -187,6 +187,19 @@ def test_non_generating_transitions_fail_pair_count():
     assert result.kind == "pair-count"
 
 
+def test_lambda_mismatch_message_names_both_lambdas():
+    """Two uniform rows at different edge multiplicities: the violation
+    keeps vertex and transition None, and its message says that every used
+    pair occurs at the second row's lambda against the first row's."""
+    result = verify_eulerian(np.array([[0, 0, 1, 1], [0, 1, 0, 1]]), F2, 1)
+    assert result == EulerianViolation((1,), "pair-count", None, None, 2, 1)
+    assert str(result) == ("rows (1,): every used (vertex, transition) pair "
+                           "occurs 2 times, against 1 in the first subset")
+    pair = verify_eulerian(np.array([[0, 0, 1, 1, 0, 1]]), F2, 1)
+    assert str(pair) == ("rows (0,): (vertex (0,), transition (1,)) occurs 2 "
+                         "times, expected 1.5")
+
+
 def test_toy_row_at_t1():
     cyc = euler_cycle_full(F2, 1)
     result = verify_eulerian(cyc.vertices.T, F2, 1)

@@ -156,7 +156,7 @@ def cmd_euler_build(args) -> int:
 
 
 def cmd_euler_verify(args) -> int:
-    entries, (N, n, q, t_header, _), trailer = read_oa_file(args.infile)
+    entries, (N, n, q, t_header, lam_header), trailer = read_oa_file(args.infile)
     field = field_from_order(q)
     if args.t is not None:
         t = args.t
@@ -173,6 +173,13 @@ def cmd_euler_verify(args) -> int:
     print(f"OK: Eulerian strength {t}, lambda = {strength}, edge multiplicity "
           f"= {result.edge_multiplicity}, generating sets "
           f"{'all full group' if full else 'proper subsets'}")
+    if args.t is not None:
+        return 0
+    if t == t_header and strength != lam_header:
+        return _fail_verify(f"header claims lambda = {lam_header}, counted {strength}")
+    if trailer is not None and result.edge_multiplicity != trailer[1]:
+        return _fail_verify(f"trailer claims edge multiplicity = {trailer[1]}, "
+                            f"counted {result.edge_multiplicity}")
     return 0
 
 

@@ -26,21 +26,21 @@ Conventions (hbar = 1 throughout):
 * The symbol unitaries represent an abelian group projectively, so
   conjugation is diagonal on Weyl strings, W_v^dag W_l W_v =
   omega^k(v, l) W_l, with the pairing k in Z_d read off the unitaries, and
-  Pi_G is a character sum per string.  The exact kernel,
-  `_exact_averages`, therefore works on Weyl-string coefficients: it
-  expands x (bang-bang) or each F_s(x) (Eulerian) once and multiplies
-  coefficient l by chi[s, l] = sum_v c(v, s) omega^k(v, l), over the
-  histogram of each distinct support counted once by the verifiers'
-  counter, `oa.subset_histograms`; the Eulerian coefficients then take the
-  prefix phase omega^-k(g_0, l).  Both averages of a drift and the
-  single-qudit cycle go through it.  The quadrature walk
-  (`_quadrature_walk`) stays in matrix space as the independent
-  cross-check, per support, stacked: one walk over the stack of the terms
-  on a support, whose result is expanded by the same coefficient product.
-  Its tables are built once per support size, over every transition of
-  that size, not only the used ones, and each Gauss-Legendre node filters
-  them all in one stacked product.  The single-qudit cycle reads the
-  coefficients of either method and rebuilds sum_l a_l W_l.
+  Pi_G is a character sum per string.  One kernel, `_averages`, serves
+  bang-bang, exact Eulerian and quadrature averaging: it groups the terms
+  once, by arity and then by support, and builds each arity's control
+  Hamiltonians once, over every transition of that size.  "exact" works on
+  Weyl-string coefficients: it expands x (bang-bang) or each F_s(x)
+  (Eulerian) once and multiplies coefficient l by chi[s, l] = sum_v
+  c(v, s) omega^k(v, l), over the histogram of each distinct support
+  counted once by the verifiers' counter, `oa.subset_histograms`; the
+  Eulerian coefficients then take the prefix phase omega^-k(g_0, l).  The
+  quadrature walk (`_quadrature_walk`) stays in matrix space as the
+  independent cross-check, per support, stacked: one walk over the stack
+  of the terms on a support, each Gauss-Legendre node filtering every
+  transition in one stacked product, and each walk expanded by the same
+  coefficient product.  The single-qudit cycle reads the coefficients of
+  either method and rebuilds sum_l a_l W_l.
 
 * A character sum is decided in integers: its d buckets of equal pairing
   are exact float64 sums of counts, and when they are all equal the sum is
@@ -308,15 +308,22 @@ def _array_entries(m) -> tuple[np.ndarray, int, int | None]:
     """(entries, q, declared strength) from an OA, Eulerian OA, or raw pair.
 
     A raw (entries, q) pair carries no strength claim; averaging on one
-    skips the strength-sufficiency warning.
+    skips the strength-sufficiency warning.  Its entries must be a 2-D
+    integer array with symbols in [0, q), else a one-line ValueError.
     """
     if isinstance(m, EulerianOA):
         return m.entries, m.oa.q, m.t
     if isinstance(m, OrthogonalArray):
         return m.entries, m.q, m.t
     if isinstance(m, tuple) and len(m) == 2:
-        entries = np.asarray(m[0], dtype=np.int64)
-        return entries, int(m[1]), None
+        entries, q = np.asarray(m[0]), int(m[1])
+        if entries.dtype.kind not in "iu" or entries.ndim != 2:
+            raise ValueError(f"array entries {entries.dtype} {entries.shape}: not a "
+                             f"2-D integer array")
+        if entries.size and not 0 <= entries.min() <= entries.max() < q:
+            raise ValueError(f"array symbols span [{entries.min()}, {entries.max()}], "
+                             f"outside [0, {q})")
+        return entries.astype(np.int64, copy=False), q, None
     raise TypeError(f"expected an orthogonal array, got {type(m).__name__}")
 
 
@@ -513,65 +520,13 @@ def _terms_by_arity(supports) -> dict[int, list[int]]:
     return groups
 
 
-def _exact_averages(entries: np.ndarray, supports: list, blocks: list,
-                    field: FieldTable, unitaries: np.ndarray, hams: np.ndarray | None,
-                    delta: float | None) -> list[np.ndarray]:
-    """Each term's averaged system block, blocks[i] on supports[i], as its
-    q^t Weyl-string coefficients (code 0 the identity), in input order.
-
-    Every distinct support is counted once by the verifiers' counter
-    (`oa.subset_histograms`): the array's symbols for bang-bang (hams None,
-    F = 1, one transition), the Eulerian verifier's pair digits for the
-    bounded-strength action.  A term's coefficients f[s, l] of F_s(x) are
-    multiplied by the character sums chi[s, l] of its support's histogram,
-    summed over s and divided by N.  The Eulerian coefficients then take the
-    phase omega^-k(g_0, l), since the prefix before column j is W(g_j - g_0).
-    Each block of supports has its character sums computed once and its
-    terms run in sub-blocks, all under `_BLOCK_ENTRIES` stacked entries.
-    """
-    q, d, N = field.q, unitaries.shape[-1], entries.shape[1]
-    digits, base = (entries, q) if hams is None else (pair_digits(entries, field), q * q)
-    pairing, omega = _pairing(unitaries), np.exp(2j * np.pi * np.arange(d) / d)
-    averaged: list = [None] * len(supports)
-    for t, idx in _terms_by_arity(supports).items():
-        rows: dict[tuple[int, ...], int] = {}
-        support_of = np.array([rows.setdefault(supports[i], len(rows)) for i in idx])
-        hists = subset_histograms(digits, base, rows)
-        codes = np.arange(q**t)
-        k, expand = _string_pairing(pairing, t, d), _weyl_expansion(unitaries, t)
-        if hams is None:
-            bins, eig = codes[:, None], None
-        else:
-            bins = _pair_bins(q, t)
-            eig = _pulse_eigensystem(_support_table(hams, codes, q, t, _kron_sum), delta)
-            g0 = entries[np.array(list(rows)), 0] @ q ** np.arange(t - 1, -1, -1)
-        step = max(1, _BLOCK_ENTRIES // (d * bins.size))
-        # terms ordered by support, so a block of whole supports owns one run
-        by_support = np.argsort(support_of, kind="stable")
-        ordered = support_of[by_support]
-        for first in range(0, len(rows), step):
-            chi = _character_sums(hists[first:first + step][:, bins], k, omega)
-            lo, hi = np.searchsorted(ordered, [first, first + step])
-            for a in range(lo, hi, step):
-                block = by_support[a:min(a + step, hi)]
-                x = np.stack([blocks[idx[i]] for i in block])[:, None]
-                filtered = x if eig is None else _apply_pulse_filter(x, eig)
-                f = filtered.reshape(len(block), bins.shape[1], -1) @ expand
-                coeffs = (f * chi[support_of[block] - first]).sum(axis=1) / N
-                if hams is not None:
-                    coeffs *= omega[-k[g0[support_of[block]]] % d]
-                for i, c in zip(block, coeffs):
-                    averaged[idx[i]] = c
-    return averaged
-
-
-def _walk_tables(hams: np.ndarray, q: int, t: int, delta: float, order: int) -> tuple:
+def _walk_tables(h: np.ndarray, delta: float, order: int) -> tuple:
     """(node weights, node propagators, steps) of the quadrature walk on a
-    t-qudit support, over all q^t transition codes: each Gauss-Legendre
-    node's propagators and the steps exp(-i h Delta) are one (q^t, D, D)
-    stack indexed by code.  They depend on neither the operators nor the
-    projection, so every support of one size shares them."""
-    h = _support_table(hams, np.arange(q**t), q, t, _kron_sum)
+    support of one size, from the stack h of its control Hamiltonians over
+    every transition code: each Gauss-Legendre node's propagators and the
+    steps exp(-i h Delta) are stacks of the same shape, indexed by code.
+    They depend on neither the operators nor the projection, so every
+    support of one size shares them."""
     return (*_quadrature_propagators(h, delta, order), _expm_hermitian(h, delta))
 
 
@@ -612,38 +567,81 @@ def _quadrature_walk(ops: np.ndarray, sub: np.ndarray, field: FieldTable,
     return acc / N
 
 
-def _bounded_averages(entries: np.ndarray, supports: list, blocks: list,
-                      field: FieldTable, unitaries: np.ndarray, delta: float,
-                      method: str, order: int) -> list[np.ndarray]:
-    """Weyl-string coefficients of Q_C of each block on its support under
-    the square-pulse schedule of the array, in input order: "exact" by
-    character sums, "quadrature" by one walk per support over the stack of
-    its terms, every support of one size sharing one set of walk tables,
-    each term's walk expanded by the same coefficient product.
+def _averages(entries: np.ndarray, supports: list, blocks: list, field: FieldTable,
+              unitaries: np.ndarray, delta: float | None = None, method: str = "exact",
+              order: int = config.DEFAULT_QUAD_ORDER) -> list[np.ndarray]:
+    """Each term's averaged system block, blocks[i] on supports[i], as its
+    q^t Weyl-string coefficients (code 0 the identity), in input order.
 
-    Both methods check the quadrature order and, before anything is
-    counted, the pair cap of every arity."""
-    if order < 1:
-        raise ValueError(f"quadrature order {order} must be >= 1")
+    delta None is the bang-bang action (F = 1, one transition), else the
+    array's square-pulse action by "exact" character sums or the
+    "quadrature" walk, after the order check and every arity's pair cap.
+    Terms are grouped once, by arity and then by support (one run each, in
+    input order), and each arity's control Hamiltonians are one stack over
+    every transition code.  "exact" counts each distinct support once with
+    `oa.subset_histograms` (symbols for bang-bang, pair digits otherwise),
+    multiplies a term's coefficients f[s, l] of F_s(x) by the character
+    sums chi[s, l], sums over s and divides by N; the Eulerian coefficients
+    then take the phase omega^-k(g_0, l), the prefix before column j being
+    W(g_j - g_0).  Blocks of supports and their terms' sub-blocks stay
+    under `_BLOCK_ENTRIES` stacked entries.  "quadrature" walks each
+    support's run as one stack and expands each walk by the same product.
+    """
     arities = _terms_by_arity(supports)
-    for t in arities:
-        _check_pair_cap(field.q, t)
-    hams = _symbol_hamiltonians(unitaries, delta)
-    if method == "exact":
-        return _exact_averages(entries, supports, blocks, field, unitaries, hams, delta)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    tables = {t: _walk_tables(hams, field.q, t, delta, order) for t in arities}
-    expand = {t: _weyl_expansion(unitaries, t) for t in arities}
-    terms_of: dict[tuple[int, ...], list[int]] = {}
-    for i, support in enumerate(supports):
-        terms_of.setdefault(support, []).append(i)
+    if delta is not None:
+        if order < 1:
+            raise ValueError(f"quadrature order {order} must be >= 1")
+        for t in arities:
+            _check_pair_cap(field.q, t)
+        hams = _symbol_hamiltonians(unitaries, delta)
+        if method not in ("exact", "quadrature"):
+            raise ValueError(f"unknown method {method!r}")
+    quadrature = delta is not None and method == "quadrature"
+    q, d, N = field.q, unitaries.shape[-1], entries.shape[1]
+    if not quadrature:
+        pairing, omega = _pairing(unitaries), np.exp(2j * np.pi * np.arange(d) / d)
+        digits, base = ((entries, q) if delta is None
+                        else (pair_digits(entries, field), q * q))
     averaged: list = [None] * len(supports)
-    for support, idx in terms_of.items():
-        walks = _quadrature_walk(np.stack([blocks[i] for i in idx]),
-                                 entries[list(support)], field, tables[len(support)])
-        for i, walk in zip(idx, walks):
-            averaged[i] = walk.reshape(-1) @ expand[len(support)]
+    for t, idx in arities.items():
+        rows: dict[tuple[int, ...], int] = {}
+        support_of = np.array([rows.setdefault(supports[i], len(rows)) for i in idx])
+        # terms ordered by support: each support owns one run, in input order
+        by_support = np.argsort(support_of, kind="stable")
+        ordered = support_of[by_support]
+        codes, expand = np.arange(q**t), _weyl_expansion(unitaries, t)
+        h = None if delta is None else _support_table(hams, codes, q, t, _kron_sum)
+        if quadrature:
+            tables = _walk_tables(h, delta, order)
+            bounds = np.searchsorted(ordered, np.arange(len(rows) + 1))
+            for support, lo, hi in zip(rows, bounds, bounds[1:]):
+                run = by_support[lo:hi]
+                walks = _quadrature_walk(np.stack([blocks[idx[i]] for i in run]),
+                                         entries[list(support)], field, tables)
+                for i, walk in zip(run, walks):
+                    averaged[idx[i]] = walk.reshape(-1) @ expand
+            continue
+        hists = subset_histograms(digits, base, rows)
+        k = _string_pairing(pairing, t, d)
+        if delta is None:
+            bins, eig = codes[:, None], None
+        else:
+            bins, eig = _pair_bins(q, t), _pulse_eigensystem(h, delta)
+            g0 = entries[np.array(list(rows)), 0] @ q ** np.arange(t - 1, -1, -1)
+        step = max(1, _BLOCK_ENTRIES // (d * bins.size))
+        for first in range(0, len(rows), step):
+            chi = _character_sums(hists[first:first + step][:, bins], k, omega)
+            lo, hi = np.searchsorted(ordered, [first, first + step])
+            for a in range(lo, hi, step):
+                block = by_support[a:min(a + step, hi)]
+                x = np.stack([blocks[idx[i]] for i in block])[:, None]
+                filtered = x if eig is None else _apply_pulse_filter(x, eig)
+                f = filtered.reshape(len(block), bins.shape[1], -1) @ expand
+                coeffs = (f * chi[support_of[block] - first]).sum(axis=1) / N
+                if delta is not None:
+                    coeffs *= omega[-k[g0[support_of[block]]] % d]
+                for i, c in zip(block, coeffs):
+                    averaged[idx[i]] = c
     return averaged
 
 
@@ -724,9 +722,10 @@ def _assemble_report(averaged: list[np.ndarray], drift: DriftHamiltonian,
 
 
 def _averaging_setup(m, drift: DriftHamiltonian) -> tuple:
-    """(entries, field, symbol unitaries) of an array that averages the
-    drift; warns when the array's declared strength is below the drift's
-    arity."""
+    """(entries, supports, system blocks, field, symbol unitaries): the
+    arguments of `_averages` for an array that averages the drift's terms,
+    in input order; warns when the array's declared strength is below the
+    drift's arity."""
     entries, q, declared_t = _array_entries(m)
     field = field_from_order(q)
     if field.coord_dim() != drift.d or entries.shape[0] != drift.n:
@@ -735,13 +734,8 @@ def _averaging_setup(m, drift: DriftHamiltonian) -> tuple:
         warnings.warn(f"array strength {declared_t} is below the drift's "
                       f"maximum term arity {drift.max_arity}; residual will "
                       f"generally not vanish", stacklevel=3)
-    return entries, field, _symbol_unitaries(field)
-
-
-def _drift_blocks(drift: DriftHamiltonian) -> tuple[list, list]:
-    """(supports, system blocks) of the drift's terms, in input order."""
-    return ([term.support for term in drift.terms],
-            [term.sys_block for term in drift.terms])
+    return (entries, [term.support for term in drift.terms],
+            [term.sys_block for term in drift.terms], field, _symbol_unitaries(field))
 
 
 def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
@@ -752,9 +746,8 @@ def bangbang_average(m, drift: DriftHamiltonian) -> AverageReport:
     each Weyl coefficient times the character sum of the support's symbol
     histogram, F = 1.
     """
-    entries, field, unitaries = _averaging_setup(m, drift)
-    averaged = _exact_averages(entries, *_drift_blocks(drift), field, unitaries,
-                               None, None)
+    entries, supports, blocks, field, unitaries = _averaging_setup(m, drift)
+    averaged = _averages(entries, supports, blocks, field, unitaries)
     return _assemble_report(averaged, drift, "bangbang", field.q)
 
 
@@ -767,13 +760,13 @@ def eulerian_average(m, drift: DriftHamiltonian, delta: float,
     the environment factor of every term passes through untouched.
     "exact" counts every distinct support once and multiplies each term's
     filtered Weyl coefficients by its support's character sums (see
-    _exact_averages).  "quadrature" walks each support's projection once
-    for the stack of its terms (see _quadrature_walk), on tables shared by
-    every support of one size, and expands each term's walk.
+    _averages).  "quadrature" walks each support's projection once for the
+    stack of its terms (see _quadrature_walk), on tables shared by every
+    support of one size, and expands each term's walk.
     """
-    entries, field, unitaries = _averaging_setup(m, drift)
-    averaged = _bounded_averages(entries, *_drift_blocks(drift), field, unitaries,
-                                 delta, method, order)
+    entries, supports, blocks, field, unitaries = _averaging_setup(m, drift)
+    averaged = _averages(entries, supports, blocks, field, unitaries, delta, method,
+                         order)
     label = "exact" if method == "exact" else f"quadrature({order})"
     return _assemble_report(averaged, drift, label, field.q)
 
@@ -796,8 +789,8 @@ def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} does not match d = {d}")
     unitaries = _symbol_unitaries(field)
-    coeffs, = _bounded_averages(cycle.vertices.T, [(0,)], [x], field, unitaries,
-                                delta, method, order)
+    coeffs, = _averages(cycle.vertices.T, [(0,)], [x], field, unitaries, delta,
+                        method, order)
     return np.tensordot(coeffs, unitaries, axes=1)
 
 

@@ -304,6 +304,25 @@ def test_euler_verify_strength_from_header_or_flag(tmp_path, eoa256_file, capsys
     assert "Eulerian strength 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit, fail", [
+    (lambda lines: lines[:-1] + ["EULER 2 7"],
+     "FAIL: trailer claims edge multiplicity = 7, counted 1"),
+    (lambda lines: [lines[0].rsplit(" ", 1)[0] + " 3"] + lines[1:],
+     "FAIL: header claims lambda = 3, counted 16"),
+], ids=["trailer", "header"])
+def test_euler_verify_checks_file_claims(tmp_path, eoa256_file, capsys, edit, fail):
+    """A file whose header lambda or trailer edge multiplicity disagrees
+    with the counts prints its OK line, then exits 1 with one FAIL line, as
+    `oa verify` does; --t checks the arrays alone."""
+    tampered = tmp_path / "tampered.txt"
+    tampered.write_text("\n".join(edit(eoa256_file.read_text().splitlines())) + "\n")
+    assert main(["euler", "verify", "--in", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("OK: Eulerian strength 2, lambda = 16")
+    assert captured.err.splitlines() == [fail]
+    assert main(["euler", "verify", "--in", str(tampered), "--t", "2"]) == 0
+
+
 def test_sim_eulerian_histogram_cap_exits_2(tmp_path, capsys):
     """Arity-6 terms over GF(4) need 4^12 (vertex, transition) bins."""
     path = tmp_path / "rows6.txt"

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from eoa import config
 from eoa import decoupling as decoupling_module, oa as oa_module
 from eoa.codes import LinearCode, hamming_code
-from eoa.decoupling import (_apply_pulse_filter, _apply_quadrature,
-                            _bounded_averages, _exact_averages, _kron, _kron_sum,
-                            _pairing, _pulse_eigensystem, _quadrature_propagators,
-                            _quadrature_walk, _string_pairing, _support_table,
-                            _symbol_hamiltonians, _symbol_unitaries, _walk_tables,
-                            _weyl_expansion, report_to_json)
+from eoa.decoupling import (_apply_pulse_filter, _apply_quadrature, _averages,
+                            _kron, _kron_sum, _pairing, _pulse_eigensystem,
+                            _quadrature_propagators, _quadrature_walk,
+                            _string_pairing, _support_table, _symbol_hamiltonians,
+                            _symbol_unitaries, _walk_tables, _weyl_expansion,
+                            report_to_json)
 from eoa.decoupling import (AverageReport, DriftHamiltonian, DriftTerm, Schedule,
                             bangbang_average, bangbang_schedule, drift_from_json,
                             drift_to_json, euler_schedule, eulerian_average,
@@ -290,8 +290,8 @@ def test_quadrature_exponentials_equal_pade(q, arity):
     field = field_from_order(q)
     hams = _symbol_hamiltonians(_symbol_unitaries(field), 0.1)
     order = config.DEFAULT_QUAD_ORDER
-    weights, props, steps = _walk_tables(hams, q, arity, 0.1, order)
     h = _support_table(hams, np.arange(q**arity), q, arity, _kron_sum)
+    weights, props, steps = _walk_tables(h, 0.1, order)
     nodes, leg_weights = np.polynomial.legendre.leggauss(order)
     assert np.array_equal(weights, leg_weights)
     assert len(h) == len(steps) == q**arity and len(props) == len(nodes)
@@ -586,6 +586,13 @@ def small_arrays(draw):
             draw(st.integers(1, 2)), seed)
 
 
+def walk_tables(hams, q, t, delta, order):
+    """The walk tables of a t-qudit support, on the support Hamiltonians
+    that `_averages` stacks once per arity."""
+    return _walk_tables(_support_table(hams, np.arange(q**t), q, t, _kron_sum),
+                        delta, order)
+
+
 def walk_oracle(x, sub, field, hams, delta, order):
     """The quadrature walk before its x-independent operators were shared
     across terms: each distinct transition's filter from quadrature_oracle
@@ -640,14 +647,13 @@ def test_histogram_kernel_equals_walk_per_term(case):
     hams = _symbol_hamiltonians(unitaries, 0.1)
     tol = config.TOL_BACKEND_AGREEMENT
     order = config.DEFAULT_QUAD_ORDER
-    batched = _exact_averages(entries, [term.support for term in drift.terms],
-                              [term.sys_block for term in drift.terms], field,
-                              unitaries, hams, 0.1)
-    tables = _walk_tables(hams, q, arity, 0.1, order)
+    batched = _averages(entries, [term.support for term in drift.terms],
+                        [term.sys_block for term in drift.terms], field, unitaries, 0.1)
+    tables = walk_tables(hams, q, arity, 0.1, order)
     for term, block in zip(drift.terms, batched):
         sub = entries[list(term.support)]
-        exact, = _exact_averages(entries, [term.support], [term.sys_block], field,
-                                 unitaries, hams, 0.1)
+        exact, = _averages(entries, [term.support], [term.sys_block], field,
+                           unitaries, 0.1)
         assert np.array_equal(exact, block)
         walk, = _quadrature_walk(term.sys_block[None], sub, field, tables)
         assert coefficient_distance(exact, walk, unitaries) <= tol
@@ -702,7 +708,7 @@ def test_stacked_walk_equals_single_operator_walks(eoa256, block_entries):
     with pytest.MonkeyPatch.context() as mp:
         if block_entries is not None:
             mp.setattr(decoupling_module, "_BLOCK_ENTRIES", block_entries)
-        tables = _walk_tables(hams, 4, 2, 0.1, order)
+        tables = walk_tables(hams, 4, 2, 0.1, order)
         for support, xs in by_support.items():
             sub = eoa256.entries[list(support)]
             stacked = _quadrature_walk(np.stack(xs), sub, field, tables)
@@ -719,11 +725,15 @@ def test_stacked_walk_equals_single_operator_walks(eoa256, block_entries):
             assert np.array_equal(walk, walk_oracle(x, sub, field, hams, 0.1, order))
 
 
-def test_quadrature_averages_keep_input_order():
-    """Terms of one support that are not adjacent in the input are walked
-    together, and each comes back at its own place: every term's
-    coefficients are the Weyl expansion of its own oracle walk, bit for
-    bit."""
+@pytest.mark.parametrize("delta, method", [(None, "exact"), (0.1, "exact"),
+                                           (0.1, "quadrature")],
+                         ids=["bangbang", "exact", "quadrature"])
+def test_averages_keep_input_order(delta, method):
+    """Terms of one support that are not adjacent in the input, among terms
+    of the other arity, are grouped together, and each comes back at its
+    own place: in each action of _averages every term's coefficients equal
+    those of the term averaged alone bit for bit, and a quadrature term's
+    equal the Weyl expansion of its own oracle walk."""
     field = field_from_order(9)
     unitaries = _symbol_unitaries(field)
     hams = _symbol_hamiltonians(unitaries, 0.1)
@@ -732,13 +742,38 @@ def test_quadrature_averages_keep_input_order():
     entries = rng.integers(0, 9, size=(3, 11))
     supports = [(0, 1), (2,), (1, 2), (0, 1), (0,), (2,), (1, 2), (0, 1)]
     blocks = [random_hermitian(rng, 3 ** len(support)) for support in supports]
-    averaged = _bounded_averages(entries, supports, blocks, field, unitaries, 0.1,
-                                 "quadrature", order)
+    averaged = _averages(entries, supports, blocks, field, unitaries, delta, method,
+                         order)
     assert len(averaged) == len(supports)
     for support, x, coeffs in zip(supports, blocks, averaged):
-        walk = walk_oracle(x, entries[list(support)], field, hams, 0.1, order)
-        expand = _weyl_expansion(unitaries, len(support))
-        assert np.array_equal(coeffs, walk.reshape(-1) @ expand)
+        alone, = _averages(entries, [support], [x], field, unitaries, delta, method,
+                           order)
+        assert np.array_equal(coeffs, alone)
+        if method == "quadrature":
+            walk = walk_oracle(x, entries[list(support)], field, hams, 0.1, order)
+            expand = _weyl_expansion(unitaries, len(support))
+            assert np.array_equal(coeffs, walk.reshape(-1) @ expand)
+
+
+@pytest.mark.parametrize("entries, message", [
+    (np.array([[0, 1, 2, -1], [0, 1, 2, 3]]), r"span \[-1, 3\], outside \[0, 4\)"),
+    (np.array([[0, 1, 2, 4], [0, 1, 2, 3]]), r"span \[0, 4\], outside \[0, 4\)"),
+    (np.zeros((2, 4)), "not a 2-D integer array"),
+    (np.zeros(4, dtype=np.int64), "not a 2-D integer array"),
+], ids=["negative", "q", "float", "1-D"])
+def test_raw_entries_are_range_checked(entries, message):
+    """A raw (entries, q) pair whose symbols leave [0, q), or that is not a
+    2-D integer array, is refused with one ValueError line by both averages
+    and both schedules, before anything is counted or indexed."""
+    drift = random_drift(2, 2, 1, 1, seed=0)
+    consumers = [lambda m: bangbang_average(m, drift),
+                 lambda m: eulerian_average(m, drift, 0.1),
+                 lambda m: bangbang_schedule(m, 0.1),
+                 lambda m: euler_schedule(m, 0.1)]
+    for consume in consumers:
+        with pytest.raises(ValueError, match=message) as info:
+            consume((entries, 4))
+        assert len(str(info.value).splitlines()) == 1
 
 
 def test_single_cycle_kernel_matches_walk_off_identity():
@@ -1280,9 +1315,8 @@ def test_batched_averages_equal_per_term_oracles(case, bound, threads):
                        per * max(entries.shape[1], q ** (2 * t)))
         terms = ([term.support for term in drift.terms],
                  [term.sys_block for term in drift.terms])
-        blocks = {"bangbang": _exact_averages(entries, *terms, field, unitaries,
-                                              None, None),
-                  "exact": _exact_averages(entries, *terms, field, unitaries, hams, 0.1)}
+        blocks = {"bangbang": _averages(entries, *terms, field, unitaries),
+                  "exact": _averages(entries, *terms, field, unitaries, 0.1)}
         reports = {"bangbang": bangbang_average((entries, q), drift),
                    "exact": eulerian_average((entries, q), drift, 0.1)}
     for method, report in reports.items():

@@ -308,23 +308,24 @@ def _array_entries(m) -> tuple[np.ndarray, int, int | None]:
     """(entries, q, declared strength) from an OA, Eulerian OA, or raw pair.
 
     A raw (entries, q) pair carries no strength claim; averaging on one
-    skips the strength-sufficiency warning.  Its entries must be a 2-D
-    integer array with symbols in [0, q), else a one-line ValueError.
+    skips the strength-sufficiency warning.  Every kind's entries must be a
+    2-D integer array with symbols in [0, q), else a one-line ValueError.
     """
     if isinstance(m, EulerianOA):
-        return m.entries, m.oa.q, m.t
-    if isinstance(m, OrthogonalArray):
-        return m.entries, m.q, m.t
-    if isinstance(m, tuple) and len(m) == 2:
-        entries, q = np.asarray(m[0]), int(m[1])
-        if entries.dtype.kind not in "iu" or entries.ndim != 2:
-            raise ValueError(f"array entries {entries.dtype} {entries.shape}: not a "
-                             f"2-D integer array")
-        if entries.size and not 0 <= entries.min() <= entries.max() < q:
-            raise ValueError(f"array symbols span [{entries.min()}, {entries.max()}], "
-                             f"outside [0, {q})")
-        return entries.astype(np.int64, copy=False), q, None
-    raise TypeError(f"expected an orthogonal array, got {type(m).__name__}")
+        entries, q, t = m.entries, m.oa.q, m.t
+    elif isinstance(m, OrthogonalArray):
+        entries, q, t = m.entries, m.q, m.t
+    elif isinstance(m, tuple) and len(m) == 2:
+        entries, q, t = np.asarray(m[0]), int(m[1]), None
+    else:
+        raise TypeError(f"expected an orthogonal array, got {type(m).__name__}")
+    if entries.dtype.kind not in "iu" or entries.ndim != 2:
+        raise ValueError(f"array entries {entries.dtype} {entries.shape}: not a "
+                         f"2-D integer array")
+    if entries.size and not 0 <= entries.min() <= entries.max() < q:
+        raise ValueError(f"array symbols span [{entries.min()}, {entries.max()}], "
+                         f"outside [0, {q})")
+    return entries.astype(np.int64, copy=False), q, t
 
 
 def bangbang_schedule(m, delta: float) -> Schedule:

@@ -8,7 +8,8 @@ segment).  An Eulerian cycle therefore has length q^{2k}.
 An Eulerian OA of strength t is an array whose every t-row projection,
 read as a cyclic vertex sequence, is an Eulerian cycle (with some
 multiplicity) in the Cayley graph of G^{x t} with some generating set --
-which also makes it a plain OA of strength t.
+which also makes it a plain OA of strength t: one (vertex, transition)
+count decides both.
 
 The transition convention is additive: s_j = c_{j+1} - c_j, cyclically
 (the wrap-around transition from the last column to the first is counted,
@@ -26,9 +27,9 @@ import numpy as np
 from . import config
 from .codes import LinearCode
 from .gf import FieldTable, field_from_order
-from .oa import (CertificateError, OrthogonalArray, StrengthViolation, _first_violation,
-                 _judge_counts, format_oa, read_oa_file, subset_histograms,
-                 verify_strength)
+from .oa import (CertificateError, OrthogonalArray, StrengthViolation, Violation,
+                 _first_violation, _judge_counts, _judge_strength, file_failure,
+                 format_oa, read_oa_file, subset_histograms)
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,10 @@ class EulerianCycle:
 
 
 @dataclass(frozen=True)
-class EulerianViolation:
+class EulerianViolation(Violation):
     """Why a t-row projection is not an Eulerian cycle."""
 
+    check = "eulerian"
     rows: tuple[int, ...]
     kind: str                       # "pair-count"
     vertex: tuple[int, ...] | None
@@ -179,9 +181,11 @@ def pair_digits(entries: np.ndarray, field: FieldTable) -> np.ndarray:
     return digits
 
 
-def verify_eulerian(entries: np.ndarray, field: FieldTable,
-                    t: int) -> EulerianCertificate | EulerianViolation:
-    """Eulerian-OA check at strength t over the additive group of GF(q).
+def verify_eulerian(entries: np.ndarray, field: FieldTable, t: int
+                    ) -> EulerianCertificate | StrengthViolation | EulerianViolation:
+    """Strength and Eulerian-OA check at strength t over the additive group
+    of GF(q): the first strength violation, else the first Eulerian one,
+    else the certificate.
 
     For every t-row subset: project the columns to t-tuples, take the
     cyclic transitions, and require each (vertex, transition) pair to
@@ -191,13 +195,11 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
 
     One blocked counting pass (`oa.subset_histograms`) over the digits
     symbol*q + transition gives every pair histogram as one count array.
-    The used transitions are read off it, and the judge that
-    `verify_strength` shares (`oa._judge_counts`) checks uniformity and one
-    lambda across all subsets at once; `oa._first_violation` names the
-    first failing subset's pair.  The pass also certifies strength t: every
-    vertex occurs |S| * lam_edge = N/q^t times, and that vertex marginal is
-    the certificate's lam.  An array that fails here may fail strength
-    too; `certify_eulerian` runs the strength pass for that case.
+    `oa._judge_counts` checks the pairs of the used transitions read off
+    it; uniform pairs certify strength t too, every vertex occurring
+    |S| * lam_edge = N/q^t times.  Failing pairs hand their vertex marginal
+    first to `verify_strength`'s judge (`oa._judge_strength`), else
+    `oa._first_violation` names the first failing subset's pair.
     """
     entries = np.asarray(entries)
     n, N = entries.shape
@@ -216,6 +218,11 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     used = pairs.sum(axis=tuple(range(1, 2 * t + 1, 2))).reshape(S, width) > 0
     lam, i = _judge_counts(counts, used, N)
     if i is not None:
+        # strength first: the pairs' vertex marginal is the strength histogram
+        strength = _judge_strength(pairs.sum(axis=tuple(range(2, 2 * t + 1, 2))),
+                                   subsets, N, q, t)
+        if isinstance(strength, StrengthViolation):
+            return strength
         # only the failing subset's counts become a (vertex, transition) matrix
         order = (*range(0, 2 * t, 2), *range(1, 2 * t, 2))
         matrix = pairs[i].transpose(order).reshape(width, width)
@@ -237,27 +244,12 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable,
     return EulerianCertificate(lam, gensets, int(used[0].sum()) * lam)
 
 
-def certify_eulerian(entries: np.ndarray, field: FieldTable, t: int
-                     ) -> tuple[int | StrengthViolation,
-                                EulerianCertificate | EulerianViolation]:
-    """Strength and Eulerian verdicts of one array at one t.
-
-    The strength lam is the certificate's vertex marginal; a separate
-    strength pass runs only when the Eulerian check fails, so that callers
-    can report a strength violation before an Eulerian one.
-    """
-    euler = verify_eulerian(entries, field, t)
-    if isinstance(euler, EulerianCertificate):
-        return euler.lam, euler
-    return verify_strength(entries, field.q, t), euler
-
-
 def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
                           t: int) -> EulerianOA:
     """Eulerian OA whose column j is the codeword G m_j along the cycle.
 
-    Requires the cycle to live over the code's message space.  Both the
-    strength and the Eulerian verifier run before returning, and every
+    Requires the cycle to live over the code's message space.  The
+    verifier (strength, then Eulerian) runs before returning, and every
     t-row generating set is checked to be the full product group, which
     the construction guarantees; a failure of any raises CertificateError.
     """
@@ -271,17 +263,15 @@ def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
     entries = np.take(code.codewords(), encoded, axis=1)
     N = entries.shape[1]
 
-    strength, euler = certify_eulerian(entries, code.field, t)
-    if isinstance(strength, StrengthViolation):
-        raise CertificateError(f"strength-{t} verification failed: {strength}")
-    if isinstance(euler, EulerianViolation):
-        raise CertificateError(f"Eulerian verification failed: {euler}")
+    euler = verify_eulerian(entries, code.field, t)
+    if isinstance(euler, Violation):
+        raise CertificateError(f"{euler.check}-{t} verification failed: {euler}")
     full = code.q**t
     for rows, gens in euler.gensets.items():
         if len(gens) != full:
             raise CertificateError(f"rows {rows}: generating set has {len(gens)} "
                                    f"elements, expected the full group ({full})")
-    oa = OrthogonalArray(code.q, code.n, N, t, strength, entries)
+    oa = OrthogonalArray(code.q, code.n, N, t, euler.lam, entries)
     return EulerianOA(oa, t, euler.edge_multiplicity, euler.gensets)
 
 
@@ -296,24 +286,15 @@ def write_eulerian_oa(path, eoa: EulerianOA) -> None:
 
 
 def read_eulerian_oa(path) -> EulerianOA:
-    """Load and fully re-verify an Eulerian OA file."""
-    entries, (N, n, q, t_claim, lam_claim), trailer = read_oa_file(path)
+    """Load and fully re-verify an Eulerian OA file: the array at the
+    trailer's t, then the header's and the trailer's claims."""
+    entries, header, trailer = read_oa_file(path)
     if trailer is None:
         raise ValueError(f"{path}: missing EULER trailer")
-    t_euler, lam_edge_claim = trailer
-    field = field_from_order(q)
-    if t_claim == t_euler:
-        strength, euler = certify_eulerian(entries, field, t_euler)
-    else:
-        strength, euler = verify_strength(entries, q, t_claim), None
-    if isinstance(strength, StrengthViolation) or strength != lam_claim:
-        raise ValueError(f"{path}: strength claim failed ({strength})")
-    if euler is None:
-        euler = verify_eulerian(entries, field, t_euler)
-    if isinstance(euler, EulerianViolation):
-        raise ValueError(f"{path}: Eulerian claim failed ({euler})")
-    if euler.edge_multiplicity != lam_edge_claim:
-        raise ValueError(f"{path}: edge multiplicity claim {lam_edge_claim}, "
-                         f"counted {euler.edge_multiplicity}")
-    oa = OrthogonalArray(q, n, N, t_claim, lam_claim, entries)
-    return EulerianOA(oa, t_euler, euler.edge_multiplicity, euler.gensets)
+    N, n, q, t, lam = header
+    euler = verify_eulerian(entries, field_from_order(q), trailer[0])
+    failure = file_failure(entries, euler, trailer[0], header, trailer)
+    if failure:
+        raise ValueError(f"{path}: {failure}")
+    oa = OrthogonalArray(q, n, N, t, lam, entries)
+    return EulerianOA(oa, trailer[0], euler.edge_multiplicity, euler.gensets)

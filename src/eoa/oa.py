@@ -21,9 +21,11 @@ alone is more), so memory stays bounded as N grows.  The histograms come
 back as one count array, a row per subset in the order asked; judging is
 the caller's.  Both verifiers judge all rows at once by one judge of
 (vertex, transition) counts, a strength histogram being that of one
-transition, and name only the first failing subset's violation.  A large
-count runs on two threads by default (see `config.worker_count`): one
-encodes keys while the other's bincount holds the interpreter lock.
+transition, and name only the first failing subset's violation; failing
+pairs have their strength judged first, on their vertex marginal.  A
+large count runs on two threads by default (see
+`config.worker_count`): one encodes keys while the other's bincount holds
+the interpreter lock.
 """
 
 from __future__ import annotations
@@ -41,8 +43,13 @@ from . import config
 from .codes import LinearCode
 
 
+class Violation:
+    """A failed verdict; `check` names the check, as `file_failure` words it."""
+    check = "strength"
+
+
 @dataclass(frozen=True)
-class StrengthViolation:
+class StrengthViolation(Violation):
     """First tuple whose column count breaks uniformity, with its row subset."""
 
     rows: tuple[int, ...]
@@ -246,14 +253,28 @@ def _first_violation(matrix: np.ndarray, used: np.ndarray, N: int, lam: int,
     return vertex, transition, int(block[v, s]), expected
 
 
+def _judge_strength(counts: np.ndarray, subsets: list, N: int, q: int,
+                    t: int) -> int | StrengthViolation:
+    """Lambda, or the first violation, of (subset, q^t) symbol histograms,
+    judged by `_judge_counts` as pair counts of one transition."""
+    counts = counts.reshape(len(subsets), -1, 1)
+    used = np.ones((len(subsets), 1), dtype=bool)
+    lam, i = _judge_counts(counts, used, N)
+    if i is None:
+        return lam
+    # every subset's lambda is N / q^t, so a failing subset has a bad tuple
+    symbols, _, count, expected = _first_violation(counts[i], used[i], N, lam, q, t)
+    return StrengthViolation(subsets[i], symbols, count, expected)
+
+
 def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolation:
     """Common multiplicity lambda at strength t, or the first violation.
 
     Counts every t-tuple of symbols in every t x N sub-array.  A violation
     names the offending row subset and tuple (needed when debugging
     hand-entered arrays); it is a return value, not an exception.  All
-    subsets are judged at once by `_judge_counts`, as pair counts of one
-    transition, and `_first_violation` names the first failing one's tuple.
+    subsets are judged at once by `_judge_strength`, which
+    `verify_eulerian` shares, and only the first failing one is named.
     """
     entries = np.asarray(entries)
     n, N = entries.shape
@@ -262,14 +283,7 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
     subsets = list(itertools.combinations(range(n), t))
-    counts = subset_histograms(entries, q, subsets)[:, :, None]
-    used = np.ones((len(subsets), 1), dtype=bool)
-    lam, i = _judge_counts(counts, used, N)
-    if i is None:
-        return lam
-    # every subset's lambda is N / q^t, so a failing subset has a bad tuple
-    symbols, _, count, expected = _first_violation(counts[i], used[i], N, lam, q, t)
-    return StrengthViolation(subsets[i], symbols, count, expected)
+    return _judge_strength(subset_histograms(entries, q, subsets), subsets, N, q, t)
 
 
 def max_strength(entries: np.ndarray, q: int) -> int | None:
@@ -318,7 +332,7 @@ def oa_from_code(code: LinearCode, d_dual: int) -> OrthogonalArray:
 
 # ---------------------------------------------------------------------------
 # OA file format: line 1 "OA N n q t lambda", then n rows of N decimal
-# symbols.  Headers are claims; loaders re-verify before trusting them.
+# symbols.  Headers are claims, which `file_failure` decides on a re-count.
 # ---------------------------------------------------------------------------
 
 def _token_table(tokens: list[str]) -> np.ndarray:
@@ -425,12 +439,36 @@ def read_oa_entries(path) -> tuple[np.ndarray, tuple[int, int, int, int, int]]:
     return entries, header
 
 
+def file_failure(entries: np.ndarray, verdict, t: int, header=None,
+                 trailer=None) -> str | None:
+    """What an array file's counts refute, worded once for its loaders
+    (after "path: ") and verifiers (after "FAIL: "), or None: first a
+    violation in verdict, `verify_strength`'s or `verify_eulerian`'s at t;
+    then, when given, the header's lambda, counted at the header's own t,
+    and the trailer's edge multiplicity, whose t is the verdict's."""
+    if isinstance(verdict, Violation):
+        return f"{verdict.check} {t}: {verdict}"
+    if header is None:
+        return None
+    _, _, q, t_header, lam = header
+    counted = verdict if isinstance(verdict, int) else verdict.lam
+    if t_header != t:
+        counted = verify_strength(entries, q, t_header)
+        if isinstance(counted, Violation):
+            return file_failure(entries, counted, t_header)
+    if counted != lam:
+        return f"header claims lambda = {lam}, counted {counted}"
+    if trailer is not None and trailer[1] != verdict.edge_multiplicity:
+        return (f"trailer claims edge multiplicity = {trailer[1]}, "
+                f"counted {verdict.edge_multiplicity}")
+    return None
+
+
 def read_oa(path) -> OrthogonalArray:
-    """Load and re-verify an OA file; raises if the claimed strength fails."""
-    entries, (N, n, q, t, lam) = read_oa_entries(path)
-    result = verify_strength(entries, q, t)
-    if isinstance(result, StrengthViolation):
-        raise ValueError(f"{path}: strength-{t} verification failed ({result})")
-    if result != lam:
-        raise ValueError(f"{path}: header claims lambda = {lam}, counted {result}")
+    """Load and re-verify an OA file; raises if the count refutes its header."""
+    entries, header = read_oa_entries(path)
+    N, n, q, t, lam = header
+    failure = file_failure(entries, verify_strength(entries, q, t), t, header)
+    if failure:
+        raise ValueError(f"{path}: {failure}")
     return OrthogonalArray(q, n, N, t, lam, entries)

@@ -15,7 +15,8 @@ from eoa import cli
 from eoa.cli import _resolve_d_dual, main
 from eoa.codes import LinearCode, hamming_code, write_code
 from eoa.gf import gf_new
-from eoa.oa import max_strength
+from eoa.euler import read_eulerian_oa
+from eoa.oa import max_strength, read_oa
 
 
 @pytest.fixture()
@@ -40,6 +41,20 @@ def eoa256_file(tmp_path, dual_code_file):
     assert main(["euler", "build", "--code", str(dual_code_file),
                  "--out", str(path)]) == 0
     return path
+
+
+def _tamper_symbol(lines):
+    """An array file's lines with the first symbol of row 0 changed."""
+    row = lines[1].split()
+    row[0] = "1" if row[0] == "0" else "0"
+    return [lines[0], " ".join(row), *lines[2:]]
+
+
+def _shuffle_columns(lines):
+    """An array file's lines with its columns in a seeded random order."""
+    arr = np.array([ln.split() for ln in lines[1:-1]])
+    arr = arr[:, np.random.default_rng(5).permutation(arr.shape[1])]
+    return [lines[0], *(" ".join(r) for r in arr), lines[-1]]
 
 
 def test_code_hamming_dual_report(tmp_path, capsys):
@@ -212,12 +227,8 @@ def test_builds_from_gf9_dual_hamming_without_distance(tmp_path, dual_ham92_file
 
 
 def test_oa_verify_tampered_exits_1(tmp_path, oa16_file, capsys):
-    lines = oa16_file.read_text().splitlines()
-    row = lines[1].split()
-    row[0] = "1" if row[0] == "0" else "0"
-    lines[1] = " ".join(row)
     tampered = tmp_path / "tampered.txt"
-    tampered.write_text("\n".join(lines) + "\n")
+    tampered.write_text("\n".join(_tamper_symbol(oa16_file.read_text().splitlines())) + "\n")
     assert main(["oa", "verify", "--in", str(tampered), "--t", "2"]) == 1
     assert "rows (" in capsys.readouterr().err
 
@@ -272,13 +283,9 @@ def test_euler_toy_cycle_file(tmp_path, capsys):
 
 
 def test_euler_verify_shuffled_exits_1(tmp_path, eoa256_file):
-    lines = eoa256_file.read_text().splitlines()
-    arr = np.array([ln.split() for ln in lines[1:-1]])
-    rng = np.random.default_rng(5)
-    arr = arr[:, rng.permutation(arr.shape[1])]
-    out = [lines[0]] + [" ".join(r) for r in arr] + [lines[-1]]
     shuffled = tmp_path / "shuffled.txt"
-    shuffled.write_text("\n".join(out) + "\n")
+    shuffled.write_text("\n".join(_shuffle_columns(eoa256_file.read_text().splitlines()))
+                        + "\n")
     assert main(["euler", "verify", "--in", str(shuffled)]) == 1
 
 
@@ -309,11 +316,14 @@ def test_euler_verify_strength_from_header_or_flag(tmp_path, eoa256_file, capsys
      "FAIL: trailer claims edge multiplicity = 7, counted 1"),
     (lambda lines: [lines[0].rsplit(" ", 1)[0] + " 3"] + lines[1:],
      "FAIL: header claims lambda = 3, counted 16"),
-], ids=["trailer", "header"])
+    (lambda lines: ["OA 256 5 4 1 99"] + lines[1:],
+     "FAIL: header claims lambda = 99, counted 64"),
+], ids=["trailer", "header", "header-other-t"])
 def test_euler_verify_checks_file_claims(tmp_path, eoa256_file, capsys, edit, fail):
     """A file whose header lambda or trailer edge multiplicity disagrees
     with the counts prints its OK line, then exits 1 with one FAIL line, as
-    `oa verify` does; --t checks the arrays alone."""
+    `oa verify` does; a header at another t than the trailer's is counted
+    at its own t.  --t checks the arrays alone."""
     tampered = tmp_path / "tampered.txt"
     tampered.write_text("\n".join(edit(eoa256_file.read_text().splitlines())) + "\n")
     assert main(["euler", "verify", "--in", str(tampered)]) == 1
@@ -323,12 +333,52 @@ def test_euler_verify_checks_file_claims(tmp_path, eoa256_file, capsys, edit, fa
     assert main(["euler", "verify", "--in", str(tampered), "--t", "2"]) == 0
 
 
+@pytest.mark.parametrize("kind, edit, refuted", [
+    ("oa", lambda lines: ["OA 16 5 4 2 3"] + lines[1:],
+     "header claims lambda = 3, counted 1"),
+    ("oa", _tamper_symbol, "strength 2: rows (0, 1): tuple "),
+    ("euler", lambda lines: lines[:-1] + ["EULER 2 7"],
+     "trailer claims edge multiplicity = 7, counted 1"),
+    ("euler", lambda lines: ["OA 256 5 4 2 3"] + lines[1:],
+     "header claims lambda = 3, counted 16"),
+    ("euler", lambda lines: ["OA 256 5 4 1 99"] + lines[1:],
+     "header claims lambda = 99, counted 64"),
+    ("euler", lambda lines: ["OA 256 5 4 3 4"] + lines[1:],
+     "strength 3: rows (0, 1, 2): tuple "),
+    ("euler", _tamper_symbol, "strength 2: rows (0, 1): tuple "),
+    ("euler", _shuffle_columns, "eulerian 2: rows (0, 1): (vertex "),
+], ids=["oa-header", "oa-tamper", "trailer", "header", "header-other-t",
+        "header-strength-other-t", "tamper", "shuffle"])
+def test_refuted_claims_read_the_same_from_loaders_and_verifiers(
+        tmp_path, oa16_file, eoa256_file, capsys, kind, edit, refuted):
+    """Each refuted claim or failed verdict of a file reads the same from
+    its loader's ValueError (after "path: "), from the CLI commands that
+    load it (exit 2) and from its verifier's FAIL: line (exit 1)."""
+    source, loader, load = (
+        (oa16_file, read_oa, ["sim", "bangbang", "--oa"]) if kind == "oa" else
+        (eoa256_file, read_eulerian_oa,
+         ["schedule", "export", "--out", str(tmp_path / "s.json"), "--oa"]))
+    path = tmp_path / "claim.txt"
+    path.write_text("\n".join(edit(source.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as info:
+        loader(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: {refuted}")
+    capsys.readouterr()
+    assert main([kind, "verify", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL: " + message.removeprefix(f"{path}: ")]
+    assert main([*load, str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_sim_eulerian_histogram_cap_exits_2(tmp_path, capsys):
     """Arity-6 terms over GF(4) need 4^12 (vertex, transition) bins."""
     path = tmp_path / "rows6.txt"
     path.write_text("OA 4 6 4 1 1\n" + "0 1 2 3\n" * 6)
     assert main(["sim", "eulerian", "--oa", str(path), "--t", "6"]) == 2
-    assert "histogram of 16777216" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: projection group squared, 16777216, exceeds cap 1048576"]
 
 
 def test_euler_build_deterministic(tmp_path, dual_code_file, eoa256_file):
@@ -405,12 +455,9 @@ def test_sim_eulerian_names_non_eulerian_array(tmp_path, eoa256_file, capsys):
     """A column-shuffled array keeps strength 2, so sim accepts it, but the
     residual fails; the failure line names the first Eulerian violation,
     after the residual line."""
-    lines = eoa256_file.read_text().splitlines()
-    arr = np.array([ln.split() for ln in lines[1:-1]])
-    arr = arr[:, np.random.default_rng(5).permutation(arr.shape[1])]
     shuffled = tmp_path / "shuffled.txt"
-    shuffled.write_text("\n".join([lines[0]] + [" ".join(r) for r in arr]
-                                  + [lines[-1]]) + "\n")
+    shuffled.write_text("\n".join(_shuffle_columns(eoa256_file.read_text().splitlines()))
+                        + "\n")
     capsys.readouterr()
     assert main(["sim", "eulerian", "--oa", str(shuffled), "--n", "5",
                  "--t", "2", "--seed", "7"]) == 1

@@ -19,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from eoa import euler as euler_module, oa as oa_module
 from eoa.codes import LinearCode, gf_matmul, hamming_code
-from eoa.euler import (EulerianCertificate, EulerianViolation, certify_eulerian,
-                       euler_cycle_full, transitions, verify_eulerian)
+from eoa.euler import (EulerianCertificate, EulerianViolation, euler_cycle_full,
+                       transitions, verify_eulerian)
 from eoa.gf import field_from_order, gf_new
 from eoa.oa import StrengthViolation, verify_strength
 from test_decoupling import column_counts, pair_counts
@@ -93,6 +93,16 @@ def oracle_eulerian(entries, field, t):
     return lam, gensets
 
 
+def oracle_verdict(entries, field, t):
+    """`verify_eulerian`'s verdict by the per-subset judges: the strength
+    oracle's violation first, else the Eulerian oracle's (edge
+    multiplicity, gensets) or violation."""
+    strength = oracle_strength(entries, field.q, t)
+    if isinstance(strength, StrengthViolation):
+        return strength
+    return oracle_eulerian(entries, field, t)
+
+
 # ---------------------------------------------------------------------------
 # Arrays: Eulerian OAs from codes, then transformed
 # ---------------------------------------------------------------------------
@@ -137,7 +147,10 @@ def arrays(draw):
 def test_blocked_verifiers_match_per_subset_oracle(case, budget, threads):
     """Same lambda, edge multiplicity, gensets and first violation as the
     per-subset path, with blocks of 1 to 3 rows that split prefixes, and
-    the full budget (0 here), serially and on four threads."""
+    the full budget (0 here), serially and on four threads.  The Eulerian
+    verdict is the strength oracle's violation first, else the Eulerian
+    oracle's verdict, so a failing array's strength violation from the
+    pair count is exactly `verify_strength`'s."""
     q, t, entries, kind, certified = case
     field = FIELDS[q]
     N = entries.shape[1]
@@ -148,30 +161,29 @@ def test_blocked_verifiers_match_per_subset_oracle(case, budget, threads):
             mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, q ** (2 * t)))
         strength = verify_strength(entries, q, t)
         euler = verify_eulerian(entries, field, t)
-        paired = certify_eulerian(entries, field, t)
     assert strength == oracle_strength(entries, q, t)
-    expected = oracle_eulerian(entries, field, t)
+    expected = oracle_verdict(entries, field, t)
     if isinstance(euler, EulerianCertificate):
         assert (euler.edge_multiplicity, euler.gensets) == expected
         assert euler.lam == strength == N // q**t
     else:
         assert euler == expected
-    # the paired verdicts: strength lambda read off the certificate, else
-    # the strength pass's own verdict
-    assert paired == (strength, euler)
+    if isinstance(strength, StrengthViolation):
+        assert euler == strength
     if kind == "valid" and certified:
         assert isinstance(euler, EulerianCertificate)
     if kind == "tampered" and certified:
-        # any single-symbol tamper is rejected by both verifiers
+        # any single-symbol tamper is rejected by both verifiers, the
+        # Eulerian one by its strength judge
         assert isinstance(strength, StrengthViolation)
-        assert isinstance(euler, EulerianViolation)
+        assert euler == strength
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
 @pytest.mark.parametrize("shuffle", [False, True])
 def test_verdicts_do_not_depend_on_memory_layout(q, shuffle):
     """C-ordered, Fortran-ordered and column-gathered copies of one array
-    give identical strength, Eulerian and paired verdicts."""
+    give identical strength and Eulerian verdicts."""
     field = FIELDS[q]
     base, t = BASES[q][0]
     if shuffle:
@@ -179,21 +191,23 @@ def test_verdicts_do_not_depend_on_memory_layout(q, shuffle):
     copies = [np.ascontiguousarray(base), np.asfortranarray(base),
               base[:, np.arange(base.shape[1])]]
     assert not copies[2].flags["C_CONTIGUOUS"]
-    verdicts = [(verify_strength(a, q, t), verify_eulerian(a, field, t),
-                 certify_eulerian(a, field, t)) for a in copies]
+    verdicts = [(verify_strength(a, q, t), verify_eulerian(a, field, t))
+                for a in copies]
     assert verdicts[0] == verdicts[1] == verdicts[2]
     assert isinstance(verdicts[0][1], EulerianViolation) == shuffle
 
 
 def test_rare_verdict_branches_match_oracle():
     """The judge's branches that code-built arrays (N = q^{2k}) never
-    reach: a non-integral expected count, for strength and for pairs, and
-    two uniform subsets whose edge multiplicities differ."""
+    reach: a non-integral expected count, for strength (from both
+    verifiers) and for pairs, and two uniform subsets whose edge
+    multiplicities differ."""
     field = FIELDS[2]
     odd = np.array([[0, 0, 1]])
     strength = verify_strength(odd, 2, 1)
     assert strength == oracle_strength(odd, 2, 1)
     assert strength == StrengthViolation((0,), (1,), 1, 1.5)
+    assert verify_eulerian(odd, field, 1) == oracle_verdict(odd, field, 1) == strength
 
     odd_pairs = np.array([[0, 0, 1, 1, 0, 1]])
     euler = verify_eulerian(odd_pairs, field, 1)
@@ -206,7 +220,7 @@ def test_rare_verdict_branches_match_oracle():
     euler = verify_eulerian(mixed, field, 1)
     assert euler == oracle_eulerian(mixed, field, 1)
     assert euler == EulerianViolation((1,), "pair-count", None, None, 2, 1)
-    assert certify_eulerian(mixed, field, 1) == (2, euler)
+    assert verify_strength(mixed, 2, 1) == 2   # so the pair judge decides
 
 
 def test_threaded_verdicts_equal_serial_at_m3():
@@ -242,7 +256,7 @@ def test_threaded_verdicts_equal_serial_at_m3():
     assert cert.edge_multiplicity == 16 and len(cert.gensets) == 210
     assert all(len(gens) == 16 for gens in cert.gensets.values())
     assert isinstance(shuffled, EulerianViolation)
-    assert isinstance(bad_lam, StrengthViolation) and isinstance(bad, EulerianViolation)
+    assert isinstance(bad_lam, StrengthViolation) and bad == bad_lam
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +343,7 @@ def test_every_subset_histogram_matches_per_subset_oracle(case, budget, threads)
     # oracle_strength and oracle_eulerian judge subset by subset with
     # check_rows and check_euler_rows
     assert strength == oracle_strength(entries, q, t)
-    expected = oracle_eulerian(entries, field, t)
+    expected = oracle_verdict(entries, field, t)
     if isinstance(euler, EulerianCertificate):
         assert (euler.edge_multiplicity, euler.gensets) == expected
     else:

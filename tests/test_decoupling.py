@@ -755,16 +755,19 @@ def test_averages_keep_input_order(delta, method):
             assert np.array_equal(coeffs, walk.reshape(-1) @ expand)
 
 
-@pytest.mark.parametrize("entries, message", [
-    (np.array([[0, 1, 2, -1], [0, 1, 2, 3]]), r"span \[-1, 3\], outside \[0, 4\)"),
-    (np.array([[0, 1, 2, 4], [0, 1, 2, 3]]), r"span \[0, 4\], outside \[0, 4\)"),
-    (np.zeros((2, 4)), "not a 2-D integer array"),
-    (np.zeros(4, dtype=np.int64), "not a 2-D integer array"),
-], ids=["negative", "q", "float", "1-D"])
-def test_raw_entries_are_range_checked(entries, message):
-    """A raw (entries, q) pair whose symbols leave [0, q), or that is not a
-    2-D integer array, is refused with one ValueError line by both averages
-    and both schedules, before anything is counted or indexed."""
+@pytest.mark.parametrize("array, message", [
+    ((np.array([[0, 1, 2, -1], [0, 1, 2, 3]]), 4), r"span \[-1, 3\], outside \[0, 4\)"),
+    ((np.array([[0, 1, 2, 4], [0, 1, 2, 3]]), 4), r"span \[0, 4\], outside \[0, 4\)"),
+    ((np.zeros((2, 4)), 4), "not a 2-D integer array"),
+    ((np.zeros(4, dtype=np.int64), 4), "not a 2-D integer array"),
+    (OrthogonalArray(4, 2, 4, 1, 1, np.array([[0, 1, 2, -1], [0, 1, 2, 3]])),
+     r"span \[-1, 3\], outside \[0, 4\)"),
+], ids=["negative", "q", "float", "1-D", "constructed"])
+def test_raw_entries_are_range_checked(array, message):
+    """A raw (entries, q) pair or a constructed array whose symbols leave
+    [0, q), or whose entries are not a 2-D integer array, is refused with
+    one ValueError line by both averages and both schedules, before
+    anything is counted or indexed."""
     drift = random_drift(2, 2, 1, 1, seed=0)
     consumers = [lambda m: bangbang_average(m, drift),
                  lambda m: eulerian_average(m, drift, 0.1),
@@ -772,7 +775,7 @@ def test_raw_entries_are_range_checked(entries, message):
                  lambda m: euler_schedule(m, 0.1)]
     for consume in consumers:
         with pytest.raises(ValueError, match=message) as info:
-            consume((entries, 4))
+            consume(array)
         assert len(str(info.value).splitlines()) == 1
 
 

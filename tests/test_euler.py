@@ -13,8 +13,8 @@ from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
                        pair_digits, read_eulerian_oa, verify_eulerian,
                        write_eulerian_oa)
 from eoa.gf import field_from_order, gf_new
-from eoa.oa import (CertificateError, OrthogonalArray, oa_from_code,
-                    read_oa_file, subset_histograms, verify_strength)
+from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, _judge_counts,
+                    oa_from_code, read_oa_file, subset_histograms, verify_strength)
 
 F2 = gf_new(2, 1)
 F4 = gf_new(2, 2)
@@ -180,11 +180,17 @@ def test_pair_counts_cap():
 
 
 def test_non_generating_transitions_fail_pair_count():
-    """A walk confined to the coset of a proper subgroup misses vertices, so
-    the pair-count check alone rejects it: uniform counts imply generation."""
-    result = verify_eulerian(np.array([[0, 1, 0, 1]]), F4, 1)   # S = {1}
-    assert isinstance(result, EulerianViolation)
-    assert result.kind == "pair-count"
+    """A walk confined to the coset of a proper subgroup misses vertices:
+    the verifier's strength judge on the vertex marginal reports it first,
+    exactly as verify_strength does, and the pair-count judge alone rejects
+    it too: uniform counts imply generation."""
+    entries = np.array([[0, 1, 0, 1]])                          # S = {1}
+    result = verify_eulerian(entries, F4, 1)
+    assert result == verify_strength(entries, 4, 1)
+    assert result == StrengthViolation((0,), (0,), 2, 1.0)
+    counts = subset_histograms(pair_digits(entries, F4), 16, [(0,)])
+    used = counts.reshape(1, 4, 4).sum(axis=1) > 0
+    assert _judge_counts(counts, used, 4)[1] == 0
 
 
 def test_lambda_mismatch_message_names_both_lambdas():

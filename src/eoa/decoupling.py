@@ -33,7 +33,8 @@ Conventions (hbar = 1 throughout):
   Weyl-string coefficients: it expands x (bang-bang) or each F_s(x)
   (Eulerian) once and multiplies coefficient l by chi[s, l] = sum_v
   c(v, s) omega^k(v, l), over the histogram of each distinct support
-  counted once by the verifiers' counter, `oa.subset_histograms`; the
+  counted once by the verifiers' counters, `oa.subset_histograms` and
+  `euler.pair_histograms`; the
   Eulerian coefficients then take the prefix phase omega^-k(g_0, l).  The
   quadrature walk (`_quadrature_walk`) stays in matrix space as the
   independent cross-check, per support, stacked: one walk over the stack
@@ -69,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config
-from .euler import (EulerianCycle, EulerianOA, _check_pair_cap, pair_digits,
+from .euler import (EulerianCycle, EulerianOA, _check_pair_cap, pair_histograms,
                     transitions)
 from .gf import FieldTable, field_from_order
 from .oa import OrthogonalArray, _token_table, subset_histograms
@@ -580,7 +581,7 @@ def _averages(entries: np.ndarray, supports: list, blocks: list, field: FieldTab
     Terms are grouped once, by arity and then by support (one run each, in
     input order), and each arity's control Hamiltonians are one stack over
     every transition code.  "exact" counts each distinct support once with
-    `oa.subset_histograms` (symbols for bang-bang, pair digits otherwise),
+    `oa.subset_histograms` (symbols, bang-bang) or `euler.pair_histograms`,
     multiplies a term's coefficients f[s, l] of F_s(x) by the character
     sums chi[s, l], sums over s and divides by N; the Eulerian coefficients
     then take the phase omega^-k(g_0, l), the prefix before column j being
@@ -601,8 +602,6 @@ def _averages(entries: np.ndarray, supports: list, blocks: list, field: FieldTab
     q, d, N = field.q, unitaries.shape[-1], entries.shape[1]
     if not quadrature:
         pairing, omega = _pairing(unitaries), np.exp(2j * np.pi * np.arange(d) / d)
-        digits, base = ((entries, q) if delta is None
-                        else (pair_digits(entries, field), q * q))
     averaged: list = [None] * len(supports)
     for t, idx in arities.items():
         rows: dict[tuple[int, ...], int] = {}
@@ -622,7 +621,8 @@ def _averages(entries: np.ndarray, supports: list, blocks: list, field: FieldTab
                 for i, walk in zip(run, walks):
                     averaged[idx[i]] = walk.reshape(-1) @ expand
             continue
-        hists = subset_histograms(digits, base, rows)
+        hists = (subset_histograms(entries, q, rows) if delta is None
+                 else pair_histograms(entries, field, rows))
         k = _string_pairing(pairing, t, d)
         if delta is None:
             bins, eig = codes[:, None], None

@@ -9,7 +9,11 @@ An Eulerian OA of strength t is an array whose every t-row projection,
 read as a cyclic vertex sequence, is an Eulerian cycle (with some
 multiplicity) in the Cayley graph of G^{x t} with some generating set --
 which also makes it a plain OA of strength t: one (vertex, transition)
-count decides both.
+count decides both.  Along the cycle of a code's messages every pair of a
+distinct vertex column and a distinct transition column occurs equally
+often, so that count is the outer product of two counts over the q^k
+distinct columns (`pair_histograms`); any other array has its pairs
+counted directly.
 
 The transition convention is additive: s_j = c_{j+1} - c_j, cyclically
 (the wrap-around transition from the last column to the first is counted,
@@ -19,6 +23,7 @@ since control actions are cyclic).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,11 +179,103 @@ def _check_pair_cap(q: int, t: int) -> None:
 
 def pair_digits(entries: np.ndarray, field: FieldTable) -> np.ndarray:
     """n x N digits symbol * q + transition, base q^2, of every (row, column):
-    the (vertex, transition) encoding that the Eulerian verifier and the
-    exact averaging kernel count, built once per array."""
+    the (vertex, transition) encoding whose histograms `pair_histograms`
+    returns, counted directly when the columns do not factor."""
     digits = transitions(entries, field)
     digits += field.q * np.asarray(entries)
     return digits
+
+
+def _column_ids(arrays, base: int, N: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Per n x N array of digits in [0, base), (ids, where): ids[j] numbers
+    column j among the array's distinct columns, and column where[i] is
+    one numbered i; None once the arrays' distinct column counts multiply
+    past N.
+
+    Exact, with no sort: rows join the numbers a block at a time, the array
+    with the fewest rows numbered going next, and one dense table of at
+    most max(N, base * distinct) slots renumbers each block's keys to the
+    distinct columns so far.  Counts only grow, so a product past N stops
+    the numbering early.
+    """
+    n = arrays[0].shape[0]
+    ids = [np.zeros(N, dtype=np.intp) for _ in arrays]
+    distinct, done = [1] * len(arrays), [0] * len(arrays)
+    while min(done) < n:
+        a = done.index(min(done))
+        row = done[a]
+        end = row + 1
+        while end < n and distinct[a] * base ** (end + 1 - row) <= N:
+            end += 1
+        key = ids[a]
+        for r in range(row, end):
+            key *= base
+            key += arrays[a][r]
+        seen = np.zeros(distinct[a] * base ** (end - row), dtype=np.intp)
+        seen[key] = 1
+        number = np.cumsum(seen)
+        distinct[a], done[a] = int(number[-1]), end
+        if math.prod(distinct) > N:
+            return None
+        number -= 1
+        ids[a] = number[key]
+    numbered = []
+    for column_ids, count in zip(ids, distinct):
+        where = np.empty(count, dtype=np.intp)
+        where[column_ids] = np.arange(N)
+        numbered.append((column_ids, where))
+    return numbered
+
+
+def pair_histograms(entries: np.ndarray, field: FieldTable, subsets) -> np.ndarray:
+    """(len(subsets), q^(2t)) (vertex, transition) histograms: exactly
+    `oa.subset_histograms(pair_digits(entries, field), q * q, subsets)`,
+    bit for bit, row i that of subsets[i].
+
+    Each column is numbered among the array's distinct vertex columns U,
+    and its transition among the distinct transition columns W.  When
+    every (u, w) pair occurs the same c = N / (|U| |W|) times, as along an
+    Eulerian cycle of a code's messages, each t-row pair histogram is c
+    times the outer product of the t-row histograms of U and of W, counted
+    over |U| + |W| columns instead of N.  The (u, w) pairs are counted only
+    when |U| |W| divides N; any other array (shuffled, tampered,
+    hand-entered) has its pair digits counted directly.
+    """
+    # the numbering reads rows, which are strided slices of a Fortran-ordered
+    # or column-gathered array
+    entries = np.ascontiguousarray(entries)
+    q, N = field.q, entries.shape[1]
+    subsets = list(subsets)
+    steps = transitions(entries, field)
+    numbered = _column_ids((entries, steps), q, N) if subsets else None
+    if numbered:
+        (u, u_where), (w, w_where) = numbered
+        U, W = len(u_where), len(w_where)
+        if N % (U * W) == 0:
+            edges = np.bincount(u * W + w, minlength=U * W)
+            if edges.min() == edges.max():
+                return _product_histograms(entries[:, u_where], steps[:, w_where],
+                                           q, subsets, int(edges[0]))
+    steps += q * entries        # the pair digits, built on the transitions
+    return subset_histograms(steps, q * q, subsets)
+
+
+def _product_histograms(vertices: np.ndarray, steps: np.ndarray, q: int,
+                        subsets: list, c: int) -> np.ndarray:
+    """c times the outer product of the t-row symbol histograms of the
+    columns of vertices and of steps, per subset, with the axes interleaved
+    as the pair digits symbol * q + transition are: v_0, s_0, v_1, s_1, ..."""
+    hist_v = c * subset_histograms(vertices, q, subsets)
+    hist_s = subset_histograms(steps, q, subsets)
+    S, t = len(subsets), len(subsets[0])
+    out = np.empty((S, q ** (2 * t)), dtype=np.intp)
+    # the product is written in place through a view of out's axes as
+    # v_0, ..., v_t-1, s_0, ..., s_t-1: no second array of its size
+    view = out.reshape((S,) + (q,) * (2 * t)).transpose(
+        0, *range(1, 2 * t, 2), *range(2, 2 * t + 1, 2))
+    np.multiply(hist_v.reshape((S,) + (q,) * t + (1,) * t),
+                hist_s.reshape((S,) + (1,) * t + (q,) * t), out=view)
+    return out
 
 
 def verify_eulerian(entries: np.ndarray, field: FieldTable, t: int
@@ -193,8 +290,9 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable, t: int
     that occurs at all.  That also makes the transition set generate the
     full group (see below).  Violations are return values.
 
-    One blocked counting pass (`oa.subset_histograms`) over the digits
-    symbol*q + transition gives every pair histogram as one count array.
+    `pair_histograms` gives every pair histogram as one count array, the
+    blocked count of the digits symbol*q + transition, factored through the
+    distinct vertex and transition columns when they allow it.
     `oa._judge_counts` checks the pairs of the used transitions read off
     it; uniform pairs certify strength t too, every vertex occurring
     |S| * lam_edge = N/q^t times.  Failing pairs hand their vertex marginal
@@ -210,12 +308,17 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable, t: int
         raise ValueError("entries must be symbols in [0, q)")
     _check_pair_cap(q, t)
     subsets = list(itertools.combinations(range(n), t))
-    counts = subset_histograms(pair_digits(entries, field), q * q, subsets)
+    counts = pair_histograms(entries, field, subsets)
     # histogram digits interleave (vertex, transition) per row: axes v_0,
     # s_0, v_1, s_1, ... of one view, never a transposed copy
     S, width = len(subsets), q**t
     pairs = counts.reshape((S,) + (q,) * (2 * t))
-    used = pairs.sum(axis=tuple(range(1, 2 * t + 1, 2))).reshape(S, width) > 0
+    # the used transitions: summing one vertex axis at a time, v_0 first
+    # (v_1 is then axis 2, ...), is ~2.5x faster than one multi-axis sum
+    used = pairs
+    for axis in range(1, t + 1):
+        used = used.sum(axis=axis)
+    used = used.reshape(S, width) > 0
     lam, i = _judge_counts(counts, used, N)
     if i is not None:
         # strength first: the pairs' vertex marginal is the strength histogram

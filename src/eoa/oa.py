@@ -6,10 +6,11 @@ Verification is exhaustive counting over all C(n, t) row subsets -- a
 certificate, not a sample.
 
 The counting is blocked, and `subset_histograms` is the one counter: the
-strength and Eulerian verifiers ask it for every t-row subset, the
-averaging layer for the supports of a drift's terms.  Each row carries one
+strength and Eulerian verifiers ask it for every t-row subset (the latter
+through `euler.pair_histograms`), the averaging layer for the supports of
+a drift's terms.  Each row carries one
 digit per column: its symbol here, the (symbol, transition) pair in base
-q^2 for the Eulerian check.  The requested subsets are grouped by their
+q^2 for a direct Eulerian count.  The requested subsets are grouped by their
 (t-1)-row prefix, whose key is encoded once; the keys of a block of later
 rows are that key plus each row's digits, which carry the offset of the
 row's histogram slot, and one bincount returns the histograms of the
@@ -25,7 +26,9 @@ transition, and name only the first failing subset's violation; failing
 pairs have their strength judged first, on their vertex marginal.  A
 large count runs on two threads by default (see
 `config.worker_count`): one encodes keys while the other's bincount holds
-the interpreter lock.
+the interpreter lock.  A code-built Eulerian array's pairs factor through
+its few distinct columns (see `euler.pair_histograms`), so only a direct
+pair count of a large array that does not factor reaches that size.
 """
 
 from __future__ import annotations
@@ -430,6 +433,10 @@ def read_oa_file(path) -> tuple[np.ndarray, tuple[int, int, int, int, int],
         raise _shape_error(path, entries.shape[0], [entries.shape[1]], n, N)
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError(f"{path}: symbols out of range [0, {q})")
+    for where, t in (("header", header[3]), ("trailer", trailer and trailer[0])):
+        if t is not None and not 1 <= t <= n:
+            raise ValueError(f"{path}: {where} strength t = {t} out of range "
+                             f"for {n} rows")
     return entries, header, trailer
 
 

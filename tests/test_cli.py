@@ -372,6 +372,29 @@ def test_refuted_claims_read_the_same_from_loaders_and_verifiers(
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("kind, edit, where", [
+    ("euler", lambda lines: ["OA 256 5 4 9 1"] + lines[1:], "header"),
+    ("euler", lambda lines: lines[:-1] + ["EULER 9 1"], "trailer"),
+    ("oa", lambda lines: ["OA 16 5 4 9 1"] + lines[1:], "header"),
+], ids=["euler-header", "euler-trailer", "oa-header"])
+@pytest.mark.parametrize("command", [
+    ["euler", "verify", "--in"], ["oa", "verify", "--in"],
+    ["schedule", "export", "--delta", "0.1", "--out", "s.json", "--oa"],
+    ["sim", "bangbang", "--oa"]], ids=["euler-verify", "oa-verify", "export", "sim"])
+def test_strength_out_of_range_names_the_file(tmp_path, oa16_file, eoa256_file,
+                                              capsys, kind, edit, where, command):
+    """A header or trailer t outside [1, n] exits 2 with one error line
+    that names the file, from every command that reads it."""
+    source = oa16_file if kind == "oa" else eoa256_file
+    path = tmp_path / "claim9.txt"
+    path.write_text("\n".join(edit(source.read_text().splitlines())) + "\n")
+    command = [str(tmp_path / a) if a == "s.json" else a for a in command]
+    capsys.readouterr()
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: {where} strength t = 9 out of range for 5 rows"]
+
+
 def test_sim_eulerian_histogram_cap_exits_2(tmp_path, capsys):
     """Arity-6 terms over GF(4) need 4^12 (vertex, transition) bins."""
     path = tmp_path / "rows6.txt"
@@ -670,8 +693,9 @@ def test_runtime_imports_no_scipy():
 
 
 def test_schedule_verdicts_import_no_numpy_ma(tmp_path, eoa256_file):
-    """Exporting a schedule and reading it back with verify_schedule never
-    load numpy.ma, which a plain np.unique imports on its first call."""
+    """Exporting a schedule and reading it back with verify_schedule,
+    `euler verify` and `sim eulerian` never load numpy.ma, which a plain
+    np.unique imports on its first call."""
     src = str(Path(eoa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     sched = tmp_path / "sched.json"
@@ -681,6 +705,9 @@ def test_schedule_verdicts_import_no_numpy_ma(tmp_path, eoa256_file):
         f"'--delta', '0.1', '--out', {str(sched)!r}]\n"
         "assert eoa.cli.main(argv) == 0\n"
         f"assert eoa.verify_schedule(eoa.read_schedule({str(sched)!r})) <= 1e-12\n"
+        f"assert eoa.cli.main(['euler', 'verify', '--in', {str(eoa256_file)!r}]) == 0\n"
+        f"assert eoa.cli.main(['sim', 'eulerian', '--oa', {str(eoa256_file)!r}, "
+        "'--n', '5', '--t', '2', '--seed', '7', '--denv', '2']) == 0\n"
         "print('numpy.ma' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})

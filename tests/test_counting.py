@@ -7,11 +7,15 @@ are the paths it replaced: for the verifiers, one `column_counts`
 own copy of the uniformity checks (both counts left `src/` for
 test_decoupling.py, where they are also the per-term oracles of the
 averaging kernel); for the averaging layer, `support_histograms_oracle`,
-which re-encodes every requested support from scratch.
+which re-encodes every requested support from scratch.  The pair counter,
+`euler.pair_histograms`, factors the (vertex, transition) counts through
+an array's distinct columns when it can; its oracle is the direct count of
+the pair digits it replaced.
 """
 
 import itertools
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from eoa import euler as euler_module, oa as oa_module
 from eoa.codes import LinearCode, gf_matmul, hamming_code
 from eoa.euler import (EulerianCertificate, EulerianViolation, euler_cycle_full,
-                       transitions, verify_eulerian)
+                       pair_digits, pair_histograms, transitions, verify_eulerian)
 from eoa.gf import field_from_order, gf_new
 from eoa.oa import StrengthViolation, verify_strength
 from test_decoupling import column_counts, pair_counts
@@ -260,26 +264,142 @@ def test_threaded_verdicts_equal_serial_at_m3():
 
 
 # ---------------------------------------------------------------------------
+# Pair histograms: factored through the distinct columns, or counted
+# ---------------------------------------------------------------------------
+
+class Recorder:
+    """Stands in for a counter, `subset_histograms(digits, base, subsets)`
+    or `pair_histograms(entries, field, subsets)`: runs it and keeps each
+    call's (columns, base or field, subsets, counts) in `calls`."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = []
+
+    def __call__(self, digits, base, subsets):
+        counts = self.real(digits, base, subsets)
+        self.calls.append((digits.shape[1], base, list(subsets), counts.copy()))
+        return counts
+
+
+def spied_pair_histograms(entries, field, subsets):
+    """(counts, (columns, base) of each `subset_histograms` call) of one
+    `pair_histograms` call: two symbol counts over the |U| and |W|
+    distinct columns, or one count of the N pair digits."""
+    spy = Recorder(oa_module.subset_histograms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(euler_module, "subset_histograms", spy)
+        counts = pair_histograms(entries, field, subsets)
+    return counts, [(columns, base) for columns, base, _, _ in spy.calls]
+
+
+def factors_oracle(entries, field):
+    """Whether every (vertex column, transition column) pair of the array
+    occurs equally often, every pair of a distinct vertex column and a
+    distinct transition column included: the product structure, decided
+    on Python tuples."""
+    vertices = list(map(tuple, entries.T.tolist()))
+    steps = list(map(tuple, transitions_oracle(entries, field).T.tolist()))
+    pairs = Counter(zip(vertices, steps))
+    return (len(pairs) == len(set(vertices)) * len(set(steps))
+            and len(set(pairs.values())) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=arrays(), data=st.data())
+def test_pair_histograms_equal_direct_pair_count(case, data):
+    """`pair_histograms` equals the direct count of the pair digits bit for
+    bit, for subsets in any order, repeats allowed.  It factors exactly
+    when the product-structure oracle says the columns do: always for a
+    valid array, never for a one-symbol tamper; a shuffled or random array
+    factors only by chance (a short row of few symbols)."""
+    q, t, entries, kind, _ = case
+    field = FIELDS[q]
+    n, N = entries.shape
+    subsets = data.draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=t, max_size=t)
+        .map(lambda rows: tuple(sorted(rows))), min_size=1, max_size=12))
+    counts, calls = spied_pair_histograms(entries, field, subsets)
+    expected = oa_module.subset_histograms(pair_digits(entries, field), q * q, subsets)
+    assert counts.dtype == expected.dtype
+    assert np.array_equal(counts, expected)
+    factored = [b for _, b in calls] == [q, q]
+    assert factored == factors_oracle(entries, field)
+    if not factored:
+        assert calls == [(N, q * q)]
+    if kind == "valid":
+        assert factored
+    if kind == "tampered":
+        assert not factored
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_tiled_array_factors_with_edge_multiplicity_two(q):
+    """Two copies of an Eulerian array side by side walk every edge twice
+    as often: the pair histograms factor with c doubled, and equal the
+    direct count and twice the single array's."""
+    field = FIELDS[q]
+    base, t = BASES[q][0]
+    subsets = list(itertools.combinations(range(base.shape[0]), t))[::-1]
+    single, _ = spied_pair_histograms(base, field, subsets)
+    tiled = np.tile(base, (1, 2))
+    counts, calls = spied_pair_histograms(tiled, field, subsets)
+    assert [b for _, b in calls] == [q, q]
+    assert np.array_equal(counts, oa_module.subset_histograms(
+        pair_digits(tiled, field), q * q, subsets))
+    assert np.array_equal(counts, 2 * single)
+
+
+def test_code_array_counts_only_distinct_columns():
+    """On the GF(4) m = 3 code-built array (N = 4096, 64 codewords) the
+    counter sees |U| + |W| = 64 + 64 columns; on its column shuffle it sees
+    the N pair digits.  Both give the verifier's direct counts."""
+    field = FIELDS[4]
+    base = _eulerian_entries(hamming_code(field, 3).dual())
+    shuffled = base[:, np.random.default_rng(18).permutation(base.shape[1])]
+    subsets = list(itertools.combinations(range(base.shape[0]), 2))
+    for entries, seen in ((base, [(64, 4), (64, 4)]), (shuffled, [(4096, 16)])):
+        counts, calls = spied_pair_histograms(entries, field, subsets)
+        assert calls == seen
+        assert np.array_equal(counts, oa_module.subset_histograms(
+            pair_digits(entries, field), 16, subsets))
+
+
+def test_too_many_distinct_columns_build_no_edge_count():
+    """A random array whose |U| |W| exceeds N has no multiplicity matrix
+    to count: `pair_histograms` makes no bincount of its own and counts
+    the pair digits, while a code-built array's edge count is its one
+    bincount."""
+    field = FIELDS[4]
+    rng = np.random.default_rng(3)
+    random = rng.integers(0, 4, size=(6, 64))
+    steps = transitions_oracle(random, field)
+    assert len({*map(tuple, random.T.tolist())}) * len({*map(tuple, steps.T.tolist())}) > 64
+    bincount, callers = np.bincount, []
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return bincount(*args, **kwargs)
+
+    subsets = list(itertools.combinations(range(6), 2))
+    direct = oa_module.subset_histograms(pair_digits(random, field), 16, subsets)
+    code = BASES[4][0][0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "bincount", spy)
+        counts, calls = spied_pair_histograms(random, field, subsets)
+        assert "pair_histograms" not in callers and calls == [(64, 16)]
+        spied_pair_histograms(code, field, [(0, 1)])
+    assert np.array_equal(counts, direct)
+    assert callers.count("pair_histograms") == 1
+
+
+# ---------------------------------------------------------------------------
 # Every histogram the verifiers judge, paired rows or single
 # ---------------------------------------------------------------------------
 
 def transitions_oracle(sub, field):
     """The two-table form of `euler.transitions`."""
     return field.add_table[np.roll(sub, -1, 1), field.neg_table[sub]]
-
-
-class Recorder:
-    """Stands in for `subset_histograms`: runs it and keeps each call's
-    (base, subsets, counts) in `calls`."""
-
-    def __init__(self):
-        self.real = oa_module.subset_histograms
-        self.calls = []
-
-    def __call__(self, digits, base, subsets):
-        counts = self.real(digits, base, subsets)
-        self.calls.append((base, list(subsets), counts.copy()))
-        return counts
 
 
 @st.composite
@@ -308,28 +428,32 @@ def counted_arrays(draw):
 @given(case=counted_arrays(), budget=st.sampled_from([0, 1, 2, 3, "key"]),
        threads=st.sampled_from(["1", "4"]))
 def test_every_subset_histogram_matches_per_subset_oracle(case, budget, threads):
-    """Each verifier asks once for every subset in lexicographic order, and
-    row i of the count array is exactly subset i's histogram; the verdicts
-    judged in bulk from it are the per-subset judges' (lambda, gensets or
-    the first violation).  Blocks hold the default budget, one, two or
-    three rows' keys, or a single key (one group per block)."""
+    """Each verifier asks its counter once for every subset in
+    lexicographic order (`subset_histograms` for strength,
+    `pair_histograms` for pairs), and row i of the count array is exactly
+    subset i's histogram; the verdicts judged in bulk from it are the
+    per-subset judges' (lambda, gensets or the first violation).  Blocks
+    hold the default budget, one, two or three rows' keys, or a single key
+    (one group per block)."""
     q, t, entries = case
     field = FIELDS[q]
     N = entries.shape[1]
-    recorder = Recorder()
+    strength_counter = Recorder(oa_module.subset_histograms)
+    pair_counter = Recorder(euler_module.pair_histograms)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("EOA_THREADS", threads)
         mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
-        mp.setattr(oa_module, "subset_histograms", recorder)
-        mp.setattr(euler_module, "subset_histograms", recorder)
+        mp.setattr(oa_module, "subset_histograms", strength_counter)
+        mp.setattr(euler_module, "pair_histograms", pair_counter)
         if budget == "key":
             mp.setattr(oa_module, "_BLOCK_KEYS", 1)
         elif budget:
             mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, q ** (2 * t)))
         strength = verify_strength(entries, q, t)
         euler = verify_eulerian(entries, field, t)
-    (base_s, subsets_s, counts_s), (base_e, subsets_e, counts_e) = recorder.calls
-    assert (base_s, base_e) == (q, q * q)
+    (_, base_s, subsets_s, counts_s), = strength_counter.calls
+    (_, field_e, subsets_e, counts_e), = pair_counter.calls
+    assert (base_s, field_e) == (q, field)
     subsets = list(itertools.combinations(range(entries.shape[0]), t))
     assert subsets_s == subsets_e == subsets
     # the Eulerian digits, symbol * q + transition, from the two-table form

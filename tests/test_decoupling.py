@@ -969,13 +969,16 @@ def test_pair_cap_is_checked_before_counting(eoa256, drift5, method):
     bins; cap 255) both methods raise before any histogram is counted."""
     counted = []
 
-    def spy(*args, **kwargs):
-        counted.append(args)
-        return oa_module.subset_histograms(*args, **kwargs)
+    def spy(counter):
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return counter(*args, **kwargs)
+        return counting
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(config, "EULER_EDGE_CAP", 255)
-        mp.setattr(decoupling_module, "subset_histograms", spy)
+        for name in ("subset_histograms", "pair_histograms"):
+            mp.setattr(decoupling_module, name, spy(getattr(decoupling_module, name)))
         with pytest.raises(ValueError, match="exceeds cap"):
             eulerian_average(eoa256, drift5, 0.1, method=method)
     assert counted == []

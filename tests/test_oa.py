@@ -184,7 +184,8 @@ def test_oa_file_roundtrip(tmp_path, oa16):
        lam=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_oa_file_roundtrip_is_exact(qt, lam, n, seed):
     """write_oa then read_oa_file gives back the entries and the header of
-    any array, with multi-digit symbols too, and rewriting is byte-exact."""
+    any array, with multi-digit symbols too, and rewriting is byte-exact;
+    a header whose t exceeds the n rows is refused with the file's name."""
     q, t = qt
     N = lam * q**t
     entries = np.random.default_rng(seed).integers(0, q, size=(n, N))
@@ -192,6 +193,11 @@ def test_oa_file_roundtrip_is_exact(qt, lam, n, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "oa.txt"
         write_oa(path, oa)
+        if t > n:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: header strength t = {t} out of range for {n} rows")):
+                read_oa_file(path)
+            return
         back, header, trailer = read_oa_file(path)
         text = path.read_text()
     assert back.dtype == np.int64 and np.array_equal(back, entries)
@@ -327,6 +333,22 @@ def test_read_oa_file_names_file_and_bad_token(tmp_path, token, message):
     path.write_text(f"OA 2 2 16 1 1\n0 1\n2 {token}\n", encoding="utf-8")
     with pytest.raises(ValueError,
                        match="^" + re.escape(f"{path}: array row 1: {message}") + "$"):
+        read_oa_file(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("OA 2 2 4 9 1\n0 1\n2 3\n", "header strength t = 9 out of range for 2 rows"),
+    ("OA 2 2 4 0 1\n0 1\n2 3\n", "header strength t = 0 out of range for 2 rows"),
+    ("OA 2 2 4 1 1\n0 1\n2 3\nEULER 3 1\n",
+     "trailer strength t = 3 out of range for 2 rows"),
+    ("OA 2 2 4 1 1\n0 1\n2 3\nEULER 0 1\n",
+     "trailer strength t = 0 out of range for 2 rows")])
+def test_read_oa_file_names_file_and_bad_strength(tmp_path, text, message):
+    """A header or trailer t outside [1, n] is refused by the reader, next
+    to the shape and symbol checks, with the file's name."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
         read_oa_file(path)
 
 

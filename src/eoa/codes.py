@@ -26,12 +26,13 @@ from .gf import FieldTable, field_from_order
 # ---------------------------------------------------------------------------
 
 def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldTable) -> np.ndarray:
-    """Product of symbol matrices a (r x s) and b (s x c) over GF(q)."""
+    """Product of symbol matrices a (r x s) and b (s x c) over GF(q), as
+    uint8 symbols: every sum is a gather from the field's uint8 tables."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=field.add_table.dtype)
     for i in range(a.shape[1]):
         prod = field.mul_table[a[:, i][:, None], b[i, :][None, :]]
         out = field.add_table[out, prod]
@@ -128,7 +129,7 @@ class LinearCode:
         return np.array(grid, dtype=np.int64)
 
     def codewords(self) -> np.ndarray:
-        """All codewords G m_j as the columns of an n x q^k matrix.
+        """All codewords G m_j as the columns of an n x q^k uint8 matrix.
 
         Column j is the codeword of the j-th message in lexicographic
         order; column 0 is the zero codeword.

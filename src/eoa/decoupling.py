@@ -310,7 +310,8 @@ def _array_entries(m) -> tuple[np.ndarray, int, int | None]:
 
     A raw (entries, q) pair carries no strength claim; averaging on one
     skips the strength-sufficiency warning.  Every kind's entries must be a
-    2-D integer array with symbols in [0, q), else a one-line ValueError.
+    2-D integer array with symbols in [0, q), else a one-line ValueError,
+    and come back as they are: uint8 for a built or loaded array.
     """
     if isinstance(m, EulerianOA):
         entries, q, t = m.entries, m.oa.q, m.t
@@ -326,7 +327,7 @@ def _array_entries(m) -> tuple[np.ndarray, int, int | None]:
     if entries.size and not 0 <= entries.min() <= entries.max() < q:
         raise ValueError(f"array symbols span [{entries.min()}, {entries.max()}], "
                          f"outside [0, {q})")
-    return entries.astype(np.int64, copy=False), q, t
+    return entries, q, t
 
 
 def bangbang_schedule(m, delta: float) -> Schedule:
@@ -350,7 +351,7 @@ def euler_schedule(m, delta: float) -> Schedule:
     field = field_from_order(q)
     d = field.coord_dim()
     n, N = entries.shape
-    index = transitions(entries, field).T.astype(np.uint8)   # q <= FIELD_ORDER_CAP
+    index = transitions(entries, field).T       # uint8 (q <= FIELD_ORDER_CAP)
     unitaries = _symbol_unitaries(field)
     table = _symbol_hamiltonians(unitaries, delta)
     for u, h in zip(unitaries, table):

@@ -32,9 +32,9 @@ import numpy as np
 from . import config
 from .codes import LinearCode
 from .gf import FieldTable, field_from_order
-from .oa import (CertificateError, OrthogonalArray, StrengthViolation, Violation,
-                 _first_violation, _judge_counts, _judge_strength, file_failure,
-                 format_oa, read_oa_file, subset_histograms)
+from .oa import (_BLOCK_KEYS, CertificateError, OrthogonalArray, StrengthViolation,
+                 Violation, _first_violation, _judge_counts, _judge_strength,
+                 file_failure, format_oa, read_oa_file, subset_histograms)
 
 
 @dataclass(frozen=True)
@@ -157,33 +157,34 @@ def euler_cycle_full(field: FieldTable, k: int) -> EulerianCycle:
 
 
 def transitions(sub: np.ndarray, field: FieldTable) -> np.ndarray:
-    """Cyclic per-row transitions s[k, j] = g[k, j+1] - g[k, j].
+    """Cyclic per-row transitions s[k, j] = g[k, j+1] - g[k, j], as uint8
+    symbols in C order whatever the layout of sub.
 
     One gather from the flat subtraction table, whose entry next*q + cur
-    is next - cur; the result is C-ordered whatever the layout of sub.
+    is next - cur, per block of rows: the intp index of a block holds at
+    most `_BLOCK_KEYS` entries (one row when N alone is more), so no index
+    of the whole array exists.
     """
     q = field.q
     sub = np.asarray(sub)
-    index = np.empty(sub.shape, dtype=np.intp)
-    np.multiply(sub[:, 1:], q, out=index[:, :-1], dtype=np.intp)
-    np.multiply(sub[:, :1], q, out=index[:, -1:], dtype=np.intp)
-    index += sub
-    return np.take(field.add_table[:, field.neg_table].ravel(), index)
+    n, N = sub.shape
+    table = field.add_table[:, field.neg_table].ravel()
+    out = np.empty(sub.shape, dtype=table.dtype)
+    rows = max(1, _BLOCK_KEYS // max(N, 1))
+    index = np.empty((min(rows, n), N), dtype=np.intp)
+    for lo in range(0, n, rows):
+        block, key = sub[lo:lo + rows], index[:min(rows, n - lo)]
+        np.multiply(block[:, 1:], q, out=key[:, :-1], dtype=np.intp)
+        np.multiply(block[:, :1], q, out=key[:, -1:], dtype=np.intp)
+        key += block
+        np.take(table, key, out=out[lo:lo + rows])
+    return out
 
 
 def _check_pair_cap(q: int, t: int) -> None:
     if q ** (2 * t) > config.EULER_EDGE_CAP:
         raise ValueError(f"projection group squared, {q**(2 * t)}, exceeds "
                          f"cap {config.EULER_EDGE_CAP}")
-
-
-def pair_digits(entries: np.ndarray, field: FieldTable) -> np.ndarray:
-    """n x N digits symbol * q + transition, base q^2, of every (row, column):
-    the (vertex, transition) encoding whose histograms `pair_histograms`
-    returns, counted directly when the columns do not factor."""
-    digits = transitions(entries, field)
-    digits += field.q * np.asarray(entries)
-    return digits
 
 
 def _column_ids(arrays, base: int, N: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
@@ -229,8 +230,8 @@ def _column_ids(arrays, base: int, N: int) -> list[tuple[np.ndarray, np.ndarray]
 
 def pair_histograms(entries: np.ndarray, field: FieldTable, subsets) -> np.ndarray:
     """(len(subsets), q^(2t)) (vertex, transition) histograms: exactly
-    `oa.subset_histograms(pair_digits(entries, field), q * q, subsets)`,
-    bit for bit, row i that of subsets[i].
+    `oa.subset_histograms` of the n x N pair digits symbol * q + transition
+    in base q^2, bit for bit, row i that of subsets[i].
 
     Each column is numbered among the array's distinct vertex columns U,
     and its transition among the distinct transition columns W.  When
@@ -239,7 +240,9 @@ def pair_histograms(entries: np.ndarray, field: FieldTable, subsets) -> np.ndarr
     times the outer product of the t-row histograms of U and of W, counted
     over |U| + |W| columns instead of N.  The (u, w) pairs are counted only
     when |U| |W| divides N; any other array (shuffled, tampered,
-    hand-entered) has its pair digits counted directly.
+    hand-entered) has its pair digits counted directly, built in the
+    smallest unsigned dtype that holds q^2 - 1 (uint16 above q = 16: a
+    uint8 symbol times q would wrap).
     """
     # the numbering reads rows, which are strided slices of a Fortran-ordered
     # or column-gathered array
@@ -256,8 +259,10 @@ def pair_histograms(entries: np.ndarray, field: FieldTable, subsets) -> np.ndarr
             if edges.min() == edges.max():
                 return _product_histograms(entries[:, u_where], steps[:, w_where],
                                            q, subsets, int(edges[0]))
-    steps += q * entries        # the pair digits, built on the transitions
-    return subset_histograms(steps, q * q, subsets)
+    digits = entries.astype(np.min_scalar_type(q * q - 1))
+    digits *= q
+    digits += steps
+    return subset_histograms(digits, q * q, subsets)
 
 
 def _product_histograms(vertices: np.ndarray, steps: np.ndarray, q: int,

@@ -99,9 +99,11 @@ class FieldTable:
     spec : FieldSpec
     p, m, q : int
         Characteristic, degree, and order q = p^m.
-    add_table, mul_table : (q, q) int arrays
-    neg_table, inv_table : (q,) int arrays
-        inv_table[0] is unused (0 has no inverse).
+    add_table, mul_table : (q, q) uint8 arrays
+    neg_table, inv_table : (q,) uint8 arrays
+        inv_table[0] is unused (0 has no inverse).  Every symbol fits a
+        byte (q <= FIELD_ORDER_CAP = 256), so every gather from a table is
+        a uint8 symbol array.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -119,11 +121,11 @@ class FieldTable:
         weights = p ** np.arange(m)
 
         summed = (digits[:, None, :] + digits[None, :, :]) % p
-        self.add_table = (summed @ weights).astype(np.int64)
-        self.neg_table = (((-digits) % p) @ weights).astype(np.int64)
+        self.add_table = (summed @ weights).astype(np.uint8)
+        self.neg_table = (((-digits) % p) @ weights).astype(np.uint8)
 
         modulus = list(self.spec.modulus)
-        self.mul_table = np.zeros((q, q), dtype=np.int64)
+        self.mul_table = np.zeros((q, q), dtype=np.uint8)
         for a in range(q):
             pa = [int(c) for c in digits[a]]
             for b in range(a, q):
@@ -133,7 +135,7 @@ class FieldTable:
                 self.mul_table[a, b] = val
                 self.mul_table[b, a] = val
 
-        self.inv_table = np.zeros(q, dtype=np.int64)
+        self.inv_table = np.zeros(q, dtype=np.uint8)
         for a in range(1, q):
             hits = np.nonzero(self.mul_table[a] == 1)[0]
             if hits.size == 0:

@@ -350,16 +350,22 @@ def _token_table(tokens: list[str]) -> np.ndarray:
 
 
 def format_oa(oa: OrthogonalArray) -> str:
-    """The OA file text: one gather of symbol tokens, no per-symbol Python."""
+    """The OA file text: a gather of symbol tokens per block of rows, no
+    per-symbol Python."""
     header = f"OA {oa.N} {oa.n} {oa.q} {oa.t} {oa.lam}\n"
     if oa.entries.min() < 0 or oa.entries.max() >= oa.q:
         raise ValueError(f"entries must be symbols in [0, {oa.q})")
     table = _token_table([f"{s} " for s in range(oa.q)])
-    text = np.take(table, oa.entries, axis=0)  # (n, N, w)
-    text[:, -1, -1] = ord("\n")                # each row's last space
-    if oa.q > 10:                               # mixed widths: drop padding
-        text = text[text != 0]
-    return header + text.tobytes().decode("ascii")
+    n, N = oa.entries.shape
+    rows = max(1, _BLOCK_KEYS // N)             # the gather's intp index per block
+    parts = [header]
+    for lo in range(0, n, rows):
+        text = np.take(table, oa.entries[lo:lo + rows], axis=0)    # (rows, N, w)
+        text[:, -1, -1] = ord("\n")            # each row's last space
+        if oa.q > 10:                           # mixed widths: drop padding
+            text = text[text != 0]
+        parts.append(text.tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def write_oa(path, oa: OrthogonalArray) -> None:
@@ -406,7 +412,11 @@ def read_oa_file(path) -> tuple[np.ndarray, tuple[int, int, int, int, int],
     the trailer is None for a plain OA file.  The header and trailer are
     parsed in Python; the row block in one np.loadtxt pass, whose tokens
     are ASCII decimal integers with an optional sign.  Entries come back as
-    a fresh C-contiguous int64 array.
+    a fresh C-contiguous array of the smallest unsigned dtype that holds
+    q - 1 (uint8 for every field order; int64 when no dtype up to uint32
+    does).  A block that pass refuses (a sign, a symbol past the dtype, a
+    bad token or shape) is parsed again as int64, so every error reads as
+    it does for an int64 parse and is checked in the same order.
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     trailer = None
@@ -425,14 +435,19 @@ def read_oa_file(path) -> tuple[np.ndarray, tuple[int, int, int, int, int],
     rows = lines[1:]
     if not rows:
         raise _shape_error(path, 0, [], n, N)
+    dtype = np.min_scalar_type(q - 1) if 1 <= q <= 2**32 else np.dtype(np.int64)
     try:
-        entries = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
-    except ValueError as exc:
-        raise _row_block_error(path, rows, n, N, exc) from None
+        entries = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    except ValueError:
+        try:
+            entries = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _row_block_error(path, rows, n, N, exc) from None
     if entries.shape != (n, N):
         raise _shape_error(path, entries.shape[0], [entries.shape[1]], n, N)
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError(f"{path}: symbols out of range [0, {q})")
+    entries = entries.astype(dtype, copy=False)
     for where, t in (("header", header[3]), ("trailer", trailer and trailer[0])):
         if t is not None and not 1 <= t <= n:
             raise ValueError(f"{path}: {where} strength t = {t} out of range "

@@ -24,7 +24,8 @@ from hypothesis import example, given, settings, strategies as st
 from eoa import euler as euler_module, oa as oa_module
 from eoa.codes import LinearCode, gf_matmul, hamming_code
 from eoa.euler import (EulerianCertificate, EulerianViolation, euler_cycle_full,
-                       pair_digits, pair_histograms, transitions, verify_eulerian)
+                       eulerian_oa_from_code, pair_histograms, transitions,
+                       verify_eulerian)
 from eoa.gf import field_from_order, gf_new
 from eoa.oa import StrengthViolation, verify_strength
 from test_decoupling import column_counts, pair_counts
@@ -402,6 +403,57 @@ def transitions_oracle(sub, field):
     return field.add_table[np.roll(sub, -1, 1), field.neg_table[sub]]
 
 
+def pair_digits(entries, field):
+    """n x N intp digits symbol * q + transition, base q^2, of every (row,
+    column): the (vertex, transition) encoding whose histograms
+    `pair_histograms` returns, from the two-table transitions."""
+    digits = field.q * np.asarray(entries, dtype=np.intp)
+    return digits + transitions_oracle(entries, field)
+
+
+def pair_histograms_oracle(entries, field, subsets):
+    """(len(subsets), q^(2t)) pair histograms counted column by column on
+    Python ints: no numpy dtype that could wrap."""
+    q, rows = field.q, entries.tolist()
+    N = len(rows[0])
+    out = np.zeros((len(subsets), q ** (2 * len(subsets[0]))), dtype=np.intp)
+    for i, subset in enumerate(subsets):
+        for j in range(N):
+            key = 0
+            for r in subset:
+                v, nxt = rows[r][j], rows[r][(j + 1) % N]
+                key = key * q * q + v * q + field.sub(nxt, v)
+            out[i, key] += 1
+    return out
+
+
+@pytest.mark.parametrize("q", [16, 25])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pair_histograms_at_wide_pair_digits(q, threads):
+    """Pair digits reach 255 at q = 16 and 624 at q = 25, past a byte: on
+    random arrays, on column shuffles of a code-built Eulerian array (both
+    counted directly) and on that array (factored), `pair_histograms`
+    equals the per-column Python count, serially and with every count on
+    threads."""
+    field = field_from_order(q)
+    gen = np.arange(1, 4, dtype=np.int64)[:, None]        # rows 1, 2, 3 x message
+    built = eulerian_oa_from_code(LinearCode(field, gen), euler_cycle_full(field, 1),
+                                  1).entries
+    rng = np.random.default_rng(q)
+    arrays = [built, built[:, rng.permutation(built.shape[1])],
+              rng.integers(0, q, size=(3, 2 * q), dtype=np.uint8)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("EOA_THREADS", threads)
+        if threads != "1":
+            mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
+        for entries in arrays:
+            for t in (1, 2):
+                subsets = list(itertools.combinations(range(3), t))
+                counts = pair_histograms(entries, field, subsets)
+                assert np.array_equal(counts, pair_histograms_oracle(entries, field,
+                                                                      subsets))
+
+
 @st.composite
 def counted_arrays(draw):
     """(q, t, entries): rotated row subsets of the Eulerian arrays and
@@ -478,17 +530,21 @@ def test_every_subset_histogram_matches_per_subset_oracle(case, budget, threads)
 @pytest.mark.parametrize("shape", [(5, 37), (3, 1)])
 def test_transitions_match_two_table_formula(q, shape):
     """The flat-table gather equals the two-table form on C-ordered,
-    Fortran-ordered, column-gathered and uint8 inputs, and returns C order."""
+    Fortran-ordered, column-gathered and uint8 inputs, in one block of
+    rows or in blocks of one and two rows, and returns uint8 in C order."""
     field = FIELDS[q] if q in FIELDS else field_from_order(q)
     sub = np.random.default_rng(q).integers(0, q, size=shape)
     expected = transitions_oracle(sub, field)
     copies = [np.ascontiguousarray(sub), np.asfortranarray(sub),
               sub[:, np.arange(shape[1])], sub.astype(np.uint8)]
-    for a in copies:
-        got = transitions(a, field)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
-        assert got.flags["C_CONTIGUOUS"]
+    for block in (euler_module._BLOCK_KEYS, shape[1], 2 * shape[1] + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(euler_module, "_BLOCK_KEYS", block)
+            for a in copies:
+                got = transitions(a, field)
+                assert got.dtype == expected.dtype == np.uint8
+                assert np.array_equal(got, expected)
+                assert got.flags["C_CONTIGUOUS"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ from eoa.codes import LinearCode, gf_matmul, hamming_code
 from eoa.decoupling import _pair_bins, eulerian_average, random_drift
 from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
                        _vector_add_table, euler_cycle_full, eulerian_oa_from_code,
-                       pair_digits, read_eulerian_oa, verify_eulerian,
-                       write_eulerian_oa)
+                       read_eulerian_oa, verify_eulerian, write_eulerian_oa)
 from eoa.gf import field_from_order, gf_new
 from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, _judge_counts,
                     oa_from_code, read_oa_file, subset_histograms, verify_strength)
+
+from test_counting import pair_digits
 
 F2 = gf_new(2, 1)
 F4 = gf_new(2, 2)

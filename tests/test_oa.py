@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from eoa.codes import LinearCode, hamming_code
 from eoa.gf import gf_new
 from eoa import config, oa as oa_module
+from eoa.cli import main
 from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, format_oa,
                     max_strength, oa_from_code, read_oa, read_oa_entries, read_oa_file,
                     subset_histograms, verify_strength, write_oa)
@@ -200,7 +201,7 @@ def test_oa_file_roundtrip_is_exact(qt, lam, n, seed):
             return
         back, header, trailer = read_oa_file(path)
         text = path.read_text()
-    assert back.dtype == np.int64 and np.array_equal(back, entries)
+    assert back.dtype == np.uint8 and np.array_equal(back, entries)
     assert header == (N, n, q, t, lam) and trailer is None
     assert format_oa(OrthogonalArray(q, n, N, t, lam, back)) == text
 
@@ -221,14 +222,18 @@ _SEPARATORS = [" ", "  ", "\t", " \t ", "\t\t"]
        N=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        crlf=st.booleans(), blank=st.booleans(), sep=st.sampled_from(_SEPARATORS))
 def test_text_format_matches_oracles(q, n, N, seed, crlf, blank, sep):
-    """format_oa equals the per-symbol writer byte for byte, and
-    read_oa_file equals the per-row parser, on the written text and on the
-    same rows respaced with tabs or runs of spaces, CRLF line ends and
-    blank lines."""
+    """format_oa equals the per-symbol writer byte for byte, in one block
+    of rows or in blocks of one and two rows, and read_oa_file equals the
+    per-row parser, on the written text and on the same rows respaced with
+    tabs or runs of spaces, CRLF line ends and blank lines."""
     entries = np.random.default_rng(seed).integers(0, q, size=(n, N))
     oa = _header_only(q, entries)
     text = format_oa(oa)
     assert text == format_oa_oracle(oa)
+    for block in (N, 2 * N + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oa_module, "_BLOCK_KEYS", block)
+            assert format_oa(oa) == text
     head, *rows = text.splitlines()
     respaced = [sep + sep.join(row.split()) + sep for row in rows]
     end = "\r\n" if crlf else "\n"
@@ -239,7 +244,7 @@ def test_text_format_matches_oracles(q, n, N, seed, crlf, blank, sep):
         for variant in variants:
             path.write_bytes(variant.encode())
             back, header, trailer = read_oa_file(path)
-            assert back.dtype == np.int64 and back.flags["C_CONTIGUOUS"]
+            assert back.dtype == np.uint8 and back.flags["C_CONTIGUOUS"]
             lines = [ln for ln in variant.splitlines()[1:] if ln.strip()]
             assert np.array_equal(back, read_rows_oracle(lines))
             assert np.array_equal(back, entries)
@@ -337,6 +342,38 @@ def test_read_oa_file_names_file_and_bad_token(tmp_path, token, message):
 
 
 @pytest.mark.parametrize("text, message", [
+    *((f"OA 2 2 4 1 1\n0 1\n2 {token}\n", "symbols out of range [0, 4)")
+      for token in ("-1", "4", "255", "256", "300", "9223372036854775807")),
+    ("OA 2 2 4 1 1\n0 1\n2 99999999999999999999\n",
+     "array row 1: symbol 99999999999999999999 overflows int64"),
+    ("OA 2 2 4 1 1\n0 1\n300\n", "array shape (2, 1/2) != (2, 2)"),
+    ("OA 2 3 4 1 1\n0 1\n2 300\n", "array shape (2, 2) != (3, 2)")])
+def test_read_oa_file_names_file_and_symbol_range(tmp_path, text, message):
+    """At q = 4 a token in int64 range but outside [0, q) is a range error
+    whatever dtype the row block is parsed into; a token beyond int64 is
+    named, and a shape error goes before the range check."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        read_oa_file(path)
+
+
+def test_wide_symbols_read_back_and_verify(tmp_path, capsys):
+    """A hand-made q = 300, t = 1 file (no field has that order) reads back
+    exactly, as uint16, the smallest dtype that holds 299, and `oa verify`
+    passes it."""
+    entries = np.stack([np.arange(300), np.random.default_rng(300).permutation(300)])
+    oa = OrthogonalArray(300, 2, 300, 1, 1, entries)
+    path = tmp_path / "wide.txt"
+    write_oa(path, oa)
+    back, header, _ = read_oa_file(path)
+    assert back.dtype == np.uint16 and np.array_equal(back, entries)
+    assert header == (300, 2, 300, 1, 1)
+    assert main(["oa", "verify", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "OK: strength 1 with lambda = 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
     ("OA 2 2 4 9 1\n0 1\n2 3\n", "header strength t = 9 out of range for 2 rows"),
     ("OA 2 2 4 0 1\n0 1\n2 3\n", "header strength t = 0 out of range for 2 rows"),
     ("OA 2 2 4 1 1\n0 1\n2 3\nEULER 3 1\n",
@@ -354,10 +391,10 @@ def test_read_oa_file_names_file_and_bad_strength(tmp_path, text, message):
 
 def test_read_oa_file_whitespace_and_line_ends(tmp_path):
     """CRLF line ends, blank lines and runs of spaces or tabs between
-    symbols all read as the plain format does; signs are allowed."""
+    symbols all read as the plain format does; signs are allowed, -0 too."""
     path = tmp_path / "spaced.txt"
     path.write_bytes(b"OA 3 2 4 1 1\r\n\r\n  0\t\t1   2 \r\n \t \r\n"
-                     b"+3\t0 \t 1\r\nEULER 1 1\r\n")
+                     b"+3\t-0 \t 1\r\nEULER 1 1\r\n")
     entries, header, trailer = read_oa_file(path)
     assert np.array_equal(entries, [[0, 1, 2], [3, 0, 1]])
     assert header == (3, 2, 4, 1, 1) and trailer == (1, 1)

@@ -40,7 +40,13 @@ def gf_matmul(a: np.ndarray, b: np.ndarray, field: FieldTable) -> np.ndarray:
 
 
 def rref(mat: np.ndarray, field: FieldTable) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(q); returns (rref, pivot columns)."""
+    """Reduced row echelon form over GF(q); returns (rref, pivot columns).
+
+    Each pivot column is cleared by one gather over the rows that hold a
+    nonzero in it: row i less a[i, c] times the pivot row, from the field
+    tables.  The RREF is unique, so the row order of the elimination
+    changes nothing.
+    """
     a = np.array(mat, dtype=np.int64, copy=True)
     rows, cols = a.shape
     pivots: list[int] = []
@@ -54,10 +60,10 @@ def rref(mat: np.ndarray, field: FieldTable) -> tuple[np.ndarray, list[int]]:
         pr = r + int(nz[0])
         a[[r, pr]] = a[[pr, r]]
         a[r] = field.mul_table[a[r], field.inv(int(a[r, c]))]
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                factor = field.mul_table[a[i, c], a[r]]
-                a[i] = field.add_table[a[i], field.neg_table[factor]]
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        factor = field.mul_table[a[hit, c][:, None], a[r]]
+        a[hit] = field.add_table[a[hit], field.neg_table[factor]]
         pivots.append(c)
         r += 1
     return a, pivots
@@ -207,15 +213,21 @@ def read_code(path) -> LinearCode:
     if not lines or not lines[0].startswith("CODE"):
         raise ValueError(f"{path}: not a CODE file")
     head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError(f"{path}: malformed CODE header")
-    q, n, k = (int(x) for x in head[1:])
+    try:                        # a wrong field count fails the unpacking
+        q, n, k = (int(x) for x in head[1:])
+    except ValueError:
+        raise ValueError(f"{path}: malformed CODE header") from None
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} generator rows, got {len(lines) - 1}")
     try:
         gen = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=np.int64)
     except OverflowError as exc:
         raise ValueError(f"{path}: generator: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if gen.shape != (n, k):
         raise ValueError(f"{path}: generator shape {gen.shape} != ({n}, {k})")
-    return LinearCode(field_from_order(q), gen)
+    try:
+        return LinearCode(field_from_order(q), gen)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -403,51 +403,114 @@ def _shape_error(path, rows: int, widths: list[int], n: int, N: int) -> ValueErr
                       f"{'/'.join(map(str, widths))}) != ({n}, {N})")
 
 
+def _symbol_dtype(q: int) -> np.dtype:
+    """The smallest unsigned dtype that holds q - 1; int64 past uint32."""
+    return np.min_scalar_type(q - 1) if 1 <= q <= 2**32 else np.dtype(np.int64)
+
+
+def _int_fields(words: list[str]) -> tuple[int, ...] | None:
+    """A header's or trailer's fields as integers, None if one is not."""
+    try:
+        return tuple(int(w) for w in words)
+    except ValueError:
+        return None
+
+
+# the layout format_oa and write_eulerian_oa write when every symbol is one
+# digit: header, then per row N (digit, separator) byte pairs, the last
+# separator a newline, then at most the EULER trailer
+_WRITTEN_HEADER = re.compile(rb"OA ([0-9]+) ([0-9]+) ([0-9]+) ([0-9]+) ([0-9]+)\n")
+_WRITTEN_TRAILER = re.compile(rb"(?:EULER ([0-9]+) ([0-9]+)\n)?")
+
+
+def _read_written(data: bytes) -> tuple | None:
+    """(uint16 entries, header, trailer) of file bytes in exactly the
+    written one-digit layout, else None.
+
+    The row block is viewed as (n, N) little-endian uint16 (digit,
+    separator) pairs less the layout's own ("0", separator) pair: a pair
+    reads below 10 only when its digit is ASCII and its separator is the
+    layout's, as any other byte leaves a difference of at least 10 (a
+    borrow included).  n = 0 and N = 0 are left to the text path, which
+    words their errors.
+    """
+    head = _WRITTEN_HEADER.match(data)
+    if head is None:
+        return None
+    header = tuple(int(x) for x in head.groups())
+    N, n = header[:2]
+    start, size = head.end(), 2 * n * N
+    tail = _WRITTEN_TRAILER.fullmatch(data, start + size)
+    if not size or start + size > len(data) or tail is None:
+        return None
+    pairs = np.frombuffer(data, dtype="<u2", count=n * N, offset=start).reshape(n, N)
+    layout = np.full(N, ord("0") | ord(" ") << 8, dtype=np.uint16)
+    layout[-1] = ord("0") | ord("\n") << 8
+    symbols = pairs - layout
+    if symbols.max() >= 10:
+        return None
+    trailer = None if tail[1] is None else (int(tail[1]), int(tail[2]))
+    return symbols, header, trailer
+
+
+def _read_text(path, data: bytes) -> tuple:
+    """(entries, header, trailer) of any other file: the grammar's
+    reference and the only path that words a row-block error."""
+    lines = [ln for ln in data.decode().splitlines() if ln.strip()]
+    trailer = None
+    if lines and lines[-1].startswith("EULER"):
+        words = lines.pop().split()
+        trailer = len(words) == 3 and _int_fields(words[1:])
+        if not trailer:
+            raise ValueError(f"{path}: malformed EULER trailer")
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    head = lines[0].split()
+    header = len(head) == 6 and head[0] == "OA" and _int_fields(head[1:])
+    if not header:
+        raise ValueError(f"{path}: malformed OA header")
+    N, n, q, _, _ = header
+    rows = lines[1:]
+    if not rows:
+        raise _shape_error(path, 0, [], n, N)
+    try:
+        entries = np.loadtxt(rows, dtype=_symbol_dtype(q), comments=None, ndmin=2)
+    except ValueError:
+        try:
+            entries = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise _row_block_error(path, rows, n, N, exc) from None
+    return entries, header, trailer
+
+
 def read_oa_file(path) -> tuple[np.ndarray, tuple[int, int, int, int, int],
                                 tuple[int, int] | None]:
     """Entries, declared header and EULER trailer of an array file, unverified.
 
     The one reader of both array formats: an Eulerian OA file is an OA file
     plus a last line "EULER t lambda_edge", returned as (t, lambda_edge);
-    the trailer is None for a plain OA file.  The header and trailer are
-    parsed in Python; the row block in one np.loadtxt pass, whose tokens
-    are ASCII decimal integers with an optional sign.  Entries come back as
-    a fresh C-contiguous array of the smallest unsigned dtype that holds
-    q - 1 (uint8 for every field order; int64 when no dtype up to uint32
-    does).  A block that pass refuses (a sign, a symbol past the dtype, a
-    bad token or shape) is parsed again as int64, so every error reads as
-    it does for an int64 parse and is checked in the same order.
+    the trailer is None for a plain OA file.  The file is read once, as
+    bytes.  A file in exactly the layout the writers produce with
+    one-digit symbols (single spaces, one newline per row, no blank line)
+    is parsed by one byte view of its row block (`_read_written`); any
+    other file by the text path (`_read_text`): the header and trailer in
+    Python, the row block in one np.loadtxt pass, whose tokens are ASCII
+    decimal integers with an optional sign.  A block that pass refuses (a
+    sign, a symbol past the dtype, a bad token or shape) is parsed again as
+    int64, so every error reads as it does for an int64 parse.  Both paths
+    share the shape, symbol-range and strength checks, in that order.
+    Entries come back as a fresh C-contiguous array of the smallest
+    unsigned dtype that holds q - 1 (uint8 for every field order; int64
+    when no dtype up to uint32 does).
     """
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    trailer = None
-    if lines and lines[-1].startswith("EULER"):
-        words = lines.pop().split()
-        if len(words) != 3:
-            raise ValueError(f"{path}: malformed EULER trailer")
-        trailer = (int(words[1]), int(words[2]))
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    head = lines[0].split()
-    if len(head) != 6 or head[0] != "OA":
-        raise ValueError(f"{path}: malformed OA header")
-    header = tuple(int(x) for x in head[1:])
+    data = Path(path).read_bytes()
+    entries, header, trailer = _read_written(data) or _read_text(path, data)
     N, n, q, _, _ = header
-    rows = lines[1:]
-    if not rows:
-        raise _shape_error(path, 0, [], n, N)
-    dtype = np.min_scalar_type(q - 1) if 1 <= q <= 2**32 else np.dtype(np.int64)
-    try:
-        entries = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
-    except ValueError:
-        try:
-            entries = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise _row_block_error(path, rows, n, N, exc) from None
     if entries.shape != (n, N):
         raise _shape_error(path, entries.shape[0], [entries.shape[1]], n, N)
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError(f"{path}: symbols out of range [0, {q})")
-    entries = entries.astype(dtype, copy=False)
+    entries = entries.astype(_symbol_dtype(q), copy=False)
     for where, t in (("header", header[3]), ("trailer", trailer and trailer[0])):
         if t is not None and not 1 <= t <= n:
             raise ValueError(f"{path}: {where} strength t = {t} out of range "

@@ -395,6 +395,48 @@ def test_strength_out_of_range_names_the_file(tmp_path, oa16_file, eoa256_file,
         f"error: {path}: {where} strength t = 9 out of range for 5 rows"]
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("OA 256 ", "OA 256x ", 1), "malformed OA header"),
+    (lambda text: text.replace("EULER 2 1", "EULER 2 x"), "malformed EULER trailer"),
+], ids=["header", "trailer"])
+@pytest.mark.parametrize("blank", [False, True], ids=["written", "blank-line"])
+@pytest.mark.parametrize("command", [["euler", "verify", "--in"],
+                                     ["oa", "verify", "--in"]],
+                         ids=["euler-verify", "oa-verify"])
+def test_non_integer_header_or_trailer_names_the_file(tmp_path, eoa256_file, capsys,
+                                                      edit, message, blank, command):
+    """A header or trailer field that is not an integer exits 2 with one
+    line that names the file, the same with a blank line after the header
+    (which sends the rows through the text parser)."""
+    text = edit(eoa256_file.read_text())
+    if blank:
+        text = text.replace("\n", "\n\n", 1)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("CODE 4 5 2\n1 0\n0 1\n1 1\n1 2\nx 3\n",
+     "invalid literal for int() with base 10: 'x'"),
+    ("CODE 4 5 2\n1 0\n0 1\n1 1\n1 2\n7 3\n",
+     "generator entries must be symbols in [0, q)")], ids=["token", "symbol"])
+@pytest.mark.parametrize("command", [
+    ["code", "info", "--in"], ["oa", "build", "--out", "oa.txt", "--code"],
+    ["euler", "build", "--out", "eoa.txt", "--code"]], ids=["info", "oa", "euler"])
+def test_bad_code_file_names_the_file(tmp_path, capsys, text, message, command):
+    """A generator token that is not an integer, or a symbol outside [0, q),
+    exits 2 with one line that names the code file."""
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    command = [str(tmp_path / a) if a.endswith(".txt") else a for a in command]
+    capsys.readouterr()
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+
 def test_sim_eulerian_histogram_cap_exits_2(tmp_path, capsys):
     """Arity-6 terms over GF(4) need 4^12 (vertex, transition) bins."""
     path = tmp_path / "rows6.txt"

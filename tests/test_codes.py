@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eoa.cli import _code_distances
 from eoa.codes import (LinearCode, gf_matmul, gf_rank, hamming_code, nullspace,
@@ -8,6 +11,31 @@ from eoa.gf import gf_new
 
 F4 = gf_new(2, 2)
 F2 = gf_new(2, 1)
+
+
+def rref_oracle(mat, field):
+    """The row loop that rref replaced: each pivot clears the other rows
+    one at a time."""
+    a = np.array(mat, dtype=np.int64, copy=True)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        a[[r, pr]] = a[[pr, r]]
+        a[r] = field.mul_table[a[r], field.inv(int(a[r, c]))]
+        for i in range(rows):
+            if i != r and a[i, c] != 0:
+                factor = field.mul_table[a[i, c], a[r]]
+                a[i] = field.add_table[a[i], field.neg_table[factor]]
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def identity_code(field, n):
@@ -24,6 +52,33 @@ def test_rref_and_rank():
     ns = nullspace(mat.T, F4)
     assert ns.shape == (3, 1)
     assert not gf_matmul(mat.T, ns, F4).any()
+
+
+# GF(2, 3, 4, 5, 7, 8, 9, 16, 25) as (p, m)
+_RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pm=st.sampled_from(_RREF_FIELDS), rows=st.integers(1, 9),
+       cols=st.integers(1, 9), rank=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+def test_rref_equals_row_loop(pm, rows, cols, rank, seed):
+    """The one gather per pivot column gives the row loop's matrix and
+    pivots bit for bit, on tall, wide and square matrices: uniformly random
+    ones when rank >= min(rows, cols), else products of a rows x rank and a
+    rank x cols matrix (rank deficient; rank 0 is the zero matrix)."""
+    field = gf_new(*pm)
+    rng = np.random.default_rng(seed)
+    deficient = rank < min(rows, cols)
+    if not deficient:
+        mat = rng.integers(0, field.q, size=(rows, cols))
+    else:
+        mat = gf_matmul(rng.integers(0, field.q, size=(rows, rank)),
+                        rng.integers(0, field.q, size=(rank, cols)), field)
+    got, pivots = rref(mat, field)
+    want, want_pivots = rref_oracle(mat, field)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert pivots == want_pivots
+    assert len(pivots) <= (rank if deficient else min(rows, cols))
 
 
 def test_generator_rank_enforced():
@@ -169,3 +224,16 @@ def test_read_code_rejects_malformed(tmp_path):
     bad.write_text("CODE 4 2 1\n0\n")
     with pytest.raises(ValueError):
         read_code(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("CODE 4 2 1\n1\nx\n", "invalid literal for int() with base 10: 'x'"),
+    ("CODE 4 2 1\n1\n7\n", "generator entries must be symbols in [0, q)"),
+    ("CODE 4 x 1\n1\n1\n", "malformed CODE header")])
+def test_read_code_names_the_file(tmp_path, text, message):
+    """A bad generator token, a symbol outside [0, q) or a non-integer
+    header field is refused with the file's name."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        read_code(path)

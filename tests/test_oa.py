@@ -45,6 +45,43 @@ def read_rows_oracle(rows: list[str]) -> np.ndarray:
     return np.array(parsed)
 
 
+def read_spied(path):
+    """read_oa_file's outcome, ("ok", entries, header, trailer) or
+    ("error", message), and how often it called the text path and
+    np.loadtxt: the byte view makes neither call."""
+    calls = {"text": 0, "loadtxt": 0}
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oa_module, "_read_text", spy("text", oa_module._read_text))
+        mp.setattr(np, "loadtxt", spy("loadtxt", np.loadtxt))
+        try:
+            entries, header, trailer = read_oa_file(path)
+        except ValueError as exc:
+            return ("error", str(exc)), calls
+    assert entries.flags["C_CONTIGUOUS"] and entries.flags["OWNDATA"]
+    return ("ok", entries, header, trailer), calls
+
+
+def same_outcome(a, b) -> bool:
+    """Equal messages, or equal entries (values, dtype), header and trailer."""
+    if a[0] != b[0] or a[0] == "error":
+        return a == b
+    return (a[1].dtype == b[1].dtype and np.array_equal(a[1], b[1])
+            and a[2:] == b[2:])
+
+
+def blank_after_header(data: bytes) -> bytes:
+    """The same file with a blank line after its header: the text path
+    drops it, so it reads as the file would there, with the same rows."""
+    return data.replace(b"\n", b"\n\n", 1)
+
+
 @pytest.fixture(scope="module")
 def oa16():
     return oa_from_code(hamming_code(F4, 2).dual(), 3)
@@ -194,12 +231,14 @@ def test_oa_file_roundtrip_is_exact(qt, lam, n, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "oa.txt"
         write_oa(path, oa)
+        outcome, calls = read_spied(path)
+        # the writer's layout with one-digit symbols is read by the byte view
+        assert calls["loadtxt"] == (0 if entries.max() < 10 else 1)
         if t > n:
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{path}: header strength t = {t} out of range for {n} rows")):
-                read_oa_file(path)
+            assert outcome == ("error", f"{path}: header strength t = {t} "
+                                        f"out of range for {n} rows")
             return
-        back, header, trailer = read_oa_file(path)
+        _, back, header, trailer = outcome
         text = path.read_text()
     assert back.dtype == np.uint8 and np.array_equal(back, entries)
     assert header == (N, n, q, t, lam) and trailer is None
@@ -243,12 +282,100 @@ def test_text_format_matches_oracles(q, n, N, seed, crlf, blank, sep):
         path = Path(tmp) / "oa.txt"
         for variant in variants:
             path.write_bytes(variant.encode())
-            back, header, trailer = read_oa_file(path)
+            (_, back, header, trailer), calls = read_spied(path)
+            # the written text with one-digit symbols goes through the byte
+            # view, every respaced variant through the text path
+            one_digit = variant is text and entries.max() < 10
+            assert calls["loadtxt"] == (0 if one_digit else 1)
             assert back.dtype == np.uint8 and back.flags["C_CONTIGUOUS"]
             lines = [ln for ln in variant.splitlines()[1:] if ln.strip()]
             assert np.array_equal(back, read_rows_oracle(lines))
             assert np.array_equal(back, entries)
             assert header == (N, n, q, 1, 1) and trailer is None
+
+
+@pytest.mark.parametrize("data, view, expected", [
+    (b"OA 4 1 4 1 1\n0 1 2 3\n", True, ([[0, 1, 2, 3]], (4, 1, 4, 1, 1), None)),
+    (b"OA 1 3 2 1 1\n0\n1\n1\nEULER 1 1\n", True,
+     ([[0], [1], [1]], (1, 3, 2, 1, 1), (1, 1))),
+    (b"OA 1 1 2 1 1\n1\n", True, ([[1]], (1, 1, 2, 1, 1), None)),
+    (b"OA 0 2 4 1 1\n", False, "array shape (0, ) != (2, 0)"),
+    (b"OA 4 0 4 1 1\n", False, "array shape (0, ) != (0, 4)"),
+    (b"OA 0 0 4 1 1\nEULER 1 1\n", False, "array shape (0, ) != (0, 0)"),
+    (b"OA 4 2 4 1 1\n0 1 2 3\n3 2 1 0", False,
+     ([[0, 1, 2, 3], [3, 2, 1, 0]], (4, 2, 4, 1, 1), None)),
+    (b"OA 4 2 4 1 1\n0 1 2 3\n3 2 1 0\nEULER 1 1", False,
+     ([[0, 1, 2, 3], [3, 2, 1, 0]], (4, 2, 4, 1, 1), (1, 1))),
+    (b"OA 4 2 4 1 1\n0 1 2 3 \n3 2 1 0\n", False,
+     ([[0, 1, 2, 3], [3, 2, 1, 0]], (4, 2, 4, 1, 1), None)),
+    (b"OA 04 002 4 01 001\n0 1 2 3\n3 2 1 0\nEULER 01 1\n", True,
+     ([[0, 1, 2, 3], [3, 2, 1, 0]], (4, 2, 4, 1, 1), (1, 1))),
+    (b"OA 4 2 4 1 1\n0 1 2 3\n3 2 1 0\nEULER  1 1 \n", False,
+     ([[0, 1, 2, 3], [3, 2, 1, 0]], (4, 2, 4, 1, 1), (1, 1))),
+    (b"OA 4 2 16 1 1\n0 1 2 9\n9 8 1 0\n", True,
+     ([[0, 1, 2, 9], [9, 8, 1, 0]], (4, 2, 16, 1, 1), None)),
+    (b"OA 4 2 4 1 1\n0 1 2 3\n3 2 7 0\n", True, "symbols out of range [0, 4)"),
+    (b"OA 4 2 4 1 1\n0 1 2 3\n3 2 1 0\n\n", False,
+     ([[0, 1, 2, 3], [3, 2, 1, 0]], (4, 2, 4, 1, 1), None)),
+    (b"OA 2 2 4 1 1\n0 1\n2 3\nEULER 1 1\nEULER 1 1\n", False,
+     "array row 2: bad symbol 'EULER'"),
+], ids=["n1", "N1", "n1-N1", "N0", "n0", "n0-N0", "no-final-newline",
+        "trailer-no-final-newline", "trailing-space", "leading-zeros",
+        "trailer-extra-spaces", "q16-one-digit", "out-of-range", "blank-last-line",
+        "two-trailers"])
+def test_byte_view_edge_cases(tmp_path, data, view, expected):
+    """Files at the edges of the written layout read through the byte view
+    (view) or the text path, and either way as the text path reads the same
+    file with a blank line after its header: the same entries, dtype,
+    header and trailer, or the same one-line error."""
+    path = tmp_path / "edge.txt"
+    path.write_bytes(data)
+    outcome, calls = read_spied(path)
+    assert calls["text"] == (0 if view else 1)
+    if isinstance(expected, str):
+        assert outcome == ("error", f"{path}: {expected}")
+    else:
+        rows, header, trailer = expected
+        assert outcome[2:] == (header, trailer)
+        assert outcome[1].dtype == np.uint8 and np.array_equal(outcome[1], rows)
+    path.write_bytes(blank_after_header(data))
+    text, calls = read_spied(path)
+    assert calls["text"] == 1 and same_outcome(outcome, text)
+
+
+# (bytes a change may hit, the byte that replaces it)
+_BYTE_CLASSES = {"digit-to-colon": (b"0123456789", b":"),
+                 "space-to-tab": (b" ", b"\t"),
+                 "newline-to-space": (b"\n", b" "),
+                 "digit-to-minus": (b"0123456789", b"-")}
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 9]), n=st.integers(1, 4), N=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), euler=st.booleans(),
+       change=st.sampled_from(sorted(_BYTE_CLASSES)), at=st.integers(0, 2**16))
+def test_one_changed_byte_reads_as_the_text_path(q, n, N, seed, euler, change, at):
+    """One byte of a written file's row block changed, per byte class (a
+    digit to ':' or '-', a space to a tab, a newline to a space), leaves
+    the byte view's layout: the file reads, or fails with the same
+    message, as it does with a blank line after its header."""
+    entries = np.random.default_rng(seed).integers(0, q, size=(n, N))
+    data = format_oa(_header_only(q, entries)).encode()
+    data += b"EULER 1 1\n" if euler else b""
+    start = data.index(b"\n") + 1
+    cls, new = _BYTE_CLASSES[change]
+    where = [i for i in range(start, start + 2 * n * N) if data[i] in cls]
+    if not where:                               # N = 1 has no space
+        return
+    i = where[at % len(where)]
+    data = data[:i] + new + data[i + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "oa.txt"
+        path.write_bytes(data)
+        changed, calls = read_spied(path)
+        assert calls["text"] == 1
+        path.write_bytes(blank_after_header(data))
+        assert same_outcome(changed, read_spied(path)[0])
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -354,6 +481,24 @@ def test_read_oa_file_names_file_and_symbol_range(tmp_path, text, message):
     named, and a shape error goes before the range check."""
     path = tmp_path / "bad.txt"
     path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        read_oa_file(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("OA 2x 2 4 1 1\n0 1\n2 3\n", "malformed OA header"),
+    ("OA 2 2 4 1 1.0\n0 1\n2 3\n", "malformed OA header"),
+    ("OA 2 2 4 1\n0 1\n2 3\n", "malformed OA header"),
+    ("OA 2 2 4 1 1\n0 1\n2 3\nEULER 1 x\n", "malformed EULER trailer"),
+    ("OA 2 2 4 1 1\n0 1\n2 3\nEULER 1\n", "malformed EULER trailer")])
+@pytest.mark.parametrize("blank", [False, True], ids=["written", "blank-line"])
+def test_read_oa_file_names_file_and_malformed_line(tmp_path, text, message, blank):
+    """A header or trailer whose fields are not integers, or are too few, is
+    refused with the file's name, with or without a blank line after the
+    header."""
+    path = tmp_path / "bad.txt"
+    data = text.encode()
+    path.write_bytes(blank_after_header(data) if blank else data)
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
         read_oa_file(path)
 

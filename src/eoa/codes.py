@@ -209,7 +209,11 @@ def write_code(path, code: LinearCode) -> None:
 
 
 def read_code(path) -> LinearCode:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("CODE"):
         raise ValueError(f"{path}: not a CODE file")
     head = lines[0].split()

@@ -954,7 +954,7 @@ def read_schedule(path) -> Schedule:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return schedule_from_json(json.loads(Path(path).read_text()))
+        return schedule_from_json(_read_json(path))
     finally:
         if enabled:
             gc.enable()
@@ -1028,4 +1028,13 @@ def write_drift(path, drift: DriftHamiltonian) -> None:
 
 
 def read_drift(path) -> DriftHamiltonian:
-    return drift_from_json(json.loads(Path(path).read_text()))
+    return drift_from_json(_read_json(path))
+
+
+def _read_json(path):
+    """The document of a JSON file; one that does not decode or parse is a
+    one-line ValueError after the file's path."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:       # UnicodeDecodeError, json.JSONDecodeError
+        raise ValueError(f"{path}: {exc}") from None

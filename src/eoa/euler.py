@@ -13,7 +13,8 @@ count decides both.  Along the cycle of a code's messages every pair of a
 distinct vertex column and a distinct transition column occurs equally
 often, so that count is the outer product of two counts over the q^k
 distinct columns (`pair_histograms`); any other array has its pairs
-counted directly.
+counted directly.  Transitions are XORs in characteristic 2, and a row
+renumbers the columns only if it differs from its class representatives.
 
 The transition convention is additive: s_j = c_{j+1} - c_j, cyclically
 (the wrap-around transition from the last column to the first is counted,
@@ -158,18 +159,21 @@ def euler_cycle_full(field: FieldTable, k: int) -> EulerianCycle:
 
 def transitions(sub: np.ndarray, field: FieldTable) -> np.ndarray:
     """Cyclic per-row transitions s[k, j] = g[k, j+1] - g[k, j], as uint8
-    symbols in C order whatever the layout of sub.
+    symbols in C order whatever the layout of sub (entries in [0, q)).
 
-    One gather from the flat subtraction table, whose entry next*q + cur
-    is next - cur, per block of rows: the intp index of a block holds at
-    most `_BLOCK_KEYS` entries (one row when N alone is more), so no index
-    of the whole array exists.
+    In characteristic 2 (`FieldTable.xor_add`) next - cur is next ^ cur.
+    Otherwise one gather per block of rows from the flat table whose entry
+    next*q + cur is next - cur, a block's intp index holding at most
+    `_BLOCK_KEYS` entries (one row when N alone is more).
     """
-    q = field.q
     sub = np.asarray(sub)
-    n, N = sub.shape
+    out = np.empty(sub.shape, dtype=np.uint8)
+    if field.xor_add:
+        np.bitwise_xor(sub[:, 1:], sub[:, :-1], out=out[:, :-1], casting="unsafe")
+        np.bitwise_xor(sub[:, :1], sub[:, -1:], out=out[:, -1:], casting="unsafe")
+        return out
+    (n, N), q = sub.shape, field.q
     table = field.add_table[:, field.neg_table].ravel()
-    out = np.empty(sub.shape, dtype=table.dtype)
     rows = max(1, _BLOCK_KEYS // max(N, 1))
     index = np.empty((min(rows, n), N), dtype=np.intp)
     for lo in range(0, n, rows):
@@ -193,39 +197,37 @@ def _column_ids(arrays, base: int, N: int) -> list[tuple[np.ndarray, np.ndarray]
     one numbered i; None once the arrays' distinct column counts multiply
     past N.
 
-    Exact, with no sort: rows join the numbers a block at a time, the array
-    with the fewest rows numbered going next, and one dense table of at
-    most max(N, base * distinct) slots renumbers each block's keys to the
-    distinct columns so far.  Counts only grow, so a product past N stops
-    the numbering early.
+    Exact, with no hash and no sort: a row that equals row[where][ids]
+    splits no class and is skipped.  Rows are compared whole against that
+    gather in blocks that double while they match (to `_BLOCK_KEYS`
+    symbols), the array with the fewest rows checked going next; a dense
+    table of base * distinct slots renumbers at the first row that does
+    not match.  Refining only splits classes, so matched rows stay matched
+    and a count product past N stops early.
     """
     n = arrays[0].shape[0]
     ids = [np.zeros(N, dtype=np.intp) for _ in arrays]
-    distinct, done = [1] * len(arrays), [0] * len(arrays)
+    where = [np.zeros(1, dtype=np.intp) for _ in arrays]
+    done, span = [0] * len(arrays), [1] * len(arrays)
     while min(done) < n:
         a = done.index(min(done))
-        row = done[a]
-        end = row + 1
-        while end < n and distinct[a] * base ** (end + 1 - row) <= N:
-            end += 1
-        key = ids[a]
-        for r in range(row, end):
-            key *= base
-            key += arrays[a][r]
-        seen = np.zeros(distinct[a] * base ** (end - row), dtype=np.intp)
+        block = arrays[a][done[a]:done[a] + span[a]]
+        same = (np.take(block[:, where[a]], ids[a], axis=1) == block).all(axis=1)
+        if same.all():
+            done[a] += len(same)
+            span[a] = min(2 * span[a], max(1, _BLOCK_KEYS // N))
+            continue
+        done[a] += int(same.argmin()) + 1
+        key = ids[a] * base + arrays[a][done[a] - 1]
+        seen = np.zeros(len(where[a]) * base, dtype=np.intp)
         seen[key] = 1
-        number = np.cumsum(seen)
-        distinct[a], done[a] = int(number[-1]), end
-        if math.prod(distinct) > N:
+        number = np.cumsum(seen) - 1
+        where[a], span[a] = np.empty(int(number[-1]) + 1, dtype=np.intp), 1
+        if math.prod(map(len, where)) > N:
             return None
-        number -= 1
         ids[a] = number[key]
-    numbered = []
-    for column_ids, count in zip(ids, distinct):
-        where = np.empty(count, dtype=np.intp)
-        where[column_ids] = np.arange(N)
-        numbered.append((column_ids, where))
-    return numbered
+        where[a][ids[a]] = np.arange(N)
+    return list(zip(ids, where))
 
 
 def pair_histograms(entries: np.ndarray, field: FieldTable, subsets) -> np.ndarray:
@@ -295,9 +297,7 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable, t: int
     that occurs at all.  That also makes the transition set generate the
     full group (see below).  Violations are return values.
 
-    `pair_histograms` gives every pair histogram as one count array, the
-    blocked count of the digits symbol*q + transition, factored through the
-    distinct vertex and transition columns when they allow it.
+    `pair_histograms` gives every pair histogram as one count array.
     `oa._judge_counts` checks the pairs of the used transitions read off
     it; uniform pairs certify strength t too, every vertex occurring
     |S| * lam_edge = N/q^t times.  Failing pairs hand their vertex marginal

@@ -10,6 +10,9 @@ degree m whose non-leading coefficient vector encodes to the smallest
 integer -- so symbol encodings are reproducible across runs and files.
 For GF(4) this is x^2 + x + 1 and for GF(9) it is x^2 + 1.
 
+In characteristic 2 the digits are bits, so addition and subtraction are
+both bitwise XOR of the indices (`FieldTable.xor_add`).
+
 Symbols are serialized everywhere as decimal indices 0..q-1.
 """
 
@@ -146,6 +149,12 @@ class FieldTable:
         self.mul_table.setflags(write=False)
         self.neg_table.setflags(write=False)
         self.inv_table.setflags(write=False)
+
+    @property
+    def xor_add(self) -> bool:
+        """Whether add_table[a, b] == a ^ b and neg_table is the identity:
+        in characteristic 2, where a symbol's bits are its coefficients."""
+        return self.p == 2
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])

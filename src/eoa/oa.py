@@ -456,7 +456,11 @@ def _read_written(data: bytes) -> tuple | None:
 def _read_text(path, data: bytes) -> tuple:
     """(entries, header, trailer) of any other file: the grammar's
     reference and the only path that words a row-block error."""
-    lines = [ln for ln in data.decode().splitlines() if ln.strip()]
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     trailer = None
     if lines and lines[-1].startswith("EULER"):
         words = lines.pop().split()

@@ -437,6 +437,29 @@ def test_bad_code_file_names_the_file(tmp_path, capsys, text, message, command):
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("oa verify --in", b"OA 2 2 4 1 1\n0 1\n2 \xff\n", NOT_UTF8.format(19)),
+    ("euler verify --in", b"OA 2 2 4 1 1\n0 1\n2 \xff\n", NOT_UTF8.format(19)),
+    ("code info --in", b"CODE 4 2\n\xff\n", NOT_UTF8.format(9)),
+    ("sim eulerian --oa {eoa256} --n 5 --t 2 --drift", b'{"n": \xff}',
+     NOT_UTF8.format(6)),
+    ("sim eulerian --oa {eoa256} --n 5 --t 2 --drift", b'{"n": 5 "d": 2}',
+     "Expecting ',' delimiter: line 1 column 9 (char 8)")],
+    ids=["oa", "euler", "code", "drift-bytes", "drift-json"])
+def test_undecodable_file_names_the_file(tmp_path, eoa256_file, capsys, command,
+                                         data, message):
+    """An array, code or drift file that is not UTF-8, and a drift file that
+    is not JSON, exit 2 with one line that names the file."""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    capsys.readouterr()
+    assert main([*command.format(eoa256=eoa256_file).split(), str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+
 def test_sim_eulerian_histogram_cap_exits_2(tmp_path, capsys):
     """Arity-6 terms over GF(4) need 4^12 (vertex, transition) bins."""
     path = tmp_path / "rows6.txt"

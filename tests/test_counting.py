@@ -135,8 +135,14 @@ def arrays(draw):
     n = draw(st.integers(t, min(n_base, 5)))
     # a row subset, any order, cyclically rotated: still Eulerian
     entries = np.roll(base[rng.permutation(n_base)[:n]], int(rng.integers(N)), axis=1)
-    kind = draw(st.sampled_from(["valid", "shuffled", "tampered", "random"]))
-    if kind == "shuffled":
+    kind = draw(st.sampled_from(["valid", "shuffled", "tampered", "random",
+                                 "row-last", "row-middle"]))
+    if kind.startswith("row-"):
+        # an independent random row, after all the others or among them:
+        # the rows past it match the numbering, or the numbering stops there
+        at = n if kind == "row-last" else n // 2
+        entries = np.insert(entries, at, rng.integers(0, q, size=N), axis=0)
+    elif kind == "shuffled":
         entries = entries[:, rng.permutation(N)]
     elif kind == "tampered":
         i, j = int(rng.integers(n)), int(rng.integers(N))
@@ -394,6 +400,53 @@ def test_too_many_distinct_columns_build_no_edge_count():
     assert callers.count("pair_histograms") == 1
 
 
+def assert_tuple_partition(array, ids, where):
+    """ids numbers the columns of array exactly as their Python tuples
+    tell them apart, and column where[i] is one numbered i."""
+    first = {}
+    oracle = [first.setdefault(c, len(first)) for c in map(tuple, array.T.tolist())]
+    assert len(where) == len(first) == len(set(ids.tolist()))
+    assert len(set(zip(oracle, ids.tolist()))) == len(first)
+    assert np.array_equal(ids[where], np.arange(len(where)))
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+@pytest.mark.parametrize("change", ["none", "row-last", "row-middle", "tamper"])
+def test_column_ids_equal_tuple_partition(change, block):
+    """On the GF(4) m = 3 code-built array (21 x 4096, 64 distinct columns),
+    the array with an independent random row appended last or inserted in
+    the middle (a refinement after many matching rows, or before them),
+    and the array with its last symbol changed, `_column_ids` numbers the
+    columns and the transition columns as tuples do, with rows checked in
+    blocks of at most 1 or 3 rows or by the default budget.  Numbered
+    together, the changed arrays' distinct counts multiply past N only at
+    the changed row, so there is no numbering; the code array's is
+    the product 64 * 64 = N."""
+    field = FIELDS[4]
+    entries = _eulerian_entries(hamming_code(field, 3).dual())
+    n, N = entries.shape
+    row = np.random.default_rng(28).integers(0, 4, size=N)
+    if change == "tamper":
+        entries = entries.copy()
+        entries[-1, -1] ^= 1
+    elif change != "none":
+        entries = np.insert(entries, n if change == "row-last" else n // 2, row, axis=0)
+    steps = transitions(entries, field)
+    with pytest.MonkeyPatch.context() as mp:
+        if block:
+            mp.setattr(euler_module, "_BLOCK_KEYS", block * N)
+        for array in (entries, steps):
+            (ids, where), = euler_module._column_ids((array,), 4, N)
+            assert_tuple_partition(array, ids, where)
+        both = euler_module._column_ids((entries, steps), 4, N)
+    if change == "none":
+        for array, (ids, where) in zip((entries, steps), both):
+            assert_tuple_partition(array, ids, where)
+            assert len(where) == 64
+    else:
+        assert both is None
+
+
 # ---------------------------------------------------------------------------
 # Every histogram the verifiers judge, paired rows or single
 # ---------------------------------------------------------------------------
@@ -526,12 +579,13 @@ def test_every_subset_histogram_matches_per_subset_oracle(case, budget, threads)
         assert euler == expected
 
 
-@pytest.mark.parametrize("q", [*sorted(FIELDS), 16, 256])
-@pytest.mark.parametrize("shape", [(5, 37), (3, 1)])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 256])
+@pytest.mark.parametrize("shape", [(5, 37), (3, 1), (1, 37)])
 def test_transitions_match_two_table_formula(q, shape):
-    """The flat-table gather equals the two-table form on C-ordered,
-    Fortran-ordered, column-gathered and uint8 inputs, in one block of
-    rows or in blocks of one and two rows, and returns uint8 in C order."""
+    """The XORs (q = 2, 4, 8, 16, 256) and the flat-table gather (odd q)
+    equal the two-table form on C-ordered, Fortran-ordered,
+    column-gathered and uint8 inputs, the gather in one block of rows or
+    in blocks of one and two rows, and return uint8 in C order."""
     field = FIELDS[q] if q in FIELDS else field_from_order(q)
     sub = np.random.default_rng(q).integers(0, q, size=shape)
     expected = transitions_oracle(sub, field)

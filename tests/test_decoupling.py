@@ -1681,6 +1681,22 @@ def test_read_schedule_rejects_per_segment_layout(tmp_path, document):
     assert len(str(excinfo.value).splitlines()) == 1
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"n": \xff}', "'utf-8' codec can't decode byte 0xff in position 6: "
+                     "invalid start byte"),
+    (b'{"n": 5 "d": 2}', "Expecting ',' delimiter: line 1 column 9 (char 8)")],
+    ids=["bytes", "json"])
+@pytest.mark.parametrize("reader", [read_schedule, read_drift])
+def test_json_readers_name_the_file(tmp_path, reader, data, message):
+    """A schedule or drift file that is not UTF-8 or not JSON is one
+    ValueError line after the file's path."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_schedule_rejects_index_outside_table(bad):
     """A directly built schedule gets the reader's check: an index outside

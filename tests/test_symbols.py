@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eoa import config
 from eoa.codes import hamming_code
 from eoa.decoupling import (bangbang_average, bangbang_schedule, euler_schedule,
                             eulerian_average, random_drift, write_schedule)
@@ -49,6 +50,40 @@ def test_field_tables_are_uint8():
         for table in (field.add_table, field.mul_table, field.neg_table,
                       field.inv_table):
             assert table.dtype == np.uint8
+
+
+def test_characteristic_two_adds_by_xor():
+    """In every characteristic-2 field up to FIELD_ORDER_CAP a symbol's bits
+    are its coefficients over GF(2): add_table[a, b] == a ^ b and every
+    symbol is its own negative, which `transitions` relies on."""
+    for m in range(1, config.FIELD_ORDER_CAP.bit_length()):
+        field = gf_new(2, m)
+        symbols = np.arange(field.q)
+        assert field.xor_add
+        assert np.array_equal(field.add_table, symbols[:, None] ^ symbols)
+        assert np.array_equal(field.neg_table, symbols)
+    assert field.q == config.FIELD_ORDER_CAP
+    assert not F9.xor_add and not gf_new(3, 1).xor_add
+
+
+@pytest.mark.parametrize("q, bad", [(4, -1), (4, 4), (9, -1), (9, 9)])
+def test_out_of_range_symbol_is_refused_before_transitions(q, bad):
+    """The callers of `transitions` range-check the array first: a symbol
+    outside [0, q), which an XOR would not notice, is a one-line error
+    from `verify_eulerian` and from `euler_schedule`."""
+    field = {4: F4, 9: F9}[q]
+    code = hamming_code(field, 2).dual()
+    entries = eulerian_oa_from_code(code, euler_cycle_full(field, code.k),
+                                    2).entries.astype(np.int64)
+    entries[1, 2] = bad
+    low, high = min(0, bad), max(q - 1, bad)
+    with pytest.raises(ValueError) as excinfo:
+        verify_eulerian(entries, field, 2)
+    assert str(excinfo.value) == "entries must be symbols in [0, q)"
+    with pytest.raises(ValueError) as excinfo:
+        euler_schedule((entries, q), 0.1)
+    assert str(excinfo.value) == (f"array symbols span [{low}, {high}], "
+                                  f"outside [0, {q})")
 
 
 def test_symbol_arrays_are_uint8(m4):

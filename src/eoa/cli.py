@@ -212,6 +212,9 @@ def _sweep(oa, drift, base_tc: float, points: int):
 
 
 def cmd_sim(args) -> int:
+    # a NaN tolerance would pass every residual: `residual > nan` is False
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0):
+        return _fail_input(f"--tol {args.tol:g} must be finite and >= 0")
     oa = read_oa(args.oa)
     field = field_from_order(oa.q)
     d = field.coord_dim()

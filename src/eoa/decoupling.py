@@ -1008,19 +1008,29 @@ def drift_to_json(drift: DriftHamiltonian) -> dict:
 def drift_from_json(data: dict) -> DriftHamiltonian:
     """The drift of a drift_to_json document.  A document of another shape
     (a missing field, a matrix that is not [re, im] pairs, a top level that
-    is not an object) raises a one-line ValueError."""
+    is not an object) raises a one-line ValueError that names the field."""
+    where = "n, d, d_env"
     try:
         n, d, d_env = data["n"], data["d"], data["d_env"]
+        if not all(isinstance(v, int) for v in (n, d, d_env)):
+            raise TypeError("not integers")
+        where = "terms"
         terms = []
-        for entry in data["terms"]:
+        for i, entry in enumerate(data["terms"]):
+            where = f"terms[{i}].support"
             support = tuple(int(k) for k in entry["support"])
+            where = f"terms[{i}].sys"
             sys_block = matrix_from_pairs(entry["sys"], d ** len(support))
+            where = f"terms[{i}].env"
             env_block = matrix_from_pairs(entry["env"], d_env)
             terms.append(DriftTerm(support, sys_block, env_block))
+        where = "env_only"
         env_only = matrix_from_pairs(data["env_only"], d_env)
-        return DriftHamiltonian(n, d, d_env, tuple(terms), env_only)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed drift document: {exc!r}") from None
+    except KeyError as exc:
+        raise ValueError(f"malformed drift document: {where}: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed drift document: {where}: {exc}") from None
+    return DriftHamiltonian(n, d, d_env, tuple(terms), env_only)
 
 
 def write_drift(path, drift: DriftHamiltonian) -> None:
@@ -1028,7 +1038,13 @@ def write_drift(path, drift: DriftHamiltonian) -> None:
 
 
 def read_drift(path) -> DriftHamiltonian:
-    return drift_from_json(_read_json(path))
+    """The drift of a drift file; every error in it is one ValueError line
+    after the file's path."""
+    data = _read_json(path)
+    try:
+        return drift_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_json(path):

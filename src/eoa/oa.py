@@ -23,19 +23,16 @@ back as one count array, a row per subset in the order asked; judging is
 the caller's.  Both verifiers judge all rows at once by one judge of
 (vertex, transition) counts, a strength histogram being that of one
 transition, and name only the first failing subset's violation; failing
-pairs have their strength judged first, on their vertex marginal.  A
-large count runs on two threads by default (see
-`config.worker_count`): one encodes keys while the other's bincount holds
-the interpreter lock.  A code-built Eulerian array's pairs factor through
-its few distinct columns (see `euler.pair_histograms`), so only a direct
-pair count of a large array that does not factor reaches that size.
+pairs have their strength judged first, on their vertex marginal.
+Counting is serial: a code-built Eulerian array's pairs factor through its
+few distinct columns (see `euler.pair_histograms`), so no count of one is
+large enough for threads to pay.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import queue
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,10 +92,6 @@ class OrthogonalArray:
 # little time and leave more freed memory with the allocator for later stages.
 _BLOCK_KEYS = 2**19
 
-# Keys below which one call counts serially: a thread pool costs more than
-# the overlap of one worker's key encoding with the other's bincount saves.
-_PARALLEL_KEYS = 2**22
-
 
 def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     """(len(subsets), base^t) intp histograms, row i that of subsets[i].
@@ -110,9 +103,8 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     is the caller's.  The subsets are grouped by their (t-1)-row prefix,
     whose key is encoded once; each prefix counts the requested later rows
     in blocks of at most `_BLOCK_KEYS` keys, one bincount of the block's
-    size per block, and writes their rows of the result.  A call of at
-    least `_PARALLEL_KEYS` keys runs its prefixes on up to
-    `config.worker_count()` threads.
+    size per block, and writes their rows of the result.  The prefixes are
+    counted one after another into one key buffer.
 
     When base^(t+1) <= N, later rows are counted two at a time: one key
     per column encodes the prefix and both rows' digits, and the two
@@ -126,10 +118,6 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     requested row; a pair whose first row ends the prefix still gives the
     second row's histogram as its marginal.  A block is a run of
     consecutive pairs, so its keys are one slice of the joint digits.
-
-    Every worker's key and prefix buffers are allocated here, by the
-    calling thread, and lent out through a queue: buffers a worker
-    allocated would stay resident in its own malloc arena after the call.
     """
     # row slices of a Fortran-ordered or column-gathered array are strided,
     # which makes every key encoding and bincount about 1.7x slower
@@ -146,7 +134,6 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     order = np.lexsort(subsets.T[::-1])
     ordered = subsets[order]                    # lexicographic, by prefix
     starts = np.flatnonzero((ordered[1:, :-1] != ordered[:-1, :-1]).any(axis=1)) + 1
-    spans = list(itertools.pairwise([0, *starts.tolist(), len(ordered)]))
     width = base**t
     group = 2 if base * width <= N else 1       # later rows per key
     first = n % group                           # zero rows before row 0
@@ -167,55 +154,44 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     # consecutively and, less the first one's offset, fill a histogram of
     # the block's size
     codes += bins * (np.arange(len(codes)) % depth)[:, None]
-    workers = 1
-    if len(ordered) * N // group >= _PARALLEL_KEYS:     # keys the call counts
-        workers = min(config.worker_count(), len(spans))
-    buffers: queue.SimpleQueue = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put((np.empty((depth, N), dtype=np.intp), np.empty(N, dtype=np.intp)))
+    keys = np.empty((depth, N), dtype=np.intp)
+    head = np.empty(N, dtype=np.intp)
     out = np.empty((len(ordered), width), dtype=np.intp)
-
-    def count_prefix(span: tuple[int, int]) -> None:
-        keys, head = buffers.get()
-        try:
-            lasts = ordered[span[0]:span[1], -1]    # requested later rows, sorted
-            rank = (lasts + first) // group         # each requested row's group
-            # the prefix's digits as a number (zeros when t = 1)
-            head[:] = 0
-            for row in ordered[span[0], :-1].tolist():
-                head *= base
-                head += digits[row]
-            head *= base**group
-            shift = 0                               # slot offset taken off head
-            # blocks: runs of consecutive groups, cut at multiples of depth
-            jumps = np.flatnonzero(rank[1:] > rank[:-1] + 1) + 1
-            for a, b in itertools.pairwise([0, *jumps.tolist(), len(rank)]):
-                g, end = int(rank[a]), int(rank[b - 1]) + 1
-                while g < end:
-                    size = min(depth - g % depth, end - g)
-                    if g % depth != shift:
-                        head -= bins * (g % depth - shift)
-                        shift = g % depth
-                    np.add(codes[g:g + size], head, out=keys[:size])
-                    counts = np.bincount(keys[:size].ravel(), minlength=size * bins)
-                    lo, hi = np.searchsorted(rank, [g, g + size])
-                    at, slots = order[span[0] + lo:span[0] + hi], rank[lo:hi] - g
-                    g += size
-                    if group == 1:
-                        out[at] = counts.reshape(size, width)[slots]
-                        continue
-                    # a pair's row histograms: sum out the other row of the pair
-                    joint = counts.reshape(size, width // base, base, base)
-                    second = (lasts[lo:hi] + first) % 2
-                    for r in (0, 1):
-                        pick = np.flatnonzero(second == r)
-                        if len(pick):
-                            margin = joint.sum(axis=3 - r).reshape(size, width)
-                            out[at[pick]] = margin[slots[pick]]
-        finally:
-            buffers.put((keys, head))
-
-    config.parallel_map(count_prefix, spans, workers)
+    for start, stop in itertools.pairwise([0, *starts.tolist(), len(ordered)]):
+        lasts = ordered[start:stop, -1]         # requested later rows, sorted
+        rank = (lasts + first) // group         # each requested row's group
+        # the prefix's digits as a number (zeros when t = 1)
+        head[:] = 0
+        for row in ordered[start, :-1].tolist():
+            head *= base
+            head += digits[row]
+        head *= base**group
+        shift = 0                               # slot offset taken off head
+        # blocks: runs of consecutive groups, cut at multiples of depth
+        jumps = np.flatnonzero(rank[1:] > rank[:-1] + 1) + 1
+        for a, b in itertools.pairwise([0, *jumps.tolist(), len(rank)]):
+            g, end = int(rank[a]), int(rank[b - 1]) + 1
+            while g < end:
+                size = min(depth - g % depth, end - g)
+                if g % depth != shift:
+                    head -= bins * (g % depth - shift)
+                    shift = g % depth
+                np.add(codes[g:g + size], head, out=keys[:size])
+                counts = np.bincount(keys[:size].ravel(), minlength=size * bins)
+                lo, hi = np.searchsorted(rank, [g, g + size])
+                at, slots = order[start + lo:start + hi], rank[lo:hi] - g
+                g += size
+                if group == 1:
+                    out[at] = counts.reshape(size, width)[slots]
+                    continue
+                # a pair's row histograms: sum out the other row of the pair
+                joint = counts.reshape(size, width // base, base, base)
+                second = (lasts[lo:hi] + first) % 2
+                for r in (0, 1):
+                    pick = np.flatnonzero(second == r)
+                    if len(pick):
+                        margin = joint.sum(axis=3 - r).reshape(size, width)
+                        out[at[pick]] = margin[slots[pick]]
     return out
 
 

@@ -447,12 +447,18 @@ NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start b
     ("sim eulerian --oa {eoa256} --n 5 --t 2 --drift", b'{"n": \xff}',
      NOT_UTF8.format(6)),
     ("sim eulerian --oa {eoa256} --n 5 --t 2 --drift", b'{"n": 5 "d": 2}',
-     "Expecting ',' delimiter: line 1 column 9 (char 8)")],
-    ids=["oa", "euler", "code", "drift-bytes", "drift-json"])
+     "Expecting ',' delimiter: line 1 column 9 (char 8)"),
+    ("sim eulerian --oa {eoa256} --n 5 --t 2 --drift",
+     b'{"n": 5, "d": 2, "d_env": 1, "env_only": [[0, 0]], '
+     b'"terms": [{"support": [0], "sys": [[1, 0, 0]], "env": [[1, 0]]}]}',
+     "malformed drift document: terms[0].sys: too many values to unpack "
+     "(expected 2)")],
+    ids=["oa", "euler", "code", "drift-bytes", "drift-json", "drift-field"])
 def test_undecodable_file_names_the_file(tmp_path, eoa256_file, capsys, command,
                                          data, message):
     """An array, code or drift file that is not UTF-8, and a drift file that
-    is not JSON, exit 2 with one line that names the file."""
+    is not JSON or holds [re, im, x] triples, exit 2 with one line that
+    names the file (and the field)."""
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
     capsys.readouterr()
@@ -684,6 +690,9 @@ BAD_INPUTS = [
     "sim bangbang --oa {oa16} --n 5 --t 2 --denv 0",
     "sim bangbang --oa {oa16} --n 5 --t 7",
     "sim bangbang --oa {oa16} --drift {empty}",
+    "sim bangbang --oa {oa16} --n 5 --t 3 --seed 7 --tol nan",
+    "sim bangbang --oa {oa16} --n 5 --t 3 --seed 7 --tol inf",
+    "sim bangbang --oa {oa16} --n 5 --t 3 --seed 7 --tol -0.001",
     "sim eulerian --oa {eoa256} --n 5 --t 2 --delta 0",
     "sim eulerian --oa {eoa256} --n 5 --t 2 --delta -0.1",
     "sim eulerian --oa {eoa256} --n 5 --t 2 --delta nan",
@@ -713,7 +722,9 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_with_one_line(line, tmp_path, dual_code_file, oa16_file,
                                          eoa256_file, capsys):
     """Out-of-range strengths, drift parameters, pulse lengths, quadrature
-    orders and sweep lengths, ragged array rows, symbols beyond int64,
+    orders and sweep lengths, a tolerance that no residual could fail (the
+    3-body drift leaves about 1.2, and `residual > nan` is False), ragged
+    array rows, symbols beyond int64,
     malformed drift files, size caps ([21, 18]_4 Hamming code: 4^18 words)
     and output paths that cannot be written are input errors: exit 2 and
     one stderr line, never a traceback or a vacuous OK."""
@@ -745,16 +756,18 @@ def test_bad_input_exits_2_with_one_line(line, tmp_path, dual_code_file, oa16_fi
 
 
 def test_runtime_imports_no_scipy():
-    """import eoa and eoa.cli load numpy only.  A fresh interpreter, since
-    this test process imports scipy for the tests' oracles."""
+    """import eoa and eoa.cli load numpy only: no scipy, and no
+    concurrent.futures, since counting is serial.  A fresh interpreter,
+    since this test process imports scipy for the tests' oracles."""
     src = str(Path(eoa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, eoa, eoa.cli; print('scipy' in sys.modules)"],
+         "import sys, eoa, eoa.cli; "
+         "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_schedule_verdicts_import_no_numpy_ma(tmp_path, eoa256_file):

@@ -153,21 +153,18 @@ def arrays(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=arrays(), budget=st.sampled_from([1, 2, 3, 0]),
-       threads=st.sampled_from(["1", "4"]))
-def test_blocked_verifiers_match_per_subset_oracle(case, budget, threads):
+@given(case=arrays(), budget=st.sampled_from([1, 2, 3, 0]))
+def test_blocked_verifiers_match_per_subset_oracle(case, budget):
     """Same lambda, edge multiplicity, gensets and first violation as the
     per-subset path, with blocks of 1 to 3 rows that split prefixes, and
-    the full budget (0 here), serially and on four threads.  The Eulerian
-    verdict is the strength oracle's violation first, else the Eulerian
-    oracle's verdict, so a failing array's strength violation from the
-    pair count is exactly `verify_strength`'s."""
+    the full budget (0 here).  The Eulerian verdict is the strength
+    oracle's violation first, else the Eulerian oracle's verdict, so a
+    failing array's strength violation from the pair count is exactly
+    `verify_strength`'s."""
     q, t, entries, kind, certified = case
     field = FIELDS[q]
     N = entries.shape[1]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("EOA_THREADS", threads)
-        mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
         if budget:
             mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, q ** (2 * t)))
         strength = verify_strength(entries, q, t)
@@ -234,11 +231,10 @@ def test_rare_verdict_branches_match_oracle():
     assert verify_strength(mixed, 2, 1) == 2   # so the pair judge decides
 
 
-def test_threaded_verdicts_equal_serial_at_m3():
+def test_one_pair_block_verdicts_at_m3():
     """On the GF(4) m = 3 Eulerian array (n = 21, N = 4096), a column
-    shuffle of it and a one-symbol tamper, four workers on every count
-    (floor 0, blocks of one row pair, a short switch interval) return
-    exactly the serial verdicts: lambda, gensets, first violation."""
+    shuffle of it and a one-symbol tamper, counts in blocks of one row
+    pair give the pinned verdicts: lambda, gensets, first violation."""
     field = FIELDS[4]
     base = _eulerian_entries(hamming_code(field, 3).dual())
     rng = np.random.default_rng(18)
@@ -246,23 +242,11 @@ def test_threaded_verdicts_equal_serial_at_m3():
     tampered[7, 1000] = (tampered[7, 1000] + 1) % 4
     arrays = {"valid": base, "shuffled": base[:, rng.permutation(base.shape[1])],
               "tampered": tampered}
-    verdicts = {}
-    for threads in ("1", "4"):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("EOA_THREADS", threads)
-            if threads != "1":
-                mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
-                mp.setattr(oa_module, "_BLOCK_KEYS", base.shape[1])
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                verdicts[threads] = {kind: (verify_strength(a, 4, 2),
-                                            verify_eulerian(a, field, 2))
-                                     for kind, a in arrays.items()}
-            finally:
-                sys.setswitchinterval(interval)
-    assert verdicts["4"] == verdicts["1"]
-    (lam, cert), (shuffled_lam, shuffled), (bad_lam, bad) = verdicts["1"].values()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oa_module, "_BLOCK_KEYS", base.shape[1])
+        verdicts = [(verify_strength(a, 4, 2), verify_eulerian(a, field, 2))
+                    for a in arrays.values()]
+    (lam, cert), (shuffled_lam, shuffled), (bad_lam, bad) = verdicts
     assert lam == shuffled_lam == 256 and cert.lam == 256
     assert cert.edge_multiplicity == 16 and len(cert.gensets) == 210
     assert all(len(gens) == 16 for gens in cert.gensets.values())
@@ -481,13 +465,11 @@ def pair_histograms_oracle(entries, field, subsets):
 
 
 @pytest.mark.parametrize("q", [16, 25])
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_pair_histograms_at_wide_pair_digits(q, threads):
+def test_pair_histograms_at_wide_pair_digits(q):
     """Pair digits reach 255 at q = 16 and 624 at q = 25, past a byte: on
     random arrays, on column shuffles of a code-built Eulerian array (both
     counted directly) and on that array (factored), `pair_histograms`
-    equals the per-column Python count, serially and with every count on
-    threads."""
+    equals the per-column Python count."""
     field = field_from_order(q)
     gen = np.arange(1, 4, dtype=np.int64)[:, None]        # rows 1, 2, 3 x message
     built = eulerian_oa_from_code(LinearCode(field, gen), euler_cycle_full(field, 1),
@@ -495,16 +477,11 @@ def test_pair_histograms_at_wide_pair_digits(q, threads):
     rng = np.random.default_rng(q)
     arrays = [built, built[:, rng.permutation(built.shape[1])],
               rng.integers(0, q, size=(3, 2 * q), dtype=np.uint8)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("EOA_THREADS", threads)
-        if threads != "1":
-            mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
-        for entries in arrays:
-            for t in (1, 2):
-                subsets = list(itertools.combinations(range(3), t))
-                counts = pair_histograms(entries, field, subsets)
-                assert np.array_equal(counts, pair_histograms_oracle(entries, field,
-                                                                      subsets))
+    for entries in arrays:
+        for t in (1, 2):
+            subsets = list(itertools.combinations(range(3), t))
+            counts = pair_histograms(entries, field, subsets)
+            assert np.array_equal(counts, pair_histograms_oracle(entries, field, subsets))
 
 
 @st.composite
@@ -530,9 +507,8 @@ def counted_arrays(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=counted_arrays(), budget=st.sampled_from([0, 1, 2, 3, "key"]),
-       threads=st.sampled_from(["1", "4"]))
-def test_every_subset_histogram_matches_per_subset_oracle(case, budget, threads):
+@given(case=counted_arrays(), budget=st.sampled_from([0, 1, 2, 3, "key"]))
+def test_every_subset_histogram_matches_per_subset_oracle(case, budget):
     """Each verifier asks its counter once for every subset in
     lexicographic order (`subset_histograms` for strength,
     `pair_histograms` for pairs), and row i of the count array is exactly
@@ -546,8 +522,6 @@ def test_every_subset_histogram_matches_per_subset_oracle(case, budget, threads)
     strength_counter = Recorder(oa_module.subset_histograms)
     pair_counter = Recorder(euler_module.pair_histograms)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("EOA_THREADS", threads)
-        mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
         mp.setattr(oa_module, "subset_histograms", strength_counter)
         mp.setattr(euler_module, "pair_histograms", pair_counter)
         if budget == "key":
@@ -664,22 +638,18 @@ PAIRED_REQUEST = (np.random.default_rng(7).integers(0, 4, size=(6, 64)), 4,
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=subset_requests(), budget=st.sampled_from([0, 1, 2, 3]),
-       threads=st.sampled_from(["1", "4"]))
-@example(case=PAIRED_REQUEST, budget=0, threads="1")
-@example(case=PAIRED_REQUEST, budget=1, threads="4")
-def test_any_subsets_match_support_histograms_oracle(case, budget, threads):
+@given(case=subset_requests(), budget=st.sampled_from([0, 1, 2, 3]))
+@example(case=PAIRED_REQUEST, budget=0)
+@example(case=PAIRED_REQUEST, budget=1)
+def test_any_subsets_match_support_histograms_oracle(case, budget):
     """For any list of subsets the counter returns one row per subset, in
     the order given, equal to the oracle's histogram bit for bit: blocks
-    of one to three groups or the default budget (0), serially and on four
-    threads."""
+    of one to three groups or the default budget (0)."""
     digits, base, subsets = case
     N = digits.shape[1]
     t = len(subsets[0]) if subsets else 1
     bins = base ** (t + 1) if base ** (t + 1) <= N else base**t
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("EOA_THREADS", threads)
-        mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
         if budget:
             mp.setattr(oa_module, "_BLOCK_KEYS", budget * max(N, bins))
         counts = oa_module.subset_histograms(digits, base, subsets)

@@ -1286,18 +1286,16 @@ def batched_cases(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(batched_cases(), st.sampled_from(["one", "two", "default"]),
-       st.sampled_from(["1", "4"]))
-def test_batched_averages_equal_per_term_oracles(case, bound, threads):
+@given(batched_cases(), st.sampled_from(["one", "two", "default"]))
+def test_batched_averages_equal_per_term_oracles(case, bound):
     """Counting each support once and reading each term's coefficients off
     the character sums of its histogram, in blocks, gives the Weyl expansion
     of every term's averaged block of the per-term matrix kernel calls, and
     the vectorized report gives the per-string loop's per-term norms (in
     input order), env shift and residual, at TOL_BACKEND_AGREEMENT.  Blocks
     hold one term or counting group, two (Eulerian terms of the widest
-    arity), or the defaults; the counter runs serially or on four threads.
-    The Eulerian oracle shifts each projection to g_j - g_0 itself, so it
-    checks the phase applied after counting."""
+    arity), or the defaults.  The Eulerian oracle shifts each projection to
+    g_j - g_0 itself, so it checks the phase applied after counting."""
     entries, q, drift = case
     field = field_from_order(q)
     unitaries = _symbol_unitaries(field)
@@ -1310,8 +1308,6 @@ def test_batched_averages_equal_per_term_oracles(case, bound, threads):
                                       field, unitaries, hams, 0.1)
                   for term in drift.terms]}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("EOA_THREADS", threads)
-        mp.setattr(oa_module, "_PARALLEL_KEYS", 0)
         if bound != "default":
             per = 1 if bound == "one" else 2
             t = drift.max_arity
@@ -1694,6 +1690,35 @@ def test_json_readers_name_the_file(tmp_path, reader, data, message):
     path.write_bytes(data)
     with pytest.raises(ValueError) as excinfo:
         reader(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+MALFORMED = "malformed drift document: "
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: doc["terms"][0].update(sys=[[1.0, 0.0, 0.0]] * 16),
+     MALFORMED + "terms[0].sys: too many values to unpack (expected 2)"),
+    (lambda doc: doc["terms"][0].update(sys=[1, 2, 3]),
+     MALFORMED + "terms[0].sys: cannot unpack non-iterable int object"),
+    (lambda doc: doc["terms"][1].pop("env"), MALFORMED + "terms[1].env: missing 'env'"),
+    (lambda doc: doc.update(d="2"), MALFORMED + "n, d, d_env: not integers"),
+    (lambda doc: doc.update(terms=5), MALFORMED + "terms: 'int' object is not iterable"),
+    (lambda doc: doc.update(env_only=[[0.0, 0.0]] * 3),
+     MALFORMED + "env_only: expected 4 entries, got 3"),
+    (lambda doc: doc.pop("n"), MALFORMED + "n, d, d_env: missing 'n'"),
+    (lambda doc: doc["terms"][0].update(support=[0, 9]), "support (0, 9) out of range")],
+    ids=["triples", "not-pairs", "missing-env", "string-d", "terms-int",
+         "env-only-size", "missing-n", "support-range"])
+def test_read_drift_names_the_file_and_field(tmp_path, tamper, message):
+    """Every error of a drift file is one ValueError line after the file's
+    path; a structural one names the field that was wrong."""
+    doc = drift_to_json(random_drift(3, 2, 2, 2, seed=17))
+    tamper(doc)
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as excinfo:
+        read_drift(path)
     assert str(excinfo.value) == f"{path}: {message}"
 
 

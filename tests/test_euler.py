@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eoa import oa as oa_module
 from eoa.codes import LinearCode, gf_matmul, hamming_code
 from eoa.decoupling import _pair_bins, eulerian_average, random_drift
 from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
@@ -311,16 +310,6 @@ def test_read_eoa_requires_trailer(tmp_path, eoa256):
     path.write_text("\n".join(lines[:-1] + ["EULER 2"]) + "\n")
     with pytest.raises(ValueError, match="malformed EULER trailer"):
         read_eulerian_oa(path)
-
-
-def test_workers_env_var_same_certificate(eoa256, monkeypatch):
-    serial = verify_eulerian(eoa256.entries, F4, 2)
-    monkeypatch.setenv("EOA_THREADS", "4")
-    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 0)
-    parallel = verify_eulerian(eoa256.entries, F4, 2)
-    assert isinstance(parallel, EulerianCertificate)
-    assert parallel.edge_multiplicity == serial.edge_multiplicity
-    assert parallel.gensets == serial.gensets
 
 
 def test_read_eoa_rejects_shuffled_columns(tmp_path, eoa256):

@@ -1,4 +1,3 @@
-import os
 import re
 import tempfile
 from pathlib import Path
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from eoa.codes import LinearCode, hamming_code
 from eoa.gf import gf_new
-from eoa import config, oa as oa_module
+from eoa import oa as oa_module
 from eoa.cli import main
 from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, format_oa,
                     max_strength, oa_from_code, read_oa, read_oa_entries, read_oa_file,
@@ -18,8 +17,6 @@ from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, format
 
 F4 = gf_new(2, 2)
 F2 = gf_new(2, 1)
-# the serial floor as the library sets it, read before conftest.py can lower it
-PARALLEL_KEYS = oa_module._PARALLEL_KEYS
 
 
 def format_oa_oracle(oa) -> str:
@@ -409,14 +406,6 @@ def test_read_oa_rejects_wrong_lambda_claim(tmp_path, oa16):
         read_oa(path)
 
 
-def test_workers_env_var_same_result(oa16, monkeypatch):
-    monkeypatch.setenv("EOA_THREADS", "4")
-    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 0)
-    assert verify_strength(oa16.entries, 4, 2) == 1
-    result = verify_strength(oa16.entries, 4, 3)
-    assert isinstance(result, StrengthViolation)
-
-
 def test_read_oa_file_trailer(tmp_path, oa16):
     """One reader for both formats: the EULER trailer is split off once."""
     path = tmp_path / "oa16.txt"
@@ -550,37 +539,3 @@ def test_read_oa_file_ragged_rows_name_the_shape(tmp_path):
     path.write_text("OA 2 2 4 1 1\n0 1\n2\n")
     with pytest.raises(ValueError, match=r"array shape \(2, 1/2\) != \(2, 2\)"):
         read_oa_file(path)
-
-
-def test_parallel_map_keeps_order():
-    items = list(range(20))
-    for workers in (1, 4):
-        assert config.parallel_map(lambda x: x * x, items, workers) == [x * x for x in items]
-
-
-def test_worker_count_default_and_override(monkeypatch):
-    """Unset, EOA_THREADS defaults to at most two usable CPUs; "1" is
-    serial, and any other count overrides the default."""
-    monkeypatch.delenv("EOA_THREADS", raising=False)
-    assert config.worker_count() == min(2, len(os.sched_getaffinity(0)))
-    monkeypatch.setenv("EOA_THREADS", "1")
-    assert config.worker_count() == 1
-    monkeypatch.setenv("EOA_THREADS", "4")
-    assert config.worker_count() == 4
-
-
-def test_small_counts_start_no_threads(oa16, monkeypatch):
-    """A count below `_PARALLEL_KEYS` runs serially whatever the worker
-    count: no ThreadPoolExecutor is constructed.  With the floor at 0 the
-    same call constructs one."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("ThreadPoolExecutor constructed")
-
-    monkeypatch.setenv("EOA_THREADS", "4")
-    monkeypatch.setattr(config, "ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", PARALLEL_KEYS)
-    assert 10 * 16 < PARALLEL_KEYS          # C(5, 2) subsets x N keys
-    assert verify_strength(oa16.entries, 4, 2) == 1
-    monkeypatch.setattr(oa_module, "_PARALLEL_KEYS", 0)
-    with pytest.raises(AssertionError, match="constructed"):
-        verify_strength(oa16.entries, 4, 2)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -368,6 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes "-1e-3" for an option: "--tol -1e-3" goes as "--tol=-1e-3"
+    for i in reversed(range(1, len(argv))):
+        if re.match(r"-\.?[0-9]", argv[i]) and re.fullmatch(r"--[^=]+", argv[i - 1]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

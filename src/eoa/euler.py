@@ -113,14 +113,10 @@ class EulerianOA:
 def _vector_add_table(field: FieldTable, k: int) -> np.ndarray:
     """q^k x q^k table of componentwise sums of base-q encoded vectors."""
     q = field.q
-    count = q**k
-    encoded = np.arange(count)
-    digits = np.array(np.unravel_index(encoded, (q,) * k)).T  # (count, k)
-    table = np.zeros((count, count), dtype=np.int64)
-    weights = q ** np.arange(k - 1, -1, -1)
-    for s in range(count):
-        summed = field.add_table[digits, digits[s][None, :]]
-        table[:, s] = summed @ weights
+    table = np.zeros((q**k, q**k), dtype=np.int64)
+    for row in np.unravel_index(np.arange(q**k), (q,) * k):   # digit rows, first leading
+        table *= q
+        table += field.add_table[row[:, None], row]
     return table
 
 
@@ -136,23 +132,21 @@ def euler_cycle_full(field: FieldTable, k: int) -> EulerianCycle:
     n_edges = q ** (2 * k)
     if n_edges > config.EULER_EDGE_CAP:
         raise ValueError(f"q^(2k) = {n_edges} exceeds cap {config.EULER_EDGE_CAP}")
-    n_vertices = q**k
-    vadd = _vector_add_table(field, k).tolist()    # Python ints: no numpy scalars
-
-    next_gen = [0] * n_vertices
-    stack = [0]
-    trail: list[int] = []
+    # each vertex's unused edges as a stack of their heads (Python ints, no
+    # numpy scalars), the lexicographically next generator's on top
+    unused = _vector_add_table(field, k)[:, ::-1].tolist()
+    stack, trail = [0], []
+    push, pop, emit = stack.append, stack.pop, trail.append
     while stack:
-        v = stack[-1]
-        s = next_gen[v]
-        if s < n_vertices:
-            next_gen[v] = s + 1
-            stack.append(vadd[v][s])
-        else:
-            trail.append(stack.pop())
-    trail.reverse()
+        heads = unused[stack[-1]]
+        while heads:                # a greedy stretch: take unused edges until stuck
+            v = heads.pop()
+            push(v)
+            heads = unused[v]
+        emit(pop())
     assert len(trail) == n_edges + 1 and trail[0] == 0 and trail[-1] == 0
-    encoded = np.array(trail[:-1], dtype=np.int64)
+    # the trail comes off the stack backwards; the cycle leaves out its last 0
+    encoded = np.fromiter(reversed(trail), dtype=np.int64, count=n_edges)
     vertices = np.array(np.unravel_index(encoded, (q,) * k)).T
     return EulerianCycle(q, k, vertices, 1)
 
@@ -390,7 +384,7 @@ def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
 
 def write_eulerian_oa(path, eoa: EulerianOA) -> None:
     trailer = f"EULER {eoa.t} {eoa.edge_multiplicity}\n"
-    Path(path).write_text(format_oa(eoa.oa) + trailer)
+    Path(path).write_bytes(format_oa(eoa.oa, trailer))
 
 
 def read_eulerian_oa(path) -> EulerianOA:

@@ -10,17 +10,15 @@ strength and Eulerian verifiers ask it for every t-row subset (the latter
 through `euler.pair_histograms`), the averaging layer for the supports of
 a drift's terms.  Each row carries one
 digit per column: its symbol here, the (symbol, transition) pair in base
-q^2 for a direct Eulerian count.  The requested subsets are grouped by their
-(t-1)-row prefix, whose key is encoded once; the keys of a block of later
-rows are that key plus each row's digits, which carry the offset of the
-row's histogram slot, and one bincount returns the histograms of the
-whole block of t-row subsets.
-When base^(t+1) <= N a key carries two later rows, whose histograms are
-the marginals of their joint one: half the keys, and no more bins than
-keys.  Blocks hold at most `_BLOCK_KEYS` keys (one row or row pair when N
-alone is more), so memory stays bounded as N grows.  The histograms come
-back as one count array, a row per subset in the order asked; judging is
-the caller's.  Both verifiers judge all rows at once by one judge of
+q^2 for a direct Eulerian count.  A job is one (t-1)-row prefix and one
+group of later rows: two rows when base^(t+1) <= N, whose histograms are
+the marginals of their joint one (half the keys, and no more bins than
+keys), else one.  Runs of jobs share one key encoding and one bincount,
+so many short prefixes cost one block; blocks hold at most `_BLOCK_KEYS`
+keys and bins (one job when N alone is more), so memory stays bounded as
+N grows, and only a block's keys are intp.  The histograms come back as
+one count array, a row per subset in the order asked; judging is the
+caller's.  Both verifiers judge all rows at once by one judge of
 (vertex, transition) counts, a strength histogram being that of one
 transition, and name only the first failing subset's violation; failing
 pairs have their strength judged first, on their vertex marginal.
@@ -88,9 +86,10 @@ class OrthogonalArray:
         return f"OA_{self.lam}({self.N}, {self.n}, {self.q}, {self.t})"
 
 
-# Keys per counting block: 2^19 int64 keys, about 4 MB.  Larger blocks save
-# little time and leave more freed memory with the allocator for later stages.
-_BLOCK_KEYS = 2**19
+# Keys (and bins) per block: 2^16 int64 keys, 512 KB.  Blocks of 2^17 and
+# more page-fault fresh memory on every call: 2.5x slower counts of wide
+# histograms (10 x 6561 pair digits in base 81), and no faster elsewhere.
+_BLOCK_KEYS = 2**16
 
 
 def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
@@ -100,24 +99,19 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     strictly increasing row tuples of one size t; row i counts the columns
     of digits[subsets[i]], encoded base `base` with the first row most
     significant; no subsets give a (0, 0) array.  Judging the histograms
-    is the caller's.  The subsets are grouped by their (t-1)-row prefix,
-    whose key is encoded once; each prefix counts the requested later rows
-    in blocks of at most `_BLOCK_KEYS` keys, one bincount of the block's
-    size per block, and writes their rows of the result.  The prefixes are
-    counted one after another into one key buffer.
+    is the caller's.
 
-    When base^(t+1) <= N, later rows are counted two at a time: one key
-    per column encodes the prefix and both rows' digits, and the two
-    histograms are the marginals of the joint one.  That halves the keys,
-    and the joint histogram has no more bins than a row has keys, so its
-    zeroing and marginal sums cost less than the counting they save.  The
-    pairs are fixed from the last row back, (n-2, n-1), (n-4, n-3), ...,
-    row 0 paired with zero digits when n is odd, and their joint digits
-    computed once per call; the later rows of a prefix then fill all their
-    pairs but the first.  A prefix counts only the pairs that hold a
-    requested row; a pair whose first row ends the prefix still gives the
-    second row's histogram as its marginal.  A block is a run of
-    consecutive pairs, so its keys are one slice of the joint digits.
+    The subsets are grouped by their (t-1)-row prefix and their later rows
+    by group: two rows when base^(t+1) <= N, whose histograms are the
+    marginals of their joint one (half the keys, and no more bins than a
+    row has keys), else one; pairs run from the last row back, row 0
+    paired with itself when n is odd.  A job is one prefix and one group
+    that holds a requested row.  A block of consecutive jobs, at most
+    `_BLOCK_KEYS` keys and bins (one job when N or the bins alone are
+    more), is one bincount, so many short prefixes share one: a key is its
+    group's joint digits (computed once per call, in the smallest dtype
+    that holds a job's bins) plus its prefix's digits above them (once per
+    block) plus its job's slot offset; only a block's keys are intp.
     """
     # row slices of a Fortran-ordered or column-gathered array are strided,
     # which makes every key encoding and bincount about 1.7x slower
@@ -133,66 +127,59 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
     t = subsets.shape[1]
     order = np.lexsort(subsets.T[::-1])
     ordered = subsets[order]                    # lexicographic, by prefix
-    starts = np.flatnonzero((ordered[1:, :-1] != ordered[:-1, :-1]).any(axis=1)) + 1
     width = base**t
     group = 2 if base * width <= N else 1       # later rows per key
-    first = n % group                           # zero rows before row 0
-    if group == 2:                              # one row of joint digits per group
-        codes = np.zeros(((n + 1) // 2, N), dtype=np.intp)
-        codes[first:] = digits[first::2]
-        codes *= base
-        codes += digits[1 - first::2]
-    else:
-        codes = digits.astype(np.intp)
-    bins = width * base ** (group - 1)          # histogram of a group's key
-    per_block = max(1, _BLOCK_KEYS // max(N, bins))
-    # no block holds more groups than there are, so small arrays keep
-    # small buffers
-    depth = min(per_block, len(codes))
-    # group g counts into histogram slot g mod depth, whose offset its codes
-    # carry: a block never crosses a multiple of depth, so its slots run
-    # consecutively and, less the first one's offset, fill a histogram of
-    # the block's size
-    codes += bins * (np.arange(len(codes)) % depth)[:, None]
+    first = n % group                           # 1: row 0 paired with itself
+    # each subset's group, and its row's place in the group
+    rank, second = np.divmod(ordered[:, -1] + first, group)
+    starts = np.ones(len(ordered), dtype=bool)
+    starts[1:] = (ordered[1:, :-1] != ordered[:-1, :-1]).any(axis=1)
+    prefix = np.cumsum(starts) - 1              # each subset's prefix
+    prefix_rows = ordered[starts, :-1]
+    starts[1:] |= rank[1:] != rank[:-1]         # now: a subset that starts a job
+    job = np.cumsum(starts) - 1
+    cut = np.append(np.flatnonzero(starts), len(ordered))
+    pre, grp = prefix[cut[:-1]], rank[cut[:-1]]     # each job's prefix and group
+    bins = base ** (t + group - 1)              # histogram of a job's key
+    local = np.min_scalar_type(bins - 1)
+    # each group's joint digits, first row leading: (n + first) / group rows
+    g = np.arange((n + first) // group)
+    lead = digits[np.maximum(group * g - first, 0)].astype(local)
+    if group == 2:
+        lead *= base
+        np.add(lead, digits[2 * g + 1 - first], out=lead, casting="unsafe")
+    depth = min(max(1, _BLOCK_KEYS // max(N, bins)), len(pre))
+    code, head = np.empty((2, depth, N), dtype=local)
     keys = np.empty((depth, N), dtype=np.intp)
-    head = np.empty(N, dtype=np.intp)
-    out = np.empty((len(ordered), width), dtype=np.intp)
-    for start, stop in itertools.pairwise([0, *starts.tolist(), len(ordered)]):
-        lasts = ordered[start:stop, -1]         # requested later rows, sorted
-        rank = (lasts + first) // group         # each requested row's group
-        # the prefix's digits as a number (zeros when t = 1)
-        head[:] = 0
-        for row in ordered[start, :-1].tolist():
-            head *= base
-            head += digits[row]
-        head *= base**group
-        shift = 0                               # slot offset taken off head
-        # blocks: runs of consecutive groups, cut at multiples of depth
-        jumps = np.flatnonzero(rank[1:] > rank[:-1] + 1) + 1
-        for a, b in itertools.pairwise([0, *jumps.tolist(), len(rank)]):
-            g, end = int(rank[a]), int(rank[b - 1]) + 1
-            while g < end:
-                size = min(depth - g % depth, end - g)
-                if g % depth != shift:
-                    head -= bins * (g % depth - shift)
-                    shift = g % depth
-                np.add(codes[g:g + size], head, out=keys[:size])
-                counts = np.bincount(keys[:size].ravel(), minlength=size * bins)
-                lo, hi = np.searchsorted(rank, [g, g + size])
-                at, slots = order[start + lo:start + hi], rank[lo:hi] - g
-                g += size
-                if group == 1:
-                    out[at] = counts.reshape(size, width)[slots]
-                    continue
-                # a pair's row histograms: sum out the other row of the pair
-                joint = counts.reshape(size, width // base, base, base)
-                second = (lasts[lo:hi] + first) % 2
-                for r in (0, 1):
-                    pick = np.flatnonzero(second == r)
-                    if len(pick):
-                        margin = joint.sum(axis=3 - r).reshape(size, width)
-                        out[at[pick]] = margin[slots[pick]]
-    return out
+    slots = bins * np.arange(depth)[:, None]    # job j of a block counts at j * bins
+    out = np.empty((len(ordered), width), dtype=np.intp)    # in sorted order
+    span = None                                 # the prefixes held in head
+    for lo in range(0, len(pre), depth):
+        size = min(depth, len(pre) - lo)
+        # mode="clip" skips the buffered copy that take makes into out
+        key = np.take(lead, grp[lo:lo + size], axis=0, out=code[:size], mode="clip")
+        if t > 1:       # the block's prefixes' digits, above their groups'
+            p0, p1 = pre[lo], pre[lo + size - 1] + 1
+            h = head[:p1 - p0]
+            if span != (p0, p1):                # a prefix over blocks: once
+                span = (p0, p1)
+                h[:] = 0
+                for column in prefix_rows[p0:p1].T:
+                    h *= base
+                    np.add(h, digits[column], out=h, casting="unsafe")
+                h *= base**group
+            key += h if len(h) == 1 else h[pre[lo:lo + size] - p0]
+        np.add(key, slots[:size], out=keys[:size], casting="unsafe")
+        counts = np.bincount(keys[:size].ravel(), minlength=size * bins)
+        if group == 2:  # a pair's row histograms: sum out its other row (an
+            # einsum is about 5x faster than a sum over one small axis)
+            joint = counts.reshape(size, width // base, base, base)
+            counts = np.concatenate([np.einsum(margin, joint)
+                                     for margin in ("jpab->jpa", "jpab->jpb")])
+        a, b = cut[lo], cut[lo + size]           # its subsets, each of its job's
+        np.take(counts.reshape(-1, width), second[a:b] * size + job[a:b] - lo,
+                axis=0, out=out[a:b], mode="clip")  # first or second rows
+    return out if (order[1:] > order[:-1]).all() else out[np.argsort(order)]
 
 
 def _judge_counts(counts: np.ndarray, used: np.ndarray, N: int) -> tuple[int, int | None]:
@@ -325,27 +312,39 @@ def _token_table(tokens: list[str]) -> np.ndarray:
     return table
 
 
-def format_oa(oa: OrthogonalArray) -> str:
-    """The OA file text: a gather of symbol tokens per block of rows, no
-    per-symbol Python."""
-    header = f"OA {oa.N} {oa.n} {oa.q} {oa.t} {oa.lam}\n"
+def _digit_layout(N: int) -> np.ndarray:
+    """A written row of one-digit symbols less its digits: N little-endian
+    uint16 ("0", separator) byte pairs, the last separator a newline."""
+    layout = np.full(N, ord("0") | ord(" ") << 8, dtype="<u2")
+    layout[-1] = ord("0") | ord("\n") << 8
+    return layout
+
+
+def format_oa(oa: OrthogonalArray, trailer: str = "") -> bytes:
+    """The OA file bytes, `trailer` appended, with no per-symbol Python.
+    One-digit symbols (q <= 10) add `_digit_layout` to the entries, the
+    uint16 view `_read_written` reads back; wider ones gather their tokens
+    from a byte table per block of rows."""
+    header = f"OA {oa.N} {oa.n} {oa.q} {oa.t} {oa.lam}\n".encode()
     if oa.entries.min() < 0 or oa.entries.max() >= oa.q:
         raise ValueError(f"entries must be symbols in [0, {oa.q})")
-    table = _token_table([f"{s} " for s in range(oa.q)])
     n, N = oa.entries.shape
-    rows = max(1, _BLOCK_KEYS // N)             # the gather's intp index per block
-    parts = [header]
-    for lo in range(0, n, rows):
-        text = np.take(table, oa.entries[lo:lo + rows], axis=0)    # (rows, N, w)
-        text[:, -1, -1] = ord("\n")            # each row's last space
-        if oa.q > 10:                           # mixed widths: drop padding
-            text = text[text != 0]
-        parts.append(text.tobytes().decode("ascii"))
-    return "".join(parts)
+    if oa.q <= 10:
+        rows = [np.add(oa.entries, _digit_layout(N), dtype="<u2", casting="unsafe",
+                       order="C")]
+    else:
+        table = _token_table([f"{s} " for s in range(oa.q)])
+        step = max(1, _BLOCK_KEYS // N)         # the gather's intp index per block
+        rows = []
+        for lo in range(0, n, step):
+            text = np.take(table, oa.entries[lo:lo + step], axis=0)    # (rows, N, w)
+            text[:, -1, -1] = ord("\n")        # each row's last space
+            rows.append(text[text != 0])        # mixed widths: drop padding
+    return b"".join([header, *rows, trailer.encode()])
 
 
 def write_oa(path, oa: OrthogonalArray) -> None:
-    Path(path).write_text(format_oa(oa))
+    Path(path).write_bytes(format_oa(oa))
 
 
 _SYMBOL = re.compile(r"[+-]?[0-9]+")
@@ -420,9 +419,7 @@ def _read_written(data: bytes) -> tuple | None:
     if not size or start + size > len(data) or tail is None:
         return None
     pairs = np.frombuffer(data, dtype="<u2", count=n * N, offset=start).reshape(n, N)
-    layout = np.full(N, ord("0") | ord(" ") << 8, dtype=np.uint16)
-    layout[-1] = ord("0") | ord("\n") << 8
-    symbols = pairs - layout
+    symbols = pairs - _digit_layout(N)
     if symbols.max() >= 10:
         return None
     trailer = None if tail[1] is None else (int(tail[1]), int(tail[2]))

@@ -693,6 +693,7 @@ BAD_INPUTS = [
     "sim bangbang --oa {oa16} --n 5 --t 3 --seed 7 --tol nan",
     "sim bangbang --oa {oa16} --n 5 --t 3 --seed 7 --tol inf",
     "sim bangbang --oa {oa16} --n 5 --t 3 --seed 7 --tol -0.001",
+    "sim bangbang --oa {oa16} --t 2 --tol -1e-3",
     "sim eulerian --oa {eoa256} --n 5 --t 2 --delta 0",
     "sim eulerian --oa {eoa256} --n 5 --t 2 --delta -0.1",
     "sim eulerian --oa {eoa256} --n 5 --t 2 --delta nan",

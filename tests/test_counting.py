@@ -153,11 +153,12 @@ def arrays(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=arrays(), budget=st.sampled_from([1, 2, 3, 0]))
+@given(case=arrays(), budget=st.sampled_from([1, 2, 3, 7, 40, 0]))
 def test_blocked_verifiers_match_per_subset_oracle(case, budget):
     """Same lambda, edge multiplicity, gensets and first violation as the
-    per-subset path, with blocks of 1 to 3 rows that split prefixes, and
-    the full budget (0 here).  The Eulerian verdict is the strength
+    per-subset path, with blocks of 1 to 3 rows that cut a prefix's later
+    rows across blocks, of 7 or 40 that also hold several short prefixes,
+    and the full budget (0 here).  The Eulerian verdict is the strength
     oracle's violation first, else the Eulerian oracle's verdict, so a
     failing array's strength violation from the pair count is exactly
     `verify_strength`'s."""
@@ -507,15 +508,16 @@ def counted_arrays(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=counted_arrays(), budget=st.sampled_from([0, 1, 2, 3, "key"]))
+@given(case=counted_arrays(), budget=st.sampled_from([0, 1, 2, 3, 7, 40, "key"]))
 def test_every_subset_histogram_matches_per_subset_oracle(case, budget):
     """Each verifier asks its counter once for every subset in
     lexicographic order (`subset_histograms` for strength,
     `pair_histograms` for pairs), and row i of the count array is exactly
     subset i's histogram; the verdicts judged in bulk from it are the
     per-subset judges' (lambda, gensets or the first violation).  Blocks
-    hold the default budget, one, two or three rows' keys, or a single key
-    (one group per block)."""
+    hold the default budget, one, two or three rows' keys (a prefix's later
+    rows cut across blocks), 7 or 40 (several short prefixes in a block,
+    cut anywhere), or a single key (one job per block)."""
     q, t, entries = case
     field = FIELDS[q]
     N = entries.shape[1]

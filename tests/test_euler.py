@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -10,9 +11,10 @@ from eoa.decoupling import _pair_bins, eulerian_average, random_drift
 from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
                        _vector_add_table, euler_cycle_full, eulerian_oa_from_code,
                        read_eulerian_oa, verify_eulerian, write_eulerian_oa)
-from eoa.gf import field_from_order, gf_new
+from eoa.gf import field_from_order, gf_new, is_prime
 from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, _judge_counts,
-                    oa_from_code, read_oa_file, subset_histograms, verify_strength)
+                    oa_from_code, read_oa_file, subset_histograms, verify_strength,
+                    write_oa)
 
 from test_counting import pair_digits
 
@@ -86,9 +88,16 @@ def hierholzer_oracle(field, k):
     return np.array(trail[:-1], dtype=np.int64)
 
 
-@pytest.mark.parametrize("q, k", [(4, 1), (4, 2), (4, 3), (4, 4), (9, 1), (9, 2)])
+# every prime power q <= 256 and k with q^(2k) <= 2^16
+CYCLE_ORDERS = sorted((p**m, k) for p in range(2, 257) if is_prime(p)
+                      for m in range(1, 9) if p**m <= 256
+                      for k in range(1, 9) if p ** (2 * m * k) <= 2**16)
+
+
+@pytest.mark.parametrize("q, k", CYCLE_ORDERS)
 def test_cycle_equals_numpy_indexed_hierholzer(q, k):
-    """The list-based walk gives the numpy-indexed walk's trail exactly."""
+    """The list-based walk, a greedy stretch at a time, gives the
+    numpy-indexed walk's trail exactly."""
     field = field_from_order(q)
     assert np.array_equal(encode_vertices(euler_cycle_full(field, k)),
                           hierholzer_oracle(field, k))
@@ -262,6 +271,30 @@ def test_eoa_file_roundtrip(tmp_path, eoa256):
     assert back.edge_multiplicity == 1
     write_eulerian_oa(tmp_path / "again.txt", back)
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+# sha256 of the files as written before the walk and the writer were made
+# faster: neither may change a byte
+PINNED_FILES = {
+    ("oa", 4, 2): "cdd60576e5aac530c676dfbf4ebc950977713423fdb437648b9b96cb1cde661b",
+    ("eoa", 4, 3): "16bef52bc9d06058803caac7beba3cc70d4d2179775033c8ec7847af53f0413b",
+    ("eoa", 16, 2): "b401fbc3a771d9afa8c420184351cf7bd75dfcfc5315bca02c1cf92a31ec66af",
+}
+
+
+@pytest.mark.parametrize("kind, q, m", sorted(PINNED_FILES))
+def test_written_files_match_pinned_digests(kind, q, m, tmp_path):
+    """The GF(4) m = 2 OA file and the GF(4) m = 3 and GF(16) m = 2
+    Eulerian files, from their dual Hamming codes, are byte for byte the
+    pinned ones: the cycle, the one-digit and the two-digit writer."""
+    code = hamming_code(field_from_order(q), m).dual()
+    path = tmp_path / "array.txt"
+    if kind == "oa":
+        write_oa(path, oa_from_code(code, 3))
+    else:
+        cycle = euler_cycle_full(code.field, code.k)
+        write_eulerian_oa(path, eulerian_oa_from_code(code, cycle, 2))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FILES[kind, q, m]
 
 
 @settings(max_examples=25, deadline=None)

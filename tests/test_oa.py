@@ -236,7 +236,7 @@ def test_oa_file_roundtrip_is_exact(qt, lam, n, seed):
                                         f"out of range for {n} rows")
             return
         _, back, header, trailer = outcome
-        text = path.read_text()
+        text = path.read_bytes()
     assert back.dtype == np.uint8 and np.array_equal(back, entries)
     assert header == (N, n, q, t, lam) and trailer is None
     assert format_oa(OrthogonalArray(q, n, N, t, lam, back)) == text
@@ -254,22 +254,26 @@ _SEPARATORS = [" ", "  ", "\t", " \t ", "\t\t"]
 
 
 @settings(max_examples=60, deadline=None)
-@given(q=st.sampled_from([2, 3, 4, 9, 16, 256]), n=st.integers(1, 5),
+@given(q=st.sampled_from([2, 3, 4, 5, 8, 9, 11, 16, 256]), n=st.integers(1, 5),
        N=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        crlf=st.booleans(), blank=st.booleans(), sep=st.sampled_from(_SEPARATORS))
 def test_text_format_matches_oracles(q, n, N, seed, crlf, blank, sep):
-    """format_oa equals the per-symbol writer byte for byte, in one block
-    of rows or in blocks of one and two rows, and read_oa_file equals the
+    """format_oa equals the per-symbol writer byte for byte, one-digit
+    symbols (q <= 10) by the uint16 layout, wider ones (q = 11 mixes one-
+    and two-digit tokens) in one block of rows or in blocks of one and two
+    rows, from C- or Fortran-ordered entries, and read_oa_file equals the
     per-row parser, on the written text and on the same rows respaced with
     tabs or runs of spaces, CRLF line ends and blank lines."""
     entries = np.random.default_rng(seed).integers(0, q, size=(n, N))
     oa = _header_only(q, entries)
-    text = format_oa(oa)
-    assert text == format_oa_oracle(oa)
+    data = format_oa(oa)
+    assert isinstance(data, bytes) and data == format_oa_oracle(oa).encode()
+    assert format_oa(_header_only(q, np.asfortranarray(entries))) == data
     for block in (N, 2 * N + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oa_module, "_BLOCK_KEYS", block)
-            assert format_oa(oa) == text
+            assert format_oa(oa) == data
+    text = data.decode()
     head, *rows = text.splitlines()
     respaced = [sep + sep.join(row.split()) + sep for row in rows]
     end = "\r\n" if crlf else "\n"
@@ -357,7 +361,7 @@ def test_one_changed_byte_reads_as_the_text_path(q, n, N, seed, euler, change, a
     the byte view's layout: the file reads, or fails with the same
     message, as it does with a blank line after its header."""
     entries = np.random.default_rng(seed).integers(0, q, size=(n, N))
-    data = format_oa(_header_only(q, entries)).encode()
+    data = format_oa(_header_only(q, entries))
     data += b"EULER 1 1\n" if euler else b""
     start = data.index(b"\n") + 1
     cls, new = _BYTE_CLASSES[change]

@@ -494,14 +494,6 @@ def _weyl_expansion(unitaries: np.ndarray, t: int) -> np.ndarray:
     return strings.conj().reshape(q**t, -1).T / d**t
 
 
-def _pair_bins(q: int, t: int) -> np.ndarray:
-    """(q^t, q^t) bin of each (vertex code, transition code) in a histogram
-    of pair digits, vertex * q + transition per row, first row leading."""
-    code = (q * q) ** np.arange(t - 1, -1, -1) @ np.array(
-        np.unravel_index(np.arange(q**t), (q,) * t))
-    return q * code[:, None] + code
-
-
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows in lexicographic order, each row's index among them),
     as np.unique(a, axis=0, return_inverse=True) but from one lexsort, several
@@ -622,23 +614,23 @@ def _averages(entries: np.ndarray, supports: list, blocks: list, field: FieldTab
                 for i, walk in zip(run, walks):
                     averaged[idx[i]] = walk.reshape(-1) @ expand
             continue
-        hists = (subset_histograms(entries, q, rows) if delta is None
-                 else pair_histograms(entries, field, rows))
-        k = _string_pairing(pairing, t, d)
+        # (support, vertex, transition) counts, one transition for bang-bang
         if delta is None:
-            bins, eig = codes[:, None], None
+            hists, eig = subset_histograms(entries, q, rows)[:, :, None], None
         else:
-            bins, eig = _pair_bins(q, t), _pulse_eigensystem(h, delta)
+            hists = pair_histograms(entries, field, rows)
+            eig = _pulse_eigensystem(h, delta)
             g0 = entries[np.array(list(rows)), 0] @ q ** np.arange(t - 1, -1, -1)
-        step = max(1, _BLOCK_ENTRIES // (d * bins.size))
+        k = _string_pairing(pairing, t, d)
+        step = max(1, _BLOCK_ENTRIES // (d * hists[0].size))
         for first in range(0, len(rows), step):
-            chi = _character_sums(hists[first:first + step][:, bins], k, omega)
+            chi = _character_sums(hists[first:first + step], k, omega)
             lo, hi = np.searchsorted(ordered, [first, first + step])
             for a in range(lo, hi, step):
                 block = by_support[a:min(a + step, hi)]
                 x = np.stack([blocks[idx[i]] for i in block])[:, None]
                 filtered = x if eig is None else _apply_pulse_filter(x, eig)
-                f = filtered.reshape(len(block), bins.shape[1], -1) @ expand
+                f = filtered.reshape(len(block), hists.shape[2], -1) @ expand
                 coeffs = (f * chi[support_of[block] - first]).sum(axis=1) / N
                 if delta is not None:
                     coeffs *= omega[-k[g0[support_of[block]]] % d]
@@ -791,7 +783,7 @@ def single_cycle_average(cycle: EulerianCycle, x: np.ndarray, delta: float,
     if x.shape != (d, d):
         raise ValueError(f"operator shape {x.shape} does not match d = {d}")
     unitaries = _symbol_unitaries(field)
-    coeffs, = _averages(cycle.vertices.T, [(0,)], [x], field, unitaries, delta,
+    coeffs, = _averages(cycle.codes[None], [(0,)], [x], field, unitaries, delta,
                         method, order)
     return np.tensordot(coeffs, unitaries, axes=1)
 

@@ -42,22 +42,22 @@ from .oa import (_BLOCK_KEYS, CertificateError, OrthogonalArray, StrengthViolati
 class EulerianCycle:
     """Cyclic vertex list (m_0, ..., m_{N-1}) over F_q^k starting at 0.
 
-    vertices has shape (N, k); row j holds the symbol digits of m_j.
-    Every directed edge (v, v + s) is traversed exactly `multiplicity`
-    times by the transitions m_{j+1} - m_j (indices mod N).
+    codes has shape (N,); entry j is the base-q code of m_j, first digit
+    leading (its codeword's number in `LinearCode.messages` order).  Every
+    directed edge (v, v + s) is traversed exactly once by the transitions
+    m_{j+1} - m_j (indices mod N).
     """
 
     q: int
     k: int
-    vertices: np.ndarray
-    multiplicity: int
+    codes: np.ndarray
 
     def __post_init__(self):
-        self.vertices.setflags(write=False)
+        self.codes.setflags(write=False)
 
     @property
     def length(self) -> int:
-        return self.vertices.shape[0]
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class EulerianViolation(Violation):
 
     check = "eulerian"
     rows: tuple[int, ...]
-    kind: str                       # "pair-count"
     vertex: tuple[int, ...] | None
     transition: tuple[int, ...] | None
     count: int | None
@@ -146,9 +145,8 @@ def euler_cycle_full(field: FieldTable, k: int) -> EulerianCycle:
         emit(pop())
     assert len(trail) == n_edges + 1 and trail[0] == 0 and trail[-1] == 0
     # the trail comes off the stack backwards; the cycle leaves out its last 0
-    encoded = np.fromiter(reversed(trail), dtype=np.int64, count=n_edges)
-    vertices = np.array(np.unravel_index(encoded, (q,) * k)).T
-    return EulerianCycle(q, k, vertices, 1)
+    return EulerianCycle(q, k, np.fromiter(reversed(trail), dtype=np.intp,
+                                           count=n_edges))
 
 
 def transitions(sub: np.ndarray, field: FieldTable) -> np.ndarray:
@@ -225,9 +223,9 @@ def _column_ids(arrays, base: int, N: int) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def pair_histograms(entries: np.ndarray, field: FieldTable, subsets) -> np.ndarray:
-    """(len(subsets), q^(2t)) (vertex, transition) histograms: exactly
-    `oa.subset_histograms` of the n x N pair digits symbol * q + transition
-    in base q^2, bit for bit, row i that of subsets[i].
+    """(len(subsets), q^t, q^t) histograms: [i, v, s] counts the columns of
+    entries[subsets[i]] with vertex code v and transition code s, both base
+    q with the first row leading.
 
     Each column is numbered among the array's distinct vertex columns U,
     and its transition among the distinct transition columns W.  When
@@ -236,9 +234,10 @@ def pair_histograms(entries: np.ndarray, field: FieldTable, subsets) -> np.ndarr
     times the outer product of the t-row histograms of U and of W, counted
     over |U| + |W| columns instead of N.  The (u, w) pairs are counted only
     when |U| |W| divides N; any other array (shuffled, tampered,
-    hand-entered) has its pair digits counted directly, built in the
-    smallest unsigned dtype that holds q^2 - 1 (uint16 above q = 16: a
-    uint8 symbol times q would wrap).
+    hand-entered) has its pair digits symbol * q + transition counted
+    directly, built in the smallest unsigned dtype that holds q^2 - 1
+    (uint16 above q = 16: a uint8 symbol times q would wrap), and the
+    count's axes v_0, s_0, v_1, s_1, ... reordered once.
     """
     # the numbering reads rows, which are strided slices of a Fortran-ordered
     # or column-gathered array
@@ -246,37 +245,23 @@ def pair_histograms(entries: np.ndarray, field: FieldTable, subsets) -> np.ndarr
     q, N = field.q, entries.shape[1]
     subsets = list(subsets)
     steps = transitions(entries, field)
-    numbered = _column_ids((entries, steps), q, N) if subsets else None
+    numbered = _column_ids((entries, steps), q, N)
     if numbered:
         (u, u_where), (w, w_where) = numbered
         U, W = len(u_where), len(w_where)
         if N % (U * W) == 0:
             edges = np.bincount(u * W + w, minlength=U * W)
             if edges.min() == edges.max():
-                return _product_histograms(entries[:, u_where], steps[:, w_where],
-                                           q, subsets, int(edges[0]))
+                hist_v = subset_histograms(entries[:, u_where], q, subsets)
+                hist_s = subset_histograms(steps[:, w_where], q, subsets)
+                return int(edges[0]) * hist_v[:, :, None] * hist_s[:, None, :]
     digits = entries.astype(np.min_scalar_type(q * q - 1))
     digits *= q
     digits += steps
-    return subset_histograms(digits, q * q, subsets)
-
-
-def _product_histograms(vertices: np.ndarray, steps: np.ndarray, q: int,
-                        subsets: list, c: int) -> np.ndarray:
-    """c times the outer product of the t-row symbol histograms of the
-    columns of vertices and of steps, per subset, with the axes interleaved
-    as the pair digits symbol * q + transition are: v_0, s_0, v_1, s_1, ..."""
-    hist_v = c * subset_histograms(vertices, q, subsets)
-    hist_s = subset_histograms(steps, q, subsets)
+    counts = subset_histograms(digits, q * q, subsets)
     S, t = len(subsets), len(subsets[0])
-    out = np.empty((S, q ** (2 * t)), dtype=np.intp)
-    # the product is written in place through a view of out's axes as
-    # v_0, ..., v_t-1, s_0, ..., s_t-1: no second array of its size
-    view = out.reshape((S,) + (q,) * (2 * t)).transpose(
-        0, *range(1, 2 * t, 2), *range(2, 2 * t + 1, 2))
-    np.multiply(hist_v.reshape((S,) + (q,) * t + (1,) * t),
-                hist_s.reshape((S,) + (1,) * t + (q,) * t), out=view)
-    return out
+    return counts.reshape((S,) + (q,) * (2 * t)).transpose(
+        0, *range(1, 2 * t, 2), *range(2, 2 * t + 1, 2)).reshape(S, q**t, q**t)
 
 
 def verify_eulerian(entries: np.ndarray, field: FieldTable, t: int
@@ -308,28 +293,15 @@ def verify_eulerian(entries: np.ndarray, field: FieldTable, t: int
     _check_pair_cap(q, t)
     subsets = list(itertools.combinations(range(n), t))
     counts = pair_histograms(entries, field, subsets)
-    # histogram digits interleave (vertex, transition) per row: axes v_0,
-    # s_0, v_1, s_1, ... of one view, never a transposed copy
-    S, width = len(subsets), q**t
-    pairs = counts.reshape((S,) + (q,) * (2 * t))
-    # the used transitions: summing one vertex axis at a time, v_0 first
-    # (v_1 is then axis 2, ...), is ~2.5x faster than one multi-axis sum
-    used = pairs
-    for axis in range(1, t + 1):
-        used = used.sum(axis=axis)
-    used = used.reshape(S, width) > 0
+    used = counts.sum(axis=1) > 0
     lam, i = _judge_counts(counts, used, N)
     if i is not None:
         # strength first: the pairs' vertex marginal is the strength histogram
-        strength = _judge_strength(pairs.sum(axis=tuple(range(2, 2 * t + 1, 2))),
-                                   subsets, N, q, t)
+        strength = _judge_strength(counts.sum(axis=2), subsets, N, q, t)
         if isinstance(strength, StrengthViolation):
             return strength
-        # only the failing subset's counts become a (vertex, transition) matrix
-        order = (*range(0, 2 * t, 2), *range(1, 2 * t, 2))
-        matrix = pairs[i].transpose(order).reshape(width, width)
-        return EulerianViolation(subsets[i], "pair-count",
-                                 *_first_violation(matrix, used[i], N, lam, q, t))
+        return EulerianViolation(subsets[i],
+                                 *_first_violation(counts[i], used[i], N, lam, q, t))
     # uniform counts put every vertex on the walk, and the walk moves only
     # by transitions in S, so g_0 + <S> is the whole group: S generates it.
     # One generating-set tuple per distinct used-transition mask
@@ -358,11 +330,10 @@ def eulerian_oa_from_code(code: LinearCode, cycle: EulerianCycle,
     if cycle.q != code.q or cycle.k != code.k:
         raise ValueError(f"cycle over F_{cycle.q}^{cycle.k} does not match "
                          f"code message space F_{code.q}^{code.k}")
-    # column j is codeword number m_j (base q, messages() order): gather
-    # the q^k codewords along the cycle; np.take returns C order, where a
-    # [:, idx] gather would return F order
-    encoded = cycle.vertices @ (code.q ** np.arange(code.k - 1, -1, -1))
-    entries = np.take(code.codewords(), encoded, axis=1)
+    # column j is codeword number m_j (messages() order): gather the q^k
+    # codewords along the cycle; np.take returns C order, where a [:, idx]
+    # gather would return F order
+    entries = np.take(code.codewords(), cycle.codes, axis=1)
     N = entries.shape[1]
 
     euler = verify_eulerian(entries, code.field, t)

@@ -221,6 +221,8 @@ def field_from_order(q: int) -> FieldTable:
     the one shared table gf_new holds for it."""
     if q < 2:
         raise ValueError(f"no field of order {q}")
+    if q > config.FIELD_ORDER_CAP:     # before the trial division, linear in p
+        raise ValueError(f"field order {q} exceeds cap {config.FIELD_ORDER_CAP}")
     p = 2
     while q % p != 0:
         p += 1

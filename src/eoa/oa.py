@@ -10,7 +10,8 @@ strength and Eulerian verifiers ask it for every t-row subset (the latter
 through `euler.pair_histograms`), the averaging layer for the supports of
 a drift's terms.  Each row carries one
 digit per column: its symbol here, the (symbol, transition) pair in base
-q^2 for a direct Eulerian count.  A job is one (t-1)-row prefix and one
+q^2 for a direct Eulerian count, which `euler.pair_histograms` reorders
+to (subset, vertex, transition).  A job is one (t-1)-row prefix and one
 group of later rows: two rows when base^(t+1) <= N, whose histograms are
 the marginals of their joint one (half the keys, and no more bins than
 keys), else one.  Runs of jobs share one key encoding and one bincount,
@@ -19,9 +20,10 @@ keys and bins (one job when N alone is more), so memory stays bounded as
 N grows, and only a block's keys are intp.  The histograms come back as
 one count array, a row per subset in the order asked; judging is the
 caller's.  Both verifiers judge all rows at once by one judge of
-(vertex, transition) counts, a strength histogram being that of one
-transition, and name only the first failing subset's violation; failing
-pairs have their strength judged first, on their vertex marginal.
+(subset, vertex, transition) count arrays, a strength histogram being
+that of one transition, and name only the first failing subset's
+violation; failing pairs have their strength judged first, on their
+vertex marginal.
 Counting is serial: a code-built Eulerian array's pairs factor through its
 few distinct columns (see `euler.pair_histograms`), so no count of one is
 large enough for threads to pay.
@@ -184,18 +186,17 @@ def subset_histograms(digits: np.ndarray, base: int, subsets) -> np.ndarray:
 
 def _judge_counts(counts: np.ndarray, used: np.ndarray, N: int) -> tuple[int, int | None]:
     """(first subset's lambda, first failing subset or None) of (subset,
-    vertex, transition) counts, a row of any layout per subset, used[i] the
-    transitions subset i takes; strength is the case of one transition.
+    vertex, transition) counts, used[i] the transitions subset i takes;
+    strength is the case of one transition.
 
     Uniform pair counts force lambda = N / (|G^t| |S|), so a subset whose
     lambda is not integral fails.  Unused transitions count 0, and the
     |G^t| |S| used pairs sum to N = lambda |G^t| |S|, so no pair above
     lambda leaves every used pair at exactly lambda.
     """
-    S, R = used.shape
-    counts = counts.reshape(S, -1)
-    lam, rest = np.divmod(N, counts.shape[1] // R * used.sum(axis=1))
-    bad = (rest != 0) | (counts.max(axis=1) > lam) | (lam != lam[0])
+    S, V, _ = counts.shape
+    lam, rest = np.divmod(N, V * used.sum(axis=1))
+    bad = (rest != 0) | (counts.reshape(S, -1).max(axis=1) > lam) | (lam != lam[0])
     return int(lam[0]), (int(np.argmax(bad)) if bad.any() else None)
 
 
@@ -241,6 +242,8 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
     hand-entered arrays); it is a return value, not an exception.  All
     subsets are judged at once by `_judge_strength`, which
     `verify_eulerian` shares, and only the first failing one is named.
+    Each subset's histogram has q^t bins, so q^t past
+    `config.EULER_EDGE_CAP` is refused, as the pair count refuses q^(2t).
     """
     entries = np.asarray(entries)
     n, N = entries.shape
@@ -248,6 +251,8 @@ def verify_strength(entries: np.ndarray, q: int, t: int) -> int | StrengthViolat
         raise ValueError(f"strength t = {t} out of range for {n} rows")
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError("entries must be symbols in [0, q)")
+    if q**t > config.EULER_EDGE_CAP:
+        raise ValueError(f"projection group, {q**t}, exceeds cap {config.EULER_EDGE_CAP}")
     subsets = list(itertools.combinations(range(n), t))
     return _judge_strength(subset_histograms(entries, q, subsets), subsets, N, q, t)
 
@@ -262,12 +267,15 @@ def max_strength(entries: np.ndarray, q: int) -> int | None:
     all n: a failing strength usually stops long before counting all
     C(n, t) subsets, at most (1 - 2^-t)^-1 times the work of a passing one.
     The check of r rows counts C(r, t) * N tuples; a strength that has not
-    failed by the time that exceeds the cap is left undecided.
+    failed by the time that exceeds the cap is left undecided.  The search
+    ends uncounted at the first q^t > N: no such t is a strength.
     """
     entries = np.asarray(entries)
     n, N = entries.shape
     best = 0
     for t in range(1, n + 1):
+        if q**t > N:            # some t-tuple cannot occur
+            return best
         for r in sorted({min(n, t << i) for i in range(1, n.bit_length() + 1)}):
             if math.comb(r, t) * N > config.STRENGTH_WORK_CAP:
                 return None
@@ -415,8 +423,9 @@ def _read_written(data: bytes) -> tuple | None:
     header = tuple(int(x) for x in head.groups())
     N, n = header[:2]
     start, size = head.end(), 2 * n * N
-    tail = _WRITTEN_TRAILER.fullmatch(data, start + size)
-    if not size or start + size > len(data) or tail is None:
+    # the length first: fullmatch overflows at a position past sys.maxsize
+    tail = start + size <= len(data) and _WRITTEN_TRAILER.fullmatch(data, start + size)
+    if not size or not tail:
         return None
     pairs = np.frombuffer(data, dtype="<u2", count=n * N, offset=start).reshape(n, N)
     symbols = pairs - _digit_layout(N)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eoa
-from eoa import cli
+from eoa import cli, oa as oa_module
 from eoa.cli import _resolve_d_dual, main
 from eoa.codes import LinearCode, hamming_code, write_code
 from eoa.gf import gf_new
@@ -168,6 +168,25 @@ def test_code_info_builds_no_dual_basis_for_the_smaller_code(tmp_path, capsys,
     monkeypatch.setattr(LinearCode, "dual", no_dual)
     assert main(["code", "info", "--in", str(path)]) == 0
     assert "[21, 3, 16, 3]" in capsys.readouterr().out
+
+
+def test_code_info_stops_strength_search_past_N(tmp_path, capsys, monkeypatch):
+    """The [20, 2]_256 code with generator rows (1, a), a < 19, and (0, 1)
+    has N = 256^2 codewords, so no strength 3 (256^3 tuples) is counted:
+    its (20, 256^3) histogram would take 2.5 GiB.  It reports d_dual = 3."""
+    path = tmp_path / "c256.txt"
+    path.write_text("CODE 256 20 2\n" + "".join(f"1 {a}\n" for a in range(19))
+                    + "0 1\n")
+    strengths, verify = [], oa_module.verify_strength
+
+    def spy(entries, q, t):
+        strengths.append(t)
+        return verify(entries, q, t)
+
+    monkeypatch.setattr(oa_module, "verify_strength", spy)
+    assert main(["code", "info", "--in", str(path)]) == 0
+    assert "[20, 2, 19, 3]" in capsys.readouterr().out
+    assert max(strengths) == 2
 
 
 def test_code_rejects_bad_params():
@@ -676,6 +695,32 @@ def test_sim_bangbang_exact_zero_lists_no_top_strings(tmp_path, oa16_file):
     assert data["top_strings"] == []
 
 
+# a header claiming the prime field order 2^31 - 1 (trial division to p
+# would take minutes, a q^t count 16 GiB), and one claiming 10^20 rows
+BIG_Q = "OA 2 1 2147483647 1 1\n0 1\nEULER 1 1\n"
+HUGE_N = "OA 1 99999999999999999999 4 1 1\n0\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("oa verify --in", BIG_Q, "projection group, 2147483647, exceeds cap 1048576"),
+    ("euler verify --in", BIG_Q, "field order 2147483647 exceeds cap 256"),
+    ("code info --in", "CODE 2147483647 1 1\n1\n",
+     "{path}: field order 2147483647 exceeds cap 256"),
+    ("oa verify --in", HUGE_N,
+     "{path}: array shape (1, 1) != (99999999999999999999, 1)")],
+    ids=["oa-big-q", "euler-big-q", "code-big-q", "oa-huge-n"])
+def test_huge_header_claims_exit_2_with_pinned_line(tmp_path, capsys, command,
+                                                     text, message):
+    """A field order past the cap is refused before its factoring, a q^t
+    past the pair cap before its count, and a claimed row block past the
+    file's end is left to the text path, which words the shape error."""
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main([*command.split(), str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {message.format(path=path)}"]
+
+
 BAD_INPUTS = [
     "oa verify --in {oa16} --t 0",
     "oa verify --in {oa16} --t 9",
@@ -705,6 +750,13 @@ BAD_INPUTS = [
     "euler verify --in {w}/ragged.txt",
     "oa verify --in {w}/huge.txt",
     "code info --in {w}/hugecode.txt",
+    "oa verify --in {w}/bigq.txt",
+    "euler verify --in {w}/bigq.txt",
+    "schedule export --oa {w}/bigq.txt --out {w}/sched.json",
+    "sim eulerian --oa {w}/bigq.txt --n 1 --t 1",
+    "code info --in {w}/bigqcode.txt",
+    "oa verify --in {w}/hugen.txt",
+    "euler verify --in {w}/hugen.txt",
     "code hamming --q 4 --m 2 --out {w}/missing/c.txt",
     "oa build --code {dual} --out {w}/missing/oa.txt",
     "euler build --code {dual} --out {w}/missing/eoa.txt",
@@ -725,10 +777,11 @@ def test_bad_input_exits_2_with_one_line(line, tmp_path, dual_code_file, oa16_fi
     """Out-of-range strengths, drift parameters, pulse lengths, quadrature
     orders and sweep lengths, a tolerance that no residual could fail (the
     3-body drift leaves about 1.2, and `residual > nan` is False), ragged
-    array rows, symbols beyond int64,
+    array rows, symbols beyond int64, headers that claim the prime field
+    order 2^31 - 1 or 10^20 rows,
     malformed drift files, size caps ([21, 18]_4 Hamming code: 4^18 words)
     and output paths that cannot be written are input errors: exit 2 and
-    one stderr line, never a traceback or a vacuous OK."""
+    one stderr line, never a traceback, a hang or a vacuous OK."""
     from eoa.decoupling import (DriftHamiltonian, drift_to_json, random_drift,
                                 write_drift)
     q6 = tmp_path / "q6.txt"
@@ -738,6 +791,9 @@ def test_bad_input_exits_2_with_one_line(line, tmp_path, dual_code_file, oa16_fi
     (tmp_path / "ragged.txt").write_text("OA 2 2 4 1 1\n0 1\n2\nEULER 1 1\n")
     (tmp_path / "huge.txt").write_text("OA 2 1 4 1 1\n0 99999999999999999999\n")
     (tmp_path / "hugecode.txt").write_text("CODE 4 2 1\n99999999999999999999\n1\n")
+    (tmp_path / "bigq.txt").write_text(BIG_Q)
+    (tmp_path / "bigqcode.txt").write_text("CODE 2147483647 1 1\n1\n")
+    (tmp_path / "hugen.txt").write_text(HUGE_N)
     empty = tmp_path / "empty.json"
     write_drift(empty, DriftHamiltonian(5, 2, 1, (), np.zeros((1, 1), dtype=complex)))
     bad_sys = drift_to_json(random_drift(5, 2, 2, 1, seed=0))

@@ -10,7 +10,8 @@ averaging kernel); for the averaging layer, `support_histograms_oracle`,
 which re-encodes every requested support from scratch.  The pair counter,
 `euler.pair_histograms`, factors the (vertex, transition) counts through
 an array's distinct columns when it can; its oracle is the direct count of
-the pair digits it replaced.
+the pair digits it replaced, gathered into (subset, vertex, transition)
+order by `pair_bins`.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from eoa.euler import (EulerianCertificate, EulerianViolation, euler_cycle_full,
                        verify_eulerian)
 from eoa.gf import field_from_order, gf_new
 from eoa.oa import StrengthViolation, verify_strength
-from test_decoupling import column_counts, pair_counts
+from test_decoupling import column_counts, cycle_digits, pair_counts
 
 FIELDS = {2: gf_new(2, 1), 3: gf_new(3, 1), 4: gf_new(2, 2), 9: gf_new(3, 2)}
 
@@ -73,7 +74,7 @@ def check_euler_rows(entries, field, t, rows):
     if not np.all(block == target):
         v, si = np.argwhere(block != target)[0]
         return EulerianViolation(
-            rows, "pair-count",
+            rows,
             tuple(int(x) for x in np.unravel_index(int(v), (q,) * t)),
             tuple(int(x) for x in np.unravel_index(int(used[si]), (q,) * t)),
             int(block[v, si]), expected)
@@ -94,7 +95,7 @@ def oracle_eulerian(entries, field, t):
         if lam is None:
             lam = sub_lam
         elif sub_lam != lam:
-            return EulerianViolation(rows, "pair-count", None, None, sub_lam, lam)
+            return EulerianViolation(rows, None, None, sub_lam, lam)
     return lam, gensets
 
 
@@ -114,7 +115,7 @@ def oracle_verdict(entries, field, t):
 
 def _eulerian_entries(code):
     cycle = euler_cycle_full(code.field, code.k)
-    return gf_matmul(code.gen, cycle.vertices.T, code.field)
+    return gf_matmul(code.gen, cycle_digits(cycle), code.field)
 
 
 # q -> [(entries, strength)]: the dual Hamming code (n = q + 1, strength 2)
@@ -221,14 +222,14 @@ def test_rare_verdict_branches_match_oracle():
     odd_pairs = np.array([[0, 0, 1, 1, 0, 1]])
     euler = verify_eulerian(odd_pairs, field, 1)
     assert euler == oracle_eulerian(odd_pairs, field, 1)
-    assert euler == EulerianViolation((0,), "pair-count", (0,), (1,), 2, 1.5)
+    assert euler == EulerianViolation((0,), (0,), (1,), 2, 1.5)
 
     # row 0 is the cycle 0011 (two transitions, lambda 1), row 1 alternates
     # (transition 1 only, lambda 2): both uniform, at different lambdas
     mixed = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
     euler = verify_eulerian(mixed, field, 1)
     assert euler == oracle_eulerian(mixed, field, 1)
-    assert euler == EulerianViolation((1,), "pair-count", None, None, 2, 1)
+    assert euler == EulerianViolation((1,), None, None, 2, 1)
     assert verify_strength(mixed, 2, 1) == 2   # so the pair judge decides
 
 
@@ -301,10 +302,11 @@ def factors_oracle(entries, field):
 @given(case=arrays(), data=st.data())
 def test_pair_histograms_equal_direct_pair_count(case, data):
     """`pair_histograms` equals the direct count of the pair digits bit for
-    bit, for subsets in any order, repeats allowed.  It factors exactly
-    when the product-structure oracle says the columns do: always for a
-    valid array, never for a one-symbol tamper; a shuffled or random array
-    factors only by chance (a short row of few symbols)."""
+    bit in (subset, vertex, transition) order, for subsets in any order,
+    repeats allowed.  It factors exactly when the product-structure oracle
+    says the columns do: always for a valid array, never for a one-symbol
+    tamper; a shuffled or random array factors only by chance (a short row
+    of few symbols)."""
     q, t, entries, kind, _ = case
     field = FIELDS[q]
     n, N = entries.shape
@@ -312,7 +314,7 @@ def test_pair_histograms_equal_direct_pair_count(case, data):
         st.sets(st.integers(0, n - 1), min_size=t, max_size=t)
         .map(lambda rows: tuple(sorted(rows))), min_size=1, max_size=12))
     counts, calls = spied_pair_histograms(entries, field, subsets)
-    expected = oa_module.subset_histograms(pair_digits(entries, field), q * q, subsets)
+    expected = direct_pair_histograms(entries, field, subsets)
     assert counts.dtype == expected.dtype
     assert np.array_equal(counts, expected)
     factored = [b for _, b in calls] == [q, q]
@@ -337,8 +339,7 @@ def test_tiled_array_factors_with_edge_multiplicity_two(q):
     tiled = np.tile(base, (1, 2))
     counts, calls = spied_pair_histograms(tiled, field, subsets)
     assert [b for _, b in calls] == [q, q]
-    assert np.array_equal(counts, oa_module.subset_histograms(
-        pair_digits(tiled, field), q * q, subsets))
+    assert np.array_equal(counts, direct_pair_histograms(tiled, field, subsets))
     assert np.array_equal(counts, 2 * single)
 
 
@@ -353,8 +354,7 @@ def test_code_array_counts_only_distinct_columns():
     for entries, seen in ((base, [(64, 4), (64, 4)]), (shuffled, [(4096, 16)])):
         counts, calls = spied_pair_histograms(entries, field, subsets)
         assert calls == seen
-        assert np.array_equal(counts, oa_module.subset_histograms(
-            pair_digits(entries, field), 16, subsets))
+        assert np.array_equal(counts, direct_pair_histograms(entries, field, subsets))
 
 
 def test_too_many_distinct_columns_build_no_edge_count():
@@ -374,7 +374,7 @@ def test_too_many_distinct_columns_build_no_edge_count():
         return bincount(*args, **kwargs)
 
     subsets = list(itertools.combinations(range(6), 2))
-    direct = oa_module.subset_histograms(pair_digits(random, field), 16, subsets)
+    direct = direct_pair_histograms(random, field, subsets)
     code = BASES[4][0][0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "bincount", spy)
@@ -449,19 +449,37 @@ def pair_digits(entries, field):
     return digits + transitions_oracle(entries, field)
 
 
+def pair_bins(q, t):
+    """(q^t, q^t) bin of each (vertex code, transition code) in a histogram
+    of pair digits, vertex * q + transition per row, first row leading: the
+    interleaved axes v_0, s_0, v_1, s_1, ... as one gather."""
+    code = (q * q) ** np.arange(t - 1, -1, -1) @ np.array(
+        np.unravel_index(np.arange(q**t), (q,) * t))
+    return q * code[:, None] + code
+
+
+def direct_pair_histograms(entries, field, subsets):
+    """(len(subsets), q^t, q^t) (subset, vertex, transition) histograms: the
+    direct count of the pair digits, `pair_histograms`' oracle, its bins
+    gathered into (vertex, transition) order."""
+    q, t = field.q, len(subsets[0])
+    counts = oa_module.subset_histograms(pair_digits(entries, field), q * q, subsets)
+    return counts[:, pair_bins(q, t)]
+
+
 def pair_histograms_oracle(entries, field, subsets):
-    """(len(subsets), q^(2t)) pair histograms counted column by column on
+    """(len(subsets), q^t, q^t) pair histograms counted column by column on
     Python ints: no numpy dtype that could wrap."""
     q, rows = field.q, entries.tolist()
-    N = len(rows[0])
-    out = np.zeros((len(subsets), q ** (2 * len(subsets[0]))), dtype=np.intp)
+    N, width = len(rows[0]), q ** len(subsets[0])
+    out = np.zeros((len(subsets), width, width), dtype=np.intp)
     for i, subset in enumerate(subsets):
         for j in range(N):
-            key = 0
+            v = s = 0
             for r in subset:
-                v, nxt = rows[r][j], rows[r][(j + 1) % N]
-                key = key * q * q + v * q + field.sub(nxt, v)
-            out[i, key] += 1
+                cur, nxt = rows[r][j], rows[r][(j + 1) % N]
+                v, s = v * q + cur, s * q + field.sub(nxt, cur)
+            out[i, v, s] += 1
     return out
 
 
@@ -537,14 +555,17 @@ def test_every_subset_histogram_matches_per_subset_oracle(case, budget):
     assert (base_s, field_e) == (q, field)
     subsets = list(itertools.combinations(range(entries.shape[0]), t))
     assert subsets_s == subsets_e == subsets
-    # the Eulerian digits, symbol * q + transition, from the two-table form
-    pairs = q * entries + transitions_oracle(entries, field)
-    for counts, digits, base in ((counts_s, entries, q), (counts_e, pairs, q * q)):
-        assert counts.shape == (len(subsets), base**t)
-        for row, rows in zip(counts, subsets):
-            expected = column_counts(digits[list(rows)], base)
-            assert row.dtype == expected.dtype
-            assert np.array_equal(row, expected)
+    # the Eulerian (vertex, transition) columns from the two-table form
+    steps = transitions_oracle(entries, field)
+    assert counts_s.shape == (len(subsets), q**t)
+    assert counts_e.shape == (len(subsets), q**t, q**t)
+    for row, pairs, rows in zip(counts_s, counts_e, subsets):
+        expected = column_counts(entries[list(rows)], q)
+        pair_expected = column_counts(np.concatenate(
+            [entries[list(rows)], steps[list(rows)]]), q).reshape(q**t, q**t)
+        assert row.dtype == pairs.dtype == expected.dtype
+        assert np.array_equal(row, expected)
+        assert np.array_equal(pairs, pair_expected)
     # oracle_strength and oracle_eulerian judge subset by subset with
     # check_rows and check_euler_rows
     assert strength == oracle_strength(entries, q, t)

@@ -555,8 +555,8 @@ def test_cycle_action_decomposes_through_fs():
 def test_single_cycle_average_any_start_vertex():
     """The kernel's vertex is g_j - g_0, so a rotated cycle matches its walk."""
     cyc = euler_cycle_full(gf_new(3, 2), 1)
-    rotated = EulerianCycle(cyc.q, cyc.k, np.roll(cyc.vertices, -7, axis=0).copy(), 1)
-    assert rotated.vertices[0, 0] != 0
+    rotated = EulerianCycle(cyc.q, cyc.k, np.roll(cyc.codes, -7))
+    assert rotated.codes[0] != 0
     x = random_complex(np.random.default_rng(25), 3)
     exact = single_cycle_average(rotated, x, 0.1, method="exact")
     walk = single_cycle_average(rotated, x, 0.1, method="quadrature")
@@ -683,7 +683,7 @@ def test_single_cycle_quadrature_unchanged_on_gf9(order):
     ops = [weyl(3, a, b) for a in range(3) for b in range(3)]
     ops.append(random_complex(np.random.default_rng(27), 3))
     for x in ops:
-        walk = walk_oracle(x, cyc.vertices.T, field, hams, 0.1, order)
+        walk = walk_oracle(x, cycle_digits(cyc), field, hams, 0.1, order)
         assert np.array_equal(
             single_cycle_average(cyc, x, 0.1, method="quadrature", order=order),
             np.tensordot(walk.reshape(-1) @ expand, unitaries, axes=1))
@@ -783,7 +783,7 @@ def test_single_cycle_kernel_matches_walk_off_identity():
     """Matrix-level check on a vertex sequence that is not a full cycle and
     does not start at 0, where Q_C is not the plain group average."""
     symbols = np.array([[3, 1, 1, 2, 0, 2, 3]])
-    cyc = EulerianCycle(4, 1, symbols.T.copy(), 1)
+    cyc = EulerianCycle(4, 1, symbols[0].copy())
     x = random_complex(np.random.default_rng(26), 2)
     exact = single_cycle_average(cyc, x, 0.1, method="exact")
     walk = single_cycle_average(cyc, x, 0.1, method="quadrature")
@@ -1180,6 +1180,11 @@ def test_eulerian_residual_matches_full_space_oracle():
 # ---------------------------------------------------------------------------
 # Per-term oracles for the batched averaging layer
 # ---------------------------------------------------------------------------
+
+def cycle_digits(cycle):
+    """k x N symbol digits of a cycle's vertex codes, first digit leading."""
+    return np.array(np.unravel_index(cycle.codes, (cycle.q,) * cycle.k))
+
 
 def column_counts(sub, q):
     """Histogram of a t x N array's columns, encoded base q (row 0 leading):

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eoa.codes import LinearCode, gf_matmul, hamming_code
-from eoa.decoupling import _pair_bins, eulerian_average, random_drift
+from eoa.decoupling import eulerian_average, random_drift
 from eoa.euler import (EulerianCertificate, EulerianOA, EulerianViolation,
                        _vector_add_table, euler_cycle_full, eulerian_oa_from_code,
                        read_eulerian_oa, verify_eulerian, write_eulerian_oa)
 from eoa.gf import field_from_order, gf_new, is_prime
 from eoa.oa import (CertificateError, OrthogonalArray, StrengthViolation, _judge_counts,
-                    oa_from_code, read_oa_file, subset_histograms, verify_strength,
+                    oa_from_code, read_oa_file, verify_strength,
                     write_oa)
 
-from test_counting import pair_digits
+from test_counting import direct_pair_histograms
+from test_decoupling import cycle_digits
 
 F2 = gf_new(2, 1)
 F4 = gf_new(2, 2)
@@ -32,29 +33,25 @@ def eoa256(cycle42):
     return eulerian_oa_from_code(hamming_code(F4, 2).dual(), cycle42, 2)
 
 
-def encode_vertices(cycle):
-    weights = cycle.q ** np.arange(cycle.k - 1, -1, -1)
-    return cycle.vertices @ weights
-
-
 def test_smallest_cycle_is_0011():
     cyc = euler_cycle_full(F2, 1)
-    assert cyc.vertices[:, 0].tolist() == [0, 0, 1, 1]
+    assert cyc.codes.tolist() == [0, 0, 1, 1]
 
 
 def test_cycle_length_and_start(cycle42):
     assert cycle42.length == 256
-    assert cycle42.vertices[0].tolist() == [0, 0]
-    assert cycle42.multiplicity == 1
+    assert cycle42.codes.shape == (256,) and cycle42.codes.dtype == np.intp
+    assert cycle42.codes[0] == 0
 
 
 def test_cycle_edge_cover(cycle42):
     """Every vertex q^k times; every (vertex, generator) pair exactly once."""
-    enc = encode_vertices(cycle42)
+    enc = cycle42.codes
     counts = np.bincount(enc, minlength=16)
     assert np.all(counts == 16)
-    nxt = np.roll(cycle42.vertices, -1, axis=0)
-    diff = F4.add_table[nxt, F4.neg_table[cycle42.vertices]]
+    digits = cycle_digits(cycle42).T
+    nxt = np.roll(digits, -1, axis=0)
+    diff = F4.add_table[nxt, F4.neg_table[digits]]
     denc = diff @ (4 ** np.arange(1, -1, -1))
     pairs = set(zip(enc.tolist(), denc.tolist()))
     assert len(pairs) == 256
@@ -65,7 +62,7 @@ def test_cycle_edge_cover(cycle42):
 def test_cycle_deterministic():
     a = euler_cycle_full(F4, 2)
     b = euler_cycle_full(F4, 2)
-    assert np.array_equal(a.vertices, b.vertices)
+    assert np.array_equal(a.codes, b.codes)
 
 
 def hierholzer_oracle(field, k):
@@ -99,7 +96,7 @@ def test_cycle_equals_numpy_indexed_hierholzer(q, k):
     """The list-based walk, a greedy stretch at a time, gives the
     numpy-indexed walk's trail exactly."""
     field = field_from_order(q)
-    assert np.array_equal(encode_vertices(euler_cycle_full(field, k)),
+    assert np.array_equal(euler_cycle_full(field, k).codes,
                           hierholzer_oracle(field, k))
 
 
@@ -157,11 +154,9 @@ def test_single_row_projection_is_eulerian(eoa256):
 
 def pair_histogram(entries, rows, field):
     """(q^t, q^t) (vertex, transition) histogram of one row subset, read
-    off the shared pair digits the way the verifier and the averaging
-    kernel count them."""
-    q, t = field.q, len(rows)
-    hist, = subset_histograms(pair_digits(entries, field), q * q, [rows])
-    return hist[_pair_bins(q, t)]
+    off the direct count of the pair digits."""
+    hist, = direct_pair_histograms(entries, field, [rows])
+    return hist
 
 
 def test_pair_counts_match_column_walk(eoa256):
@@ -197,8 +192,8 @@ def test_non_generating_transitions_fail_pair_count():
     result = verify_eulerian(entries, F4, 1)
     assert result == verify_strength(entries, 4, 1)
     assert result == StrengthViolation((0,), (0,), 2, 1.0)
-    counts = subset_histograms(pair_digits(entries, F4), 16, [(0,)])
-    used = counts.reshape(1, 4, 4).sum(axis=1) > 0
+    counts = direct_pair_histograms(entries, F4, [(0,)])
+    used = counts.sum(axis=1) > 0
     assert _judge_counts(counts, used, 4)[1] == 0
 
 
@@ -207,7 +202,7 @@ def test_lambda_mismatch_message_names_both_lambdas():
     keeps vertex and transition None, and its message says that every used
     pair occurs at the second row's lambda against the first row's."""
     result = verify_eulerian(np.array([[0, 0, 1, 1], [0, 1, 0, 1]]), F2, 1)
-    assert result == EulerianViolation((1,), "pair-count", None, None, 2, 1)
+    assert result == EulerianViolation((1,), None, None, 2, 1)
     assert str(result) == ("rows (1,): every used (vertex, transition) pair "
                            "occurs 2 times, against 1 in the first subset")
     pair = verify_eulerian(np.array([[0, 0, 1, 1, 0, 1]]), F2, 1)
@@ -217,7 +212,7 @@ def test_lambda_mismatch_message_names_both_lambdas():
 
 def test_toy_row_at_t1():
     cyc = euler_cycle_full(F2, 1)
-    result = verify_eulerian(cyc.vertices.T, F2, 1)
+    result = verify_eulerian(cyc.codes[None], F2, 1)
     assert isinstance(result, EulerianCertificate)
     assert result.edge_multiplicity == 1
     assert result.gensets[(0,)] == ((0,), (1,))
@@ -259,7 +254,7 @@ def test_gathered_construction_equals_matmul(p, m, k):
         code, t = hamming_code(field, 2).dual(), 2
     cycle = euler_cycle_full(field, k)
     eoa = eulerian_oa_from_code(code, cycle, t)
-    assert np.array_equal(eoa.entries, gf_matmul(code.gen, cycle.vertices.T, field))
+    assert np.array_equal(eoa.entries, gf_matmul(code.gen, cycle_digits(cycle), field))
     assert eoa.entries.flags["C_CONTIGUOUS"]
 
 

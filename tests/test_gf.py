@@ -127,6 +127,13 @@ def test_field_from_order():
         field_from_order(12)
 
 
+def test_field_order_cap_comes_before_factoring():
+    """The prime order 2^31 - 1 is refused by the cap at once, before a
+    trial division that would try every p up to it."""
+    with pytest.raises(ValueError, match="^field order 2147483647 exceeds cap 256$"):
+        field_from_order(2**31 - 1)
+
+
 @pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (5, 2)])
 def test_one_read_only_field_per_order(p, m):
     """Every call for one order returns the one table gf_new built, and

@@ -160,6 +160,16 @@ def test_column_counts_encoding():
             subset_histograms(sub, 4, bad)
 
 
+def test_verify_strength_refuses_a_group_past_the_cap():
+    """q^t histogram bins per subset are capped as the pair count's q^(2t)
+    are: 2^15 symbols at t = 2 would count 2^30 bins, 2^10 at t = 2 may."""
+    entries = np.zeros((2, 4), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"^projection group, 1073741824, exceeds "
+                                         r"cap 1048576$"):
+        verify_strength(entries, 2**15, 2)
+    assert isinstance(verify_strength(entries, 2**10, 2), StrengthViolation)
+
+
 def test_max_strength_cases(oa16):
     assert max_strength(oa16.entries, 4) == 2
     assert max_strength(np.zeros((3, 4), dtype=np.int64), 4) == 0
